@@ -6,13 +6,17 @@ Subcommands:
   solve     critical-point search -> JSON result (exit 0 nontrivial,
             1 trivial only, 3 failure)
   probe     bubble-estimate probes over a Lambda grid -> CSV + PASS/FAIL
+            (exit 0 pass, 1 fail, 2 under-resolved)
   spectrum  eigenvalue export -> CSV
+
+A package error ends every subcommand with a one-line message on stderr
+and an exit code: 3 from `solve` whatever the error, and otherwise the code
+ERROR_EXITS gives its type (2 unusable input, 4 failed computation).
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -21,9 +25,26 @@ from . import bubbles, mesh as meshmod, solver, spectrum, topology
 from .barycenter import JoinPoint
 from .bubbles import TestConfig
 from .energy import EnergyFunctional, Parameters
-from .errors import MeshError, RefinementNeededError, ResonanceError
+from .errors import (ConvergenceError, EmptySpaceError, MeshError,
+                     NotConcentratedError, NotInLowSublevelError,
+                     RefinementNeededError, ResonanceError)
 
 FMT = "{:.12g}"
+
+EXIT_SOLVE_FAILED = 3
+# Exit code of each error outside `solve`: 2 when the input cannot be used
+# (unreadable or invalid mesh, resonant parameters, mesh too coarse, empty
+# model space), 4 when a computation on valid input failed.
+ERROR_EXITS = {
+    OSError: 2,
+    MeshError: 2,
+    ResonanceError: 2,
+    RefinementNeededError: 2,
+    EmptySpaceError: 2,
+    ConvergenceError: 4,
+    NotConcentratedError: 4,
+    NotInLowSublevelError: 4,
+}
 
 # Frozen probe references: expected Dirichlet slopes per fixture and the
 # calibrated statistic constants/bounds (resolution-64 calibration run).
@@ -88,22 +109,14 @@ def cmd_analyze(args):
 
 
 def cmd_solve(args):
-    try:
-        mesh = _build_mesh(args)
-    except (OSError, MeshError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
+    mesh = _build_mesh(args)
     basis = spectrum.eigenpairs(mesh, args.eigs)
     p = Parameters(beta=args.beta, rho=args.rho)
-    try:
-        result, _ = solver.find_critical_point(mesh, basis, p,
-                                               flow_budget=args.steps)
-    except ResonanceError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
+    result, _ = solver.find_critical_point(mesh, basis, p,
+                                           flow_budget=args.steps)
     if result is None:
         sys.stderr.write("error: no critical point found\n")
-        return 3
+        return EXIT_SOLVE_FAILED
     _output(json.dumps(result.to_json_dict(p), indent=2) + "\n", args.out)
     return 0 if result.classification == solver.CLASS_NONTRIVIAL else 1
 
@@ -142,11 +155,7 @@ def cmd_probe(args):
     ok = True
     if args.probe == "dirichlet_slope":
         expected, rel = PROBE_SLOPES["boundary"]
-        try:
-            slope = bubbles.dirichlet_slope(mu, grid, mesh)
-        except RefinementNeededError as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            return 2
+        slope = bubbles.dirichlet_slope(mu, grid, mesh)
         ok = abs(slope - expected) <= rel * expected
         print(f"slope {slope:.4g} expected {expected:.4g} "
               f"{'PASS' if ok else 'FAIL'}")
@@ -230,15 +239,14 @@ def main(argv=None):
                 cur = getattr(args, attr)
                 cast = type(cur) if cur is not None else str
                 setattr(args, attr, cast(value))
-    threads = os.environ.get("KS_THREADS")
-    if threads:
-        os.environ.setdefault("OMP_NUM_THREADS", threads)
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", threads)
     try:
         return args.fn(args)
-    except (MeshError, OSError) as exc:
+    except tuple(ERROR_EXITS) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 3 if args.command == "solve" else 2
+        if args.command == "solve":
+            return EXIT_SOLVE_FAILED
+        return next(code for cls, code in ERROR_EXITS.items()
+                    if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

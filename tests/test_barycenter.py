@@ -1,11 +1,18 @@
 """Bounded-Lipschitz metric, covering alternative and barycenter projection."""
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.optimize import linprog
 
 from ksbench import barycenter as bc
 from ksbench import bubbles
 from ksbench.energy import EnergyFunctional
 from ksbench.errors import NotConcentratedError, NotInLowSublevelError
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
 
 
 def _random_measure(rng, n):
@@ -193,3 +200,142 @@ def test_psi_map_rejects_flat_field(square48, square48_basis):
     model = EnergyFunctional.for_mesh(square48)
     with pytest.raises(NotInLowSublevelError):
         bc.psi_map(model.zero_field(), square48_basis, I=2, K=1, eps=0.2)
+
+
+# Oracles: the all-pairs dual LP and the direct far-apart loop that the
+# partial-transport LP and the KD-tree selection replace.
+
+def _bl_distance_dual_lp(mu, nu, prune=1e-10):
+    """Maximize sum h_a d_a over |h_a| <= 1, |h_a - h_b| <= |p_a - p_b|."""
+    pm, wm = bc.as_weighted_points(mu)
+    pn, wn = bc.as_weighted_points(nu)
+    points = np.vstack([pm, pn])
+    d = np.concatenate([wm, -wn])
+    key = np.round(points / 1e-12).astype(np.int64)
+    _, inv = np.unique(key, axis=0, return_inverse=True)
+    n_unique = inv.max() + 1
+    dd = np.bincount(inv, weights=d, minlength=n_unique)
+    rep = np.zeros(n_unique, dtype=np.int64)
+    rep[inv] = np.arange(len(points))
+    points = points[rep]
+    d = dd
+    scale = np.abs(d).sum()
+    if scale <= 0:
+        return 0.0
+    keep = np.abs(d) > prune * scale
+    points, d = points[keep], d[keep]
+    n = len(points)
+    if n == 1:
+        return float(abs(d[0]))
+    ii, jj = np.triu_indices(n, k=1)
+    dist = np.linalg.norm(points[ii] - points[jj], axis=1)
+    m = len(ii)
+    rows = np.repeat(np.arange(2 * m), 2)
+    cols = np.concatenate([np.column_stack([ii, jj]).ravel(),
+                           np.column_stack([jj, ii]).ravel()])
+    data = np.tile([1.0, -1.0], 2 * m)
+    A = sp.coo_matrix((data, (rows, cols)), shape=(2 * m, n))
+    b = np.concatenate([dist, dist])
+    res = linprog(-d, A_ub=A.tocsr(), b_ub=b, bounds=(-1.0, 1.0),
+                  method="highs")
+    assert res.success, res.message
+    return float(-res.fun)
+
+
+def _far_apart_loop(cand, order, gap):
+    chosen = []
+    for idx in order:
+        p = cand[idx]
+        if all(np.linalg.norm(p - q) >= gap for q in chosen):
+            chosen.append(p)
+    return np.array(chosen) if chosen else np.zeros((0, 2))
+
+
+def _spread_points_oracle(mesh, values, eps, K):
+    with mock.patch.object(bc, "_far_apart", _far_apart_loop):
+        return bc.spread_points(mesh, values, eps, K)
+
+
+def _assert_same_outcome(out, ref):
+    assert type(out) is type(ref)
+    assert np.array_equal(out.points, ref.points)
+    assert np.array_equal(out.interior, ref.interior)
+    if isinstance(ref, bc.Spread):
+        assert out.mass_floor == ref.mass_floor
+        assert out.radius == ref.radius
+
+
+# Half-unit lattice coordinates make coincident atoms likely; the range
+# reaches past 2 so some pairs sit beyond the cap; 1e-14 atoms are pruned.
+_coord = st.one_of(st.integers(0, 8).map(lambda k: 0.5 * k),
+                   st.floats(0.0, 4.0))
+_weight = st.one_of(st.floats(1e-3, 1.0), st.just(1e-14))
+_atoms = st.lists(st.tuples(_coord, _coord, _weight), min_size=1, max_size=7)
+
+
+def _measure(atoms):
+    arr = np.array(atoms, dtype=float)
+    return arr[:, :2], arr[:, 2]
+
+
+@st.composite
+def _measure_pair(draw):
+    mu = _measure(draw(_atoms))
+    if draw(st.booleans()):
+        # Same support, rescaled weights: coincident atoms throughout, and
+        # a single-sign difference when every factor is on one side of 1.
+        hi = draw(st.sampled_from([1.0, 2.0]))
+        f = np.array(draw(st.lists(st.floats(0.1, hi), min_size=len(mu[1]),
+                                   max_size=len(mu[1]))))
+        return mu, (mu[0], mu[1] * f)
+    return mu, _measure(draw(_atoms))
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(_measure_pair(), st.sampled_from([1e-10, 0.05]))
+def test_bl_distance_matches_dual_lp(pair, prune):
+    mu, nu = pair
+    assert bc.bl_distance(mu, nu, prune) == pytest.approx(
+        _bl_distance_dual_lp(mu, nu, prune), rel=0.0, abs=1e-9)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(_atoms, _atoms, _atoms)
+def test_bl_distance_metric_axioms(a, b, c):
+    mu, nu, xi = _measure(a), _measure(b), _measure(c)
+    dmn = bc.bl_distance(mu, nu)
+    assert dmn >= 0.0
+    assert bc.bl_distance(mu, mu) <= 1e-9
+    assert abs(dmn - bc.bl_distance(nu, mu)) <= 1e-9
+    assert bc.bl_distance(mu, xi) <= dmn + bc.bl_distance(nu, xi) + 1e-9
+
+
+def test_far_apart_matches_loop_on_lattice_ties():
+    # A square lattice of step 1 with gap 2 puts many pairs exactly at the
+    # gap; shuffled orders exercise which of the tied points is kept.
+    rng = np.random.default_rng(0)
+    xs = np.arange(12.0)
+    cand = np.column_stack([np.repeat(xs, 12), np.tile(xs, 12)]) * 0.1
+    for _ in range(5):
+        order = rng.permutation(len(cand))
+        assert np.array_equal(bc._far_apart(cand, order, 0.2),
+                              _far_apart_loop(cand, order, 0.2))
+
+
+def test_spread_flat_matches_oracle(square48):
+    values = np.ones(square48.num_vertices)
+    out = bc.spread_points(square48, values, 0.2 / 3.0, 2)
+    assert isinstance(out, bc.Spread)
+    _assert_same_outcome(out, _spread_points_oracle(square48, values,
+                                                    0.2 / 3.0, 2))
+
+
+@hypothesis.settings(max_examples=8, deadline=None)
+@hypothesis.given(st.lists(st.tuples(st.floats(0.1, 0.9), st.floats(0.1, 0.9)),
+                           min_size=1, max_size=3),
+                  st.floats(5.0, 300.0), st.integers(0, 4))
+def test_spread_bubbles_match_oracle(square48, centers, scale, K):
+    mu = bubbles.make_measure(np.array(centers), [True] * len(centers))
+    values = np.exp(bubbles.bubble_values(mu, scale, square48))
+    _assert_same_outcome(bc.spread_points(square48, values, 0.2, K),
+                         _spread_points_oracle(square48, values, 0.2, K))

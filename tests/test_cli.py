@@ -1,10 +1,16 @@
 """Command-line interface: exit codes, output formats, config handling."""
+import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ksbench import cli
+import ksbench
+from ksbench import cli, errors, spectrum
 
 
 def test_analyze_guaranteed_exit_0(capsys, tmp_path):
@@ -127,3 +133,58 @@ def test_config_file_overrides(tmp_path, capsys):
                    "--rho", "13", "--domain", "disk", "--res", "64",
                    "--out", str(tmp_path / "r2.json")])
     assert rc == 0
+
+
+# The documented exit code of every package error outside `solve`.
+ERROR_EXIT_CODES = {
+    errors.MeshError: 2,
+    errors.ResonanceError: 2,
+    errors.RefinementNeededError: 2,
+    errors.EmptySpaceError: 2,
+    errors.ConvergenceError: 4,
+    errors.NotConcentratedError: 4,
+    errors.NotInLowSublevelError: 4,
+}
+
+
+def test_every_package_error_has_an_exit_code():
+    defined = {cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+               if issubclass(cls, Exception)
+               and cls.__module__ == errors.__name__}
+    assert defined == set(ERROR_EXIT_CODES)
+    assert all(cli.ERROR_EXITS[cls] == code
+               for cls, code in ERROR_EXIT_CODES.items())
+
+
+@pytest.mark.parametrize("command", ["analyze", "solve", "probe", "spectrum"])
+@pytest.mark.parametrize("error", sorted(ERROR_EXIT_CODES,
+                                         key=lambda cls: cls.__name__))
+def test_package_error_exit_code(command, error, monkeypatch, capsys,
+                                 tmp_path):
+    def fail(*args, **kwargs):
+        raise error("injected failure")
+
+    monkeypatch.setattr(spectrum, "eigenpairs", fail)
+    rc = cli.main([command, "--res", "8", "--out", str(tmp_path / "out")])
+    assert rc == (3 if command == "solve" else ERROR_EXIT_CODES[error])
+    err = capsys.readouterr().err
+    assert err == "error: injected failure\n"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="needs /proc to count threads")
+def test_ks_threads_caps_blas_threads():
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "MKL_NUM_THREADS")}
+    env["KS_THREADS"] = "1"
+    src = str(Path(ksbench.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import ksbench\n"
+            "for line in open('/proc/self/status'):\n"
+            "    if line.startswith('Threads:'):\n"
+            "        print(line.split()[1])\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "1"
