@@ -11,7 +11,9 @@ Subcommands:
 
 A package error ends every subcommand with a one-line message on stderr
 and an exit code: 3 from `solve` whatever the error, and otherwise the code
-ERROR_EXITS gives its type (2 unusable input, 4 failed computation).
+ERROR_EXITS gives its type (2 unusable input, 4 failed computation).  A
+--config value that does not convert to its option's type exits 2 from
+every subcommand, as argparse does for a bad flag value.
 """
 from __future__ import annotations
 
@@ -32,6 +34,9 @@ from .errors import (ConvergenceError, EmptySpaceError, MeshError,
 FMT = "{:.12g}"
 
 EXIT_SOLVE_FAILED = 3
+# A --config value of the wrong type is a bad option value, which argparse
+# answers with exit 2 in every subcommand.
+EXIT_BAD_CONFIG = 2
 # Exit code of each error outside `solve`: 2 when the input cannot be used
 # (unreadable or invalid mesh, resonant parameters, mesh too coarse, empty
 # model space), 4 when a computation on valid input failed.
@@ -226,21 +231,38 @@ def build_parser():
     return parser
 
 
-def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.config:
-        file_values = _read_config_file(args.config)
-        given = {a for a in (argv or sys.argv[1:]) if a.startswith("--")}
-        for key, value in file_values.items():
-            flag = "--" + key.replace("_", "-")
-            attr = key.replace("-", "_")
-            if flag not in given and hasattr(args, attr):
-                cur = getattr(args, attr)
-                cast = type(cur) if cur is not None else str
+class _ConfigValueError(ValueError):
+    """A --config value that does not convert to its option's type."""
+
+
+def _apply_config(args, argv):
+    """Set each option from the --config file unless a flag gives it, in
+    either the `--flag value` or the `--flag=value` form."""
+    given = {a.partition("=")[0] for a in argv if a.startswith("--")}
+    for key, value in _read_config_file(args.config).items():
+        flag = "--" + key.replace("_", "-")
+        attr = key.replace("-", "_")
+        if flag not in given and hasattr(args, attr):
+            cur = getattr(args, attr)
+            cast = type(cur) if cur is not None else str
+            try:
                 setattr(args, attr, cast(value))
+            except ValueError:
+                raise _ConfigValueError(
+                    f"{args.config}: {key} = {value!r} is not a valid "
+                    f"{cast.__name__}") from None
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(argv)
     try:
+        if args.config:
+            _apply_config(args, argv)
         return args.fn(args)
+    except _ConfigValueError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_BAD_CONFIG
     except tuple(ERROR_EXITS) as exc:
         sys.stderr.write(f"error: {exc}\n")
         if args.command == "solve":

@@ -249,30 +249,36 @@ def winding_numbers(mesh, points):
     return w
 
 
-def _segment_distances(points, a, b):
-    """Distance from each point to each segment [a_i, b_i]; (P, S) matrix."""
-    points = np.atleast_2d(points)
-    d = b - a                                     # (S, 2)
-    pa = points[:, None, :] - a[None, :, :]       # (P, S, 2)
-    denom = np.einsum("sj,sj->s", d, d)
-    denom = np.where(denom == 0.0, 1.0, denom)
-    t = np.clip(np.einsum("psj,sj->ps", pa, d) / denom, 0.0, 1.0)
-    proj = a[None, :, :] + t[:, :, None] * d[None, :, :]
-    return np.linalg.norm(points[:, None, :] - proj, axis=2)
-
-
 def boundary_distances(mesh, points):
-    """Distance from each point to the mesh boundary (no containment check)."""
+    """Distance from each point to the mesh boundary (no containment check).
+
+    Exact, with no (points x segments) matrix.  The midpoint of a segment
+    lies on it, so the nearest midpoint, at distance d0, bounds the distance
+    from above; a segment attaining the minimum therefore has its midpoint
+    within d0 + L/2, L the longest segment.  A KD-tree ball of that radius,
+    padded against rounding, proposes the candidate segments, and the
+    clamped projection onto each candidate decides.
+    """
     a = mesh.vertices[mesh.boundary_edges[:, 0]]
     b = mesh.vertices[mesh.boundary_edges[:, 1]]
     points = np.atleast_2d(points)
-    # Chunk the (points x segments) distance matrix to bound peak memory.
-    chunk = max(1, 4_000_000 // max(1, len(a)))
-    out = np.empty(len(points))
-    for lo in range(0, len(points), chunk):
-        out[lo:lo + chunk] = _segment_distances(
-            points[lo:lo + chunk], a, b).min(axis=1)
-    return out
+    if len(points) == 0:
+        return np.empty(0)
+    d = b - a
+    tree = cKDTree(0.5 * (a + b))
+    d0, _ = tree.query(points)
+    half = 0.5 * float(np.linalg.norm(d, axis=1).max())
+    balls = tree.query_ball_point(points, (d0 + half) * (1.0 + 1e-9) + 1e-12)
+    counts = np.fromiter(map(len, balls), dtype=np.intp, count=len(points))
+    seg = np.concatenate(balls).astype(np.intp)
+    p = np.repeat(points, counts, axis=0)
+    denom = np.einsum("sj,sj->s", d, d)
+    denom = np.where(denom == 0.0, 1.0, denom)
+    t = np.clip(np.einsum("nj,nj->n", p - a[seg], d[seg]) / denom[seg],
+                0.0, 1.0)
+    proj = a[seg] + t[:, None] * d[seg]
+    dist = np.linalg.norm(p - proj, axis=1)
+    return np.minimum.reduceat(dist, np.cumsum(counts) - counts)
 
 
 def boundary_distance(mesh, p):

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh
 from scipy.spatial import cKDTree
 
 from . import mesh as meshmod
@@ -109,17 +108,20 @@ def flow(model, seed, p, step_budget, flow_tol=FLOW_TOL):
 
 
 class _ZeroMeanHessianSolver:
-    """Factorized Hessian on the zero-mean space.
+    """Factorized shifted Hessian H - sigma M on the zero-mean space.
 
-    The constraint is imposed by augmenting with the mass-weighted constant;
-    the rank-one part of the Hessian is folded in by the Woodbury identity.
+    The constraint is imposed by bordering A0 - sigma M with the
+    mass-weighted constant; the rank-one part of the Hessian is folded in by
+    the Woodbury identity.  The solve maps the constant mode to zero.
     """
 
-    def __init__(self, model, u, p):
+    def __init__(self, model, u, p, sigma=0.0):
         A0, c, w = model.hessian_operator(u, p)
+        self._hessian = (A0, c, w)
         n = A0.shape[0]
         m = model.lumped
-        B = sp.bmat([[A0, m[:, None]], [m[None, :], None]], format="csc")
+        shifted = A0 - sigma * model.mass if sigma else A0
+        B = sp.bmat([[shifted, m[:, None]], [m[None, :], None]], format="csc")
         self._lu = spla.splu(B)
         self._c = c
         self._w = np.concatenate([w, [0.0]])
@@ -129,6 +131,11 @@ class _ZeroMeanHessianSolver:
         self._y = y
         if abs(self._denom) < 1e-14:
             raise ConvergenceError("singular Hessian (degenerate critical point)")
+
+    def apply(self, v):
+        """The unshifted Hessian action A0 v + c w (w . v)."""
+        A0, c, w = self._hessian
+        return A0 @ v + c * w * (w @ v)
 
     def solve(self, rhs):
         b = np.concatenate([rhs, [0.0]])
@@ -180,25 +187,43 @@ def newton(model, u0, p, tol=NEWTON_TOL, max_iter=30, damped=False,
                        seed_descriptor=seed_descriptor)
 
 
+def _lowest_eigenvalues(model, u, p, count):
+    """The lowest `count` (at most V - 2) eigenvalues, ascending, of the
+    Hessian on the zero-mean space, H v = lambda M v with mean(v) = 0.
+
+    Shift-invert Lanczos through the bordered factorization of H - sigma M,
+    with sigma below the whole spectrum, so that the eigenvalues nearest
+    sigma are the lowest.
+    """
+    n = len(u)
+    # H = K + beta M - (rho/W) E + (rho/W^2) w w^T with K >= 0, W = sum(w),
+    # E the shifted exp-weighted mass matrix.  The midpoint rule is exact
+    # for squares of P1 functions, so v^T E v <= max_q e^(u_q - s) v^T M v,
+    # and Cauchy-Schwarz gives (w^T v)^2 <= W v^T E v.  For either sign of
+    # rho this yields H >= (beta - |rho| max_q e^(u_q - s) / W) M; the
+    # vertex maximum of e^(u - s) / W (exp_density) bounds the midpoint one.
+    sigma = p.beta - abs(p.rho) * float(model.exp_density(u).max()) - 1.0
+    hess = _ZeroMeanHessianSolver(model, u, p, sigma=sigma)
+    H = spla.LinearOperator((n, n), matvec=hess.apply, dtype=float)
+    OPinv = spla.LinearOperator((n, n), matvec=hess.solve, dtype=float)
+    try:
+        vals = spla.eigsh(H, k=min(count, n - 2), M=model.mass, sigma=sigma,
+                          OPinv=OPinv, which="LM", return_eigenvectors=False)
+    except spla.ArpackError as exc:
+        raise ConvergenceError(f"Morse eigensolve failed: {exc}") from exc
+    return np.sort(vals)
+
+
 def morse_index_at(model, u, p, count, eig_guard=1e-8):
     """Negative Hessian directions at a critical point, among the lowest `count`.
 
-    The quadratic form is restricted to the zero-mean space by a penalty on
-    the constant mode.  Errors out when the smallest-magnitude eigenvalue is
-    below the guard (non-Morse point).
+    The eigenvalues come from shift-invert Lanczos on the zero-mean space
+    with the shift sigma = beta - |rho| max(e^u / int e^u) - 1, below the
+    spectrum (see `_lowest_eigenvalues`).  Errors out when the
+    smallest-magnitude eigenvalue is below the guard (non-Morse point).
     """
     u = u.values if isinstance(u, Field) else u
-    A0, c, w = model.hessian_operator(u, p)
-    A = A0.toarray()
-    A += c * np.outer(w, w)
-    m = model.lumped
-    pen = 1e3 * (1.0 + abs(p.beta) + abs(p.rho) / model.area
-                 + float(np.abs(A0.diagonal()).max())) / model.area
-    A += pen * np.outer(m, m)
-    A = 0.5 * (A + A.T)
-    count = min(count, A.shape[0] - 1)
-    vals = eigh(A, model.mass.toarray(), subset_by_index=[0, count - 1],
-                eigvals_only=True)
+    vals = _lowest_eigenvalues(model, u, p, count)
     if np.abs(vals).min() < eig_guard:
         raise ConvergenceError(
             "near-zero Hessian eigenvalue: critical point is not Morse")
@@ -377,6 +402,6 @@ def find_critical_point(mesh, basis, p, flow_budget=300,
         try:
             pick.morse_index = morse_index_at(
                 model, pick.u, p, count=min(8, mesh.num_vertices - 2))
-        except (ConvergenceError, MemoryError):
+        except ConvergenceError:
             pick.morse_index = None
     return pick, found

@@ -60,11 +60,7 @@ def indices(p, area, eigenvalues):
         I = bracket_index(eigenvalues, p.beta)
     except ResonanceError as exc:
         raise ResonanceError(str(exc), which="beta") from exc
-    try:
-        J = bracket_index(eigenvalues, p.beta - p.rho / area)
-    except ResonanceError as exc:
-        raise ResonanceError(str(exc), which="shifted") from exc
-    return K, I, J
+    return K, I, trivial_morse_index(p, area, eigenvalues)
 
 
 def existence_verdict(K, I, J, genus):
@@ -102,15 +98,11 @@ def euler_characteristic(K, genus):
     """Euler characteristic of the weighted barycenter space, K >= 2."""
     if K < 2:
         raise ValueError("K must be at least 2")
-    n = K // 2
     if genus >= 1:
-        return 1 - math.comb(n + genus - 1, genus - 1)
-    # genus 0: product form with chi(domain) = 1; the k = 1 factor vanishes.
-    chi_domain = 1
-    prod = 1
-    for k in range(1, n + 1):
-        prod *= (k - chi_domain)
-    return 1 - prod // math.factorial(n)
+        return 1 - math.comb(K // 2 + genus - 1, genus - 1)
+    # Genus 0: chi = 1 - prod_{k=1..K//2} (k - chi(domain)) / (K//2)!, and
+    # the k = 1 factor 1 - chi(domain) is 0 for a simply connected domain.
+    return 1
 
 
 def trivial_morse_index(p, area, eigenvalues):

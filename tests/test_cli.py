@@ -188,3 +188,35 @@ def test_ks_threads_caps_blas_threads():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "1"
+
+
+def test_missing_config_file_exit_2(tmp_path, capsys):
+    rc = cli.main(["analyze", "--config", str(tmp_path / "missing.cfg"),
+                   "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "missing.cfg" in err
+
+
+def test_config_value_that_does_not_cast_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("beta = x\n")
+    for command in ("analyze", "solve"):
+        rc = cli.main([command, "--config", str(cfg), "--res", "8",
+                       "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "beta" in err and "'x'" in err
+
+
+def test_config_loses_to_flag_with_equals_sign(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("beta = 3\nrho = 2\nres = 16\n")
+    out = tmp_path / "r.json"
+    rc = cli.main(["analyze", "--config", str(cfg), "--beta=-5",
+                   "--out", str(out)])
+    assert rc in (0, 1)
+    report = json.loads(out.read_text())
+    assert (report["beta"], report["rho"]) == (-5.0, 2.0)

@@ -1,13 +1,48 @@
 """Gradient flow, Newton polishing, Morse indices and blow-up diagnostics."""
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
-from ksbench import bubbles, solver
+from ksbench import bubbles, mesh as meshmod, solver, spectrum, topology
 from ksbench.barycenter import JoinPoint
 from ksbench.energy import EnergyFunctional, Parameters
 from ksbench.errors import ConvergenceError
 
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
 COERCIVE = Parameters(beta=1.0, rho=1.0)
+
+ORACLE_MESHES = {
+    "unit_square": meshmod.build_builtin("unit_square", 16),
+    "disk": meshmod.build_builtin("disk", 40),
+    "annulus": meshmod.build_builtin("annulus", 30),
+}
+
+
+def _dense_eigenvalues(model, u, p, count):
+    """The former dense Morse eigensolve: the lowest `count` eigenvalues of
+    the Hessian with a penalty on the constant mode, by scipy.linalg.eigh."""
+    A0, c, w = model.hessian_operator(u, p)
+    A = A0.toarray()
+    A += c * np.outer(w, w)
+    m = model.lumped
+    pen = 1e3 * (1.0 + abs(p.beta) + abs(p.rho) / model.area
+                 + float(np.abs(A0.diagonal()).max())) / model.area
+    A += pen * np.outer(m, m)
+    A = 0.5 * (A + A.T)
+    count = min(count, A.shape[0] - 1)
+    return eigh(A, model.mass.toarray(), subset_by_index=[0, count - 1],
+                eigvals_only=True)
+
+
+def _morse_index_dense(model, u, p, count, eig_guard=1e-8):
+    """The former dense `morse_index_at`."""
+    vals = _dense_eigenvalues(model, u, p, count)
+    if np.abs(vals).min() < eig_guard:
+        raise ConvergenceError(
+            "near-zero Hessian eigenvalue: critical point is not Morse")
+    return int(np.sum(vals < 0.0))
 
 
 def test_flow_coercive_decays_toward_trivial(square48, square48_basis):
@@ -142,3 +177,45 @@ def test_solve_result_json_roundtrip(square48):
     assert d["classification"] == solver.CLASS_TRIVIAL
     assert d["beta"] == 1.0 and d["rho"] == 1.0
     assert len(d["field"]) == square48.num_vertices
+
+
+def _oracle_field(mesh, kind, seed):
+    """A zero-mean field away from u = 0: scaled noise or a bubble."""
+    model = EnergyFunctional.for_mesh(mesh)
+    rng = np.random.default_rng(seed)
+    if kind == "noise":
+        values = rng.uniform(0.2, 2.0) * rng.standard_normal(mesh.num_vertices)
+    else:
+        centre = mesh.vertices[rng.integers(mesh.num_vertices)]
+        mu = bubbles.make_measure([centre], [True])
+        values = bubbles.bubble_values(mu, rng.uniform(2.0, 20.0), mesh)
+    return model.project_zero_mean(values)
+
+
+@hypothesis.settings(max_examples=30, deadline=None)
+@hypothesis.given(st.sampled_from(sorted(ORACLE_MESHES)),
+                  st.sampled_from(["noise", "bubble"]),
+                  st.integers(0, 2 ** 32 - 1),
+                  st.floats(-10.0, 4.0), st.floats(-30.0, 30.0))
+def test_morse_index_matches_dense(name, kind, seed, beta, rho):
+    mesh = ORACLE_MESHES[name]
+    model = EnergyFunctional.for_mesh(mesh)
+    u = _oracle_field(mesh, kind, seed)
+    p = Parameters(beta=beta, rho=rho)
+    dense = _dense_eigenvalues(model, u, p, 8)
+    hypothesis.assume(np.abs(dense).min() > 1e-3)
+    assert solver.morse_index_at(model, u, p, 8) \
+        == _morse_index_dense(model, u, p, 8)
+    sparse = solver._lowest_eigenvalues(model, u, p, 8)
+    assert np.all(np.abs(sparse - dense) <= 1e-9 * np.abs(dense))
+
+
+def test_morse_index_at_zero_on_square128():
+    # V = 16641: a dense Hessian would need about 2 GB.
+    square = meshmod.build_builtin("unit_square", 128)
+    model = EnergyFunctional.for_mesh(square)
+    lam = spectrum.eigenpairs(square, 8).eigenvalues
+    p = Parameters(beta=-5.0, rho=13.0)
+    idx = solver.morse_index_at(model, np.zeros(square.num_vertices), p,
+                                count=8)
+    assert idx == topology.trivial_morse_index(p, model.area, lam)
