@@ -235,14 +235,26 @@ class _ConfigValueError(ValueError):
     """A --config value that does not convert to its option's type."""
 
 
+def _given_options(argv):
+    """Destinations of the options set on the command line, as argparse
+    reads them (so `--bet` counts as `--beta`): the command line parsed
+    again with every default suppressed."""
+    parser = build_parser()
+    subs = next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+    for sub in subs.choices.values():
+        for action in sub._actions:
+            action.default = argparse.SUPPRESS
+    return set(vars(parser.parse_args(argv)))
+
+
 def _apply_config(args, argv):
-    """Set each option from the --config file unless a flag gives it, in
-    either the `--flag value` or the `--flag=value` form."""
-    given = {a.partition("=")[0] for a in argv if a.startswith("--")}
+    """Set each option from the --config file unless the command line
+    gives it."""
+    given = _given_options(argv)
     for key, value in _read_config_file(args.config).items():
-        flag = "--" + key.replace("_", "-")
         attr = key.replace("-", "_")
-        if flag not in given and hasattr(args, attr):
+        if attr not in given and hasattr(args, attr):
             cur = getattr(args, attr)
             cast = type(cur) if cur is not None else str
             try:

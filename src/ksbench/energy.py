@@ -8,6 +8,8 @@ as mass representers (Riesz vectors in the discrete L2 inner product).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,10 +36,26 @@ class Field:
         return Field(self.mesh, self.values.copy())
 
 
+class Evaluation(NamedTuple):
+    """Energy, dual-space residual, zero-mean gradient (mass representer of
+    the residual) and gradient norm of one field."""
+    energy: float
+    residual: np.ndarray
+    gradient: np.ndarray
+    gradient_norm: float
+
+
+class _BorderedPattern(NamedTuple):
+    """CSC pattern of [[A, m], [m^T, 0]] for A on the mass matrix's pattern."""
+    indptr: np.ndarray
+    indices: np.ndarray
+    block: np.ndarray       # position of each of A's entries in the data
+    border: np.ndarray      # position of m_j in column j
+    exp_slots: np.ndarray   # entry of A that each quadrature term of E adds to
+
+
 class EnergyFunctional:
     """Discretization of J(u) = 1/2 int(|grad u|^2 + beta u^2) - rho log int e^u."""
-
-    _cache: dict = {}
 
     def __init__(self, mesh):
         self.mesh = mesh
@@ -49,14 +67,17 @@ class EnergyFunctional:
         # Quadrature nodes are the three edge midpoints of each triangle.
         self._qa = t[:, [0, 1, 2]].ravel()
         self._qb = t[:, [1, 2, 0]].ravel()
+        self._qab = np.concatenate([self._qa, self._qb])
         self._qw = np.repeat(mesh.triangle_areas / 3.0, 3)
 
     @classmethod
     def for_mesh(cls, mesh):
-        model = cls._cache.get(mesh)
+        """The model of `mesh`, built once and kept on the mesh itself, so
+        that it (and its mass factorization) is freed with the mesh."""
+        model = getattr(mesh, "_energy_model", None)
         if model is None:
             model = cls(mesh)
-            cls._cache[mesh] = model
+            mesh._energy_model = model
         return model
 
     # -- fields -----------------------------------------------------------
@@ -91,9 +112,9 @@ class EnergyFunctional:
         """
         s = float(u.max(initial=0.0))
         vals = np.exp(0.5 * (u[self._qa] + u[self._qb]) - s) * self._qw
-        w = np.zeros(len(u))
-        np.add.at(w, self._qa, 0.5 * vals)
-        np.add.at(w, self._qb, 0.5 * vals)
+        half = 0.5 * vals
+        w = np.bincount(self._qab, weights=np.concatenate([half, half]),
+                        minlength=len(u))
         return s, vals, w, float(vals.sum())
 
     def log_int_exp(self, u):
@@ -107,48 +128,109 @@ class EnergyFunctional:
         s, _, _, total = self._exp_quad(u)
         return np.exp(u - s) / total
 
-    def _exp_mass_matrix(self, u, quad_vals):
-        """Shifted matrix E with E_ab = exp(-s) int e^u phi_a phi_b (3-pt rule)."""
-        n = len(u)
-        q = 0.25 * quad_vals
-        rows = np.concatenate([self._qa, self._qa, self._qb, self._qb])
-        cols = np.concatenate([self._qa, self._qb, self._qa, self._qb])
-        data = np.concatenate([q, q, q, q])
-        return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-
     # -- functional, gradient, Hessian --------------------------------------
 
-    def energy(self, u, p):
+    def evaluate(self, u, p):
+        """Energy, residual, gradient and gradient norm of u in one pass.
+
+        One exponential quadrature, one K @ u, one M @ u and one mass solve
+        serve all four, each bit-identical to what `energy`, `residual`,
+        `gradient` and `gradient_norm` return.  For a non-finite u, or a
+        quadrature that underflows to zero, the residual, gradient and
+        gradient norm are NaN; the energy is whatever its formula gives
+        (NaN, or an infinity on underflow), without a warning.
+        """
         u = u.values if isinstance(u, Field) else u
-        quad = 0.5 * (u @ (self.stiffness @ u) + p.beta * (u @ (self.mass @ u)))
-        return float(quad - p.rho * self.log_int_exp(u))
+        Ku = self.stiffness @ u
+        Mu = self.mass @ u
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s, _, w, total = self._exp_quad(u)
+            log_int = s + float(np.log(total))
+            energy = float(0.5 * (u @ Ku + p.beta * (u @ Mu))
+                           - p.rho * log_int)
+        if not np.all(np.isfinite(u)) or total <= 0.0:
+            nan = np.full_like(u, np.nan)
+            return Evaluation(energy, nan, nan, float("nan"))
+        r = Ku + p.beta * Mu - p.rho * (w / total - self.lumped / self.area)
+        g = self._mass_solve(r)
+        return Evaluation(energy, r, self.project_zero_mean(g),
+                          float(np.sqrt(max(r @ g, 0.0))))
+
+    def energy(self, u, p):
+        return self.evaluate(u, p).energy
 
     def residual(self, u, p):
         """Dual-space gradient r with r . v = J'(u)[v] for all v."""
-        u = u.values if isinstance(u, Field) else u
-        if not np.all(np.isfinite(u)):
-            return np.full_like(u, np.nan)
-        _, _, w, total = self._exp_quad(u)
-        if total <= 0.0:            # quadrature underflow on extreme fields
-            return np.full_like(u, np.nan)
-        return (self.stiffness @ u + p.beta * (self.mass @ u)
-                - p.rho * (w / total - self.lumped / self.area))
+        return self.evaluate(u, p).residual
 
     def gradient(self, u, p):
-        g = self._mass_solve(self.residual(u, p))
-        return Field(self.mesh, self.project_zero_mean(g))
+        return Field(self.mesh, self.evaluate(u, p).gradient)
 
     def gradient_norm(self, u, p):
-        r = self.residual(u, p)
-        return float(np.sqrt(max(r @ self._mass_solve(r), 0.0)))
+        return self.evaluate(u, p).gradient_norm
+
+    @cached_property
+    def _bordered_pattern(self):
+        """The per-mesh `_BorderedPattern`, built on first use.
+
+        K and M share one CSR pattern, and the exp-weighted mass matrix E
+        has it too.  M is symmetric, so its CSR arrays are also the CSC
+        arrays of the block.  Column j of the bordered matrix holds the
+        block's column j and then m_j in row n; the last column holds m.
+        """
+        M = self.mass
+        n, nnz = M.shape[0], M.nnz
+        cols = np.arange(n)
+        row_of = np.repeat(cols, np.diff(M.indptr))
+        block = np.arange(nnz) + row_of
+        border = M.indptr[1:] + cols
+        indices = np.empty(nnz + 2 * n, dtype=M.indices.dtype)
+        indices[block] = M.indices
+        indices[border] = n
+        indices[nnz + n:] = cols
+        indptr = np.append(M.indptr + np.arange(n + 1), nnz + 2 * n)
+        # E_ab gathers a quarter of each quadrature value at (qa, qa),
+        # (qa, qb), (qb, qa) and (qb, qb); find those entries among the
+        # sorted row-major keys of M's pattern.
+        keys = row_of * n + M.indices
+        rows = np.concatenate([self._qa, self._qa, self._qb, self._qb])
+        cols_q = np.concatenate([self._qa, self._qb, self._qa, self._qb])
+        return _BorderedPattern(
+            indptr=indptr.astype(M.indices.dtype), indices=indices,
+            block=block, border=border,
+            exp_slots=np.searchsorted(keys, rows * n + cols_q))
 
     def hessian_operator(self, u, p):
-        """Sparse part A0 and rank-one data (c, w) with J''(u) = A0 + c w w^T."""
+        """Sparse part A0 and rank-one data (c, w) with J''(u) = A0 + c w w^T.
+
+        A0 = K + beta M - (rho / W) E lives on the mass matrix's pattern;
+        only its data is computed here.
+        """
         u = u.values if isinstance(u, Field) else u
         _, quad_vals, w, total = self._exp_quad(u)
-        E = self._exp_mass_matrix(u, quad_vals)
-        A0 = self.stiffness + p.beta * self.mass - (p.rho / total) * E
-        return A0.tocsr(), p.rho / total ** 2, w
+        M = self.mass
+        E = np.bincount(self._bordered_pattern.exp_slots,
+                        weights=np.tile(0.25 * quad_vals, 4),
+                        minlength=M.nnz)
+        data = self.stiffness.data + p.beta * M.data - (p.rho / total) * E
+        # A0 gets its own index arrays, so that no caller can alter M's.
+        A0 = sp.csr_matrix((data, M.indices.copy(), M.indptr.copy()),
+                           shape=M.shape)
+        return A0, p.rho / total ** 2, w
+
+    def _bordered_hessian(self, A0, sigma=0.0):
+        """The CSC matrix [[A0 - sigma M, m], [m^T, 0]] with m the lumped
+        masses, for A0 from `hessian_operator`: the data is filled into the
+        per-mesh pattern, so no sparsity structure is built per call."""
+        pat = self._bordered_pattern
+        n = A0.shape[0]
+        data = np.empty(len(pat.indices))
+        data[pat.block] = (A0.data - sigma * self.mass.data) if sigma \
+            else A0.data
+        data[pat.border] = self.lumped
+        data[-n:] = self.lumped
+        return sp.csc_matrix((data, pat.indices, pat.indptr),
+                             shape=(n + 1, n + 1))
 
     def hessian_apply(self, u, p, v):
         A0, c, w = self.hessian_operator(u, p)

@@ -6,7 +6,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.spatial import cKDTree
 
@@ -81,23 +80,21 @@ def flow(model, seed, p, step_budget, flow_tol=FLOW_TOL):
     below flow_tol or when the budget runs out.
     """
     u = model.project_zero_mean(seed.values if isinstance(seed, Field) else seed)
-    e = model.energy(u, p)
+    ev = model.evaluate(u, p)
+    e, g, gnorm = ev.energy, ev.gradient, ev.gradient_norm
     dt = 0.1
     it = 0
-    gnorm = model.gradient_norm(u, p)
     while it < step_budget and gnorm > flow_tol:
-        g = model.gradient(u, p).values
         trial = model.project_zero_mean(u - dt * g)
-        e_trial = model.energy(trial, p)
+        ev = model.evaluate(trial, p)
         it += 1
-        if not np.isfinite(e_trial) or e_trial > e:
+        if not np.isfinite(ev.energy) or ev.energy > e:
             dt *= 0.5
             if dt < 1e-14:
                 break
             continue
-        u, e = trial, e_trial
+        u, e, g, gnorm = trial, ev.energy, ev.gradient, ev.gradient_norm
         dt *= 1.2
-        gnorm = model.gradient_norm(u, p)
         if np.abs(u).max() > BLOWUP_NORM_CAP:
             return SolveResult(u=Field(model.mesh, u), residual=gnorm,
                                energy=e, classification=CLASS_DIVERGED,
@@ -119,10 +116,7 @@ class _ZeroMeanHessianSolver:
         A0, c, w = model.hessian_operator(u, p)
         self._hessian = (A0, c, w)
         n = A0.shape[0]
-        m = model.lumped
-        shifted = A0 - sigma * model.mass if sigma else A0
-        B = sp.bmat([[shifted, m[:, None]], [m[None, :], None]], format="csc")
-        self._lu = spla.splu(B)
+        self._lu = spla.splu(model._bordered_hessian(A0, sigma))
         self._c = c
         self._w = np.concatenate([w, [0.0]])
         self._n = n
@@ -153,13 +147,14 @@ def newton(model, u0, p, tol=NEWTON_TOL, max_iter=30, damped=False,
     makes distant seeds usable.
     """
     u = model.project_zero_mean(u0.values if isinstance(u0, Field) else u0)
-    gnorm = model.gradient_norm(u, p)
+    ev = model.evaluate(u, p)
+    gnorm = ev.gradient_norm
     tol_abs = tol * max(1.0, gnorm)
     it = 0
     while gnorm > tol_abs and it < max_iter:
         try:
             hess = _ZeroMeanHessianSolver(model, u, p)
-            delta = hess.solve(-model.residual(u, p))
+            delta = hess.solve(-ev.residual)
         except (RuntimeError, ValueError) as exc:
             raise ConvergenceError(f"Hessian solve failed: {exc}") from exc
         if not np.all(np.isfinite(delta)):
@@ -167,14 +162,15 @@ def newton(model, u0, p, tol=NEWTON_TOL, max_iter=30, damped=False,
         alpha = 1.0
         while True:
             trial = model.project_zero_mean(u + alpha * delta)
-            gn_trial = model.gradient_norm(trial, p)
+            ev_trial = model.evaluate(trial, p)
+            gn_trial = ev_trial.gradient_norm
             if np.isfinite(gn_trial) and (not damped or gn_trial < gnorm
                                           or alpha < 1e-8):
                 break
             alpha *= 0.5
         if damped and alpha < 1e-8 and gn_trial >= gnorm:
             raise ConvergenceError("Newton line search stalled")
-        u, gnorm = trial, gn_trial
+        u, ev, gnorm = trial, ev_trial, gn_trial
         it += 1
     if gnorm > tol_abs:
         raise ConvergenceError(
@@ -182,7 +178,7 @@ def newton(model, u0, p, tol=NEWTON_TOL, max_iter=30, damped=False,
             f"(residual {gnorm:.3e})")
     cls = _classify(model, u, gnorm, p, tol_abs)
     return SolveResult(u=Field(model.mesh, u), residual=gnorm,
-                       energy=model.energy(u, p), classification=cls,
+                       energy=ev.energy, classification=cls,
                        morse_index=None, iterations=it,
                        seed_descriptor=seed_descriptor)
 
@@ -206,9 +202,13 @@ def _lowest_eigenvalues(model, u, p, count):
     hess = _ZeroMeanHessianSolver(model, u, p, sigma=sigma)
     H = spla.LinearOperator((n, n), matvec=hess.apply, dtype=float)
     OPinv = spla.LinearOperator((n, n), matvec=hess.solve, dtype=float)
+    # A fixed zero-mean start vector makes the eigenvalues reproducible; the
+    # bordered solve maps the constant mode to zero, so it must be avoided.
+    v0 = model.project_zero_mean(np.random.default_rng(0).standard_normal(n))
     try:
         vals = spla.eigsh(H, k=min(count, n - 2), M=model.mass, sigma=sigma,
-                          OPinv=OPinv, which="LM", return_eigenvectors=False)
+                          OPinv=OPinv, which="LM", v0=v0,
+                          return_eigenvectors=False)
     except spla.ArpackError as exc:
         raise ConvergenceError(f"Morse eigensolve failed: {exc}") from exc
     return np.sort(vals)

@@ -220,3 +220,15 @@ def test_config_loses_to_flag_with_equals_sign(tmp_path):
     assert rc in (0, 1)
     report = json.loads(out.read_text())
     assert (report["beta"], report["rho"]) == (-5.0, 2.0)
+
+
+@pytest.mark.parametrize("flags", [["--bet", "-5"], ["--bet=-5"]])
+def test_config_loses_to_abbreviated_flag(tmp_path, flags):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("beta = 3\nrho = 13\nres = 24\n")
+    out = tmp_path / "r.json"
+    rc = cli.main(["analyze", "--domain", "disk", "--config", str(cfg),
+                   *flags, "--out", str(out)])
+    assert rc in (0, 1)
+    report = json.loads(out.read_text())
+    assert (report["beta"], report["rho"]) == (-5.0, 13.0)

@@ -1,11 +1,13 @@
 """Gradient flow, Newton polishing, Morse indices and blow-up diagnostics."""
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
 
 from ksbench import bubbles, mesh as meshmod, solver, spectrum, topology
 from ksbench.barycenter import JoinPoint
-from ksbench.energy import EnergyFunctional, Parameters
+from ksbench.energy import EnergyFunctional, Field, Parameters
 from ksbench.errors import ConvergenceError
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -43,6 +45,39 @@ def _morse_index_dense(model, u, p, count, eig_guard=1e-8):
         raise ConvergenceError(
             "near-zero Hessian eigenvalue: critical point is not Morse")
     return int(np.sum(vals < 0.0))
+
+
+def _flow_oracle(model, seed, p, step_budget, flow_tol=solver.FLOW_TOL):
+    """The former `flow`: energy, gradient and gradient norm each computed
+    by its own call, so an accepted step evaluated the same point three
+    times."""
+    u = model.project_zero_mean(seed.values if isinstance(seed, Field) else seed)
+    e = model.energy(u, p)
+    dt = 0.1
+    it = 0
+    gnorm = model.gradient_norm(u, p)
+    while it < step_budget and gnorm > flow_tol:
+        g = model.gradient(u, p).values
+        trial = model.project_zero_mean(u - dt * g)
+        e_trial = model.energy(trial, p)
+        it += 1
+        if not np.isfinite(e_trial) or e_trial > e:
+            dt *= 0.5
+            if dt < 1e-14:
+                break
+            continue
+        u, e = trial, e_trial
+        dt *= 1.2
+        gnorm = model.gradient_norm(u, p)
+        if np.abs(u).max() > solver.BLOWUP_NORM_CAP:
+            return solver.SolveResult(
+                u=Field(model.mesh, u), residual=gnorm, energy=e,
+                classification=solver.CLASS_DIVERGED, morse_index=None,
+                iterations=it)
+    cls = solver._classify(model, u, gnorm, p, flow_tol)
+    return solver.SolveResult(u=Field(model.mesh, u), residual=gnorm,
+                              energy=e, classification=cls, morse_index=None,
+                              iterations=it)
 
 
 def test_flow_coercive_decays_toward_trivial(square48, square48_basis):
@@ -219,3 +254,64 @@ def test_morse_index_at_zero_on_square128():
     idx = solver.morse_index_at(model, np.zeros(square.num_vertices), p,
                                 count=8)
     assert idx == topology.trivial_morse_index(p, model.area, lam)
+
+
+# Mesh and flow step budget.
+FLOW_MESHES = {"square48": (meshmod.build_builtin("unit_square", 48), 200),
+               "disk40": (ORACLE_MESHES["disk"], 600)}
+FLOW_PARAMS = [Parameters(beta=-5.0, rho=13.0), COERCIVE,
+               Parameters(beta=2.0, rho=-20.0)]
+
+
+@pytest.mark.parametrize("name", sorted(FLOW_MESHES))
+@pytest.mark.parametrize("kind", ["noise", "bubble", "smooth"])
+def test_flow_matches_oracle_and_newton_is_quiet(name, kind):
+    # Smooth seeds on disk40 at rho = -20 stop at the flow tolerance.
+    mesh, budget = FLOW_MESHES[name]
+    model = EnergyFunctional.for_mesh(mesh)
+    x, y = mesh.vertices.T
+    for seed, p in enumerate(FLOW_PARAMS):
+        if kind == "smooth":
+            u0 = model.field(0.5 * np.cos(np.pi * x) * np.cos(np.pi * y))
+        else:
+            u0 = model.field(_oracle_field(mesh, kind, seed))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = solver.flow(model, u0, p, budget)
+            try:
+                solver.newton(model, got.u, p, damped=True, max_iter=60)
+            except ConvergenceError:
+                pass
+        want = _flow_oracle(model, u0, p, budget)
+        assert np.array_equal(got.u.values, want.u.values)
+        assert (got.energy, got.residual, got.iterations, got.classification) \
+            == (want.energy, want.residual, want.iterations,
+                want.classification)
+
+
+@pytest.mark.parametrize("kind", ["nan", "spike"])
+def test_flow_and_newton_quiet_on_unusable_fields(kind):
+    mesh = ORACLE_MESHES["disk"]
+    model = EnergyFunctional.for_mesh(mesh)
+    u = np.zeros(mesh.num_vertices)
+    u[7] = np.nan if kind == "nan" else 1e4
+    u = model.project_zero_mean(u)
+    p = Parameters(beta=-5.0, rho=13.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flowed = solver.flow(model, u, p, 300)
+        polished = solver.newton(model, u, p, damped=True)
+    assert flowed.classification == solver.CLASS_DIVERGED
+    assert flowed.iterations == 0
+    assert polished.classification == solver.CLASS_DIVERGED
+
+
+def test_lowest_eigenvalues_are_reproducible():
+    mesh = ORACLE_MESHES["disk"]
+    model = EnergyFunctional.for_mesh(mesh)
+    u = _oracle_field(mesh, "noise", 3)
+    p = Parameters(beta=2.0, rho=30.0)
+    first = solver._lowest_eigenvalues(model, u, p, 8)
+    for _ in range(3):
+        assert np.array_equal(solver._lowest_eigenvalues(model, u, p, 8),
+                              first)
