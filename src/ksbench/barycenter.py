@@ -217,8 +217,8 @@ def _hex_net(mesh, spacing):
         j += 1
     net = np.concatenate(rows)
     # Keep points within one spacing of the domain so the balls cover it.
-    tree = meshmod.vertex_tree(mesh)
-    near, _ = tree.query(net, distance_upper_bound=spacing * 1.001)
+    near, _ = cKDTree(mesh.vertices).query(
+        net, distance_upper_bound=spacing * 1.001)
     keep = np.isfinite(near)
     inside = meshmod.contains(mesh, net[~keep]) if (~keep).any() else None
     mask = keep.copy()

@@ -36,6 +36,11 @@ class Field:
         return Field(self.mesh, self.values.copy())
 
 
+def field_values(u):
+    """The vertex values of a Field; any other argument is returned as is."""
+    return u.values if isinstance(u, Field) else u
+
+
 class Evaluation(NamedTuple):
     """Energy, dual-space residual, zero-mean gradient (mass representer of
     the residual) and gradient norm of one field."""
@@ -118,13 +123,13 @@ class EnergyFunctional:
         return s, vals, w, float(vals.sum())
 
     def log_int_exp(self, u):
-        u = u.values if isinstance(u, Field) else u
+        u = field_values(u)
         s, _, _, total = self._exp_quad(u)
         return s + float(np.log(total))
 
     def exp_density(self, u):
         """Vertex values of e^u / int e^u (shift-free)."""
-        u = u.values if isinstance(u, Field) else u
+        u = field_values(u)
         s, _, _, total = self._exp_quad(u)
         return np.exp(u - s) / total
 
@@ -140,7 +145,7 @@ class EnergyFunctional:
         gradient norm are NaN; the energy is whatever its formula gives
         (NaN, or an infinity on underflow), without a warning.
         """
-        u = u.values if isinstance(u, Field) else u
+        u = field_values(u)
         Ku = self.stiffness @ u
         Mu = self.mass @ u
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -206,7 +211,7 @@ class EnergyFunctional:
         A0 = K + beta M - (rho / W) E lives on the mass matrix's pattern;
         only its data is computed here.
         """
-        u = u.values if isinstance(u, Field) else u
+        u = field_values(u)
         _, quad_vals, w, total = self._exp_quad(u)
         M = self.mass
         E = np.bincount(self._bordered_pattern.exp_slots,
@@ -234,7 +239,7 @@ class EnergyFunctional:
 
     def hessian_apply(self, u, p, v):
         A0, c, w = self.hessian_operator(u, p)
-        v = v.values if isinstance(v, Field) else v
+        v = field_values(v)
         r = A0 @ v + c * w * (w @ v)
         h = self._mass_solve(r)
         return Field(self.mesh, self.project_zero_mean(h))
@@ -246,5 +251,4 @@ def project_pi(u, basis, I):
         raise ValueError("projection order exceeds available eigenpairs")
     if I == 0:
         return np.zeros(0)
-    values = u.values if isinstance(u, Field) else u
-    return basis.eigenvectors[:, :I].T @ (basis.mass @ values)
+    return basis.eigenvectors[:, :I].T @ (basis.mass @ field_values(u))

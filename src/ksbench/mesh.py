@@ -78,7 +78,11 @@ def _finalize(vertices, triangles, allow_flip=False):
     if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= len(vertices):
         raise MeshError("triangle index out of range")
 
-    areas = _signed_areas(vertices, triangles)
+    with np.errstate(over="ignore", invalid="ignore"):
+        areas = _signed_areas(vertices, triangles)
+        finite = np.isfinite(vertices).all() and np.isfinite(abs(areas).sum())
+    if not finite:
+        raise MeshError("vertex coordinates and triangle areas must be finite")
     if allow_flip:
         flip = areas < 0
         triangles[flip] = triangles[flip][:, ::-1]
@@ -224,7 +228,7 @@ def load_mesh(text):
             raise MeshError("malformed vertex or triangle line")
     except MeshError:
         raise
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, OverflowError) as exc:
         raise MeshError(f"mesh parse error: {exc}") from exc
     return _finalize(verts, tris, allow_flip=False)
 
@@ -323,7 +327,3 @@ def min_edge_length(mesh):
 def boundary_loops(mesh):
     """Closed boundary loops as vertex index lists."""
     return _boundary_loops(mesh.boundary_edges)
-
-
-def vertex_tree(mesh):
-    return cKDTree(mesh.vertices)

@@ -14,7 +14,7 @@ from . import topology
 from .bubbles import (TestConfig, boundary_atom, interior_atom, make_measure,
                       phi_lambda)
 from .barycenter import JoinPoint
-from .energy import EnergyFunctional, Field
+from .energy import EnergyFunctional, Field, Parameters, field_values
 from .errors import ConvergenceError, ResonanceError
 
 NEWTON_TOL = 1e-10
@@ -79,7 +79,7 @@ def flow(model, seed, p, step_budget, flow_tol=FLOW_TOL):
     energy is non-increasing across accepted steps.  Terminates at residual
     below flow_tol or when the budget runs out.
     """
-    u = model.project_zero_mean(seed.values if isinstance(seed, Field) else seed)
+    u = model.project_zero_mean(field_values(seed))
     ev = model.evaluate(u, p)
     e, g, gnorm = ev.energy, ev.gradient, ev.gradient_norm
     dt = 0.1
@@ -113,7 +113,11 @@ class _ZeroMeanHessianSolver:
     """
 
     def __init__(self, model, u, p, sigma=0.0):
-        A0, c, w = model.hessian_operator(u, p)
+        try:
+            A0, c, w = model.hessian_operator(u, p)
+        except ZeroDivisionError as exc:    # rho / W^2 with W^2 underflowing
+            raise ConvergenceError("Hessian undefined: the quadrature of e^u "
+                                   "underflows") from exc
         self._hessian = (A0, c, w)
         n = A0.shape[0]
         self._lu = spla.splu(model._bordered_hessian(A0, sigma))
@@ -146,7 +150,7 @@ def newton(model, u0, p, tol=NEWTON_TOL, max_iter=30, damped=False,
     included).  With damped=True a residual-norm backtracking line search
     makes distant seeds usable.
     """
-    u = model.project_zero_mean(u0.values if isinstance(u0, Field) else u0)
+    u = model.project_zero_mean(field_values(u0))
     ev = model.evaluate(u, p)
     gnorm = ev.gradient_norm
     tol_abs = tol * max(1.0, gnorm)
@@ -222,7 +226,7 @@ def morse_index_at(model, u, p, count, eig_guard=1e-8):
     spectrum (see `_lowest_eigenvalues`).  Errors out when the
     smallest-magnitude eigenvalue is below the guard (non-Morse point).
     """
-    u = u.values if isinstance(u, Field) else u
+    u = field_values(u)
     vals = _lowest_eigenvalues(model, u, p, count)
     if np.abs(vals).min() < eig_guard:
         raise ConvergenceError(
@@ -239,7 +243,7 @@ def local_mass(model, u, p, radius):
     values within 15%.
     """
     mesh = model.mesh
-    u = u.values if isinstance(u, Field) else u
+    u = field_values(u)
     density = model.exp_density(u)
 
     tri = mesh.triangles
@@ -284,10 +288,8 @@ def continuation(model, basis, p_start, p_end, steps, u0=None,
     Stops early on resonance, Newton failure, or a sup-norm above the
     blow-up cap (potential concentration near a 4*pi multiple).
     """
-    from .energy import Parameters
-
     results = []
-    u = (u0.values if isinstance(u0, Field) else u0)
+    u = field_values(u0)
     if u is None:
         u = np.zeros(model.mesh.num_vertices)
     lam = basis.eigenvalues

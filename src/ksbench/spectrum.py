@@ -6,11 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh
 
 from .errors import ConvergenceError, MeshError, ResonanceError
-
-DENSE_LIMIT = 2000
 
 
 @dataclass(eq=False)
@@ -64,25 +61,21 @@ def _fix_signs(vecs):
 def eigenpairs(mesh, count):
     """Lowest `count` nonconstant Neumann eigenpairs, mass-orthonormal.
 
-    Dense solve below DENSE_LIMIT degrees of freedom, shift-invert Lanczos
-    above.  The constant mode is removed by projection against the
-    mass-weighted constant, not by pinning a vertex.
+    Shift-invert Lanczos about -1, below the spectrum, at every mesh size:
+    K and M stay sparse.  The constant mode is removed by projection against
+    the mass-weighted constant, not by pinning a vertex.
     """
     K, M = assemble(mesh)
     n = mesh.num_vertices
     if count >= n - 1:
         raise MeshError("count must be below the number of interior degrees of freedom")
 
-    if n <= DENSE_LIMIT:
-        vals, vecs = eigh(K.toarray(), M.toarray(),
-                          subset_by_index=[0, count])
-    else:
-        try:
-            vals, vecs = spla.eigsh(K, k=count + 1, M=M, sigma=-1.0, which="LM")
-        except spla.ArpackNoConvergence as exc:
-            raise ConvergenceError("eigensolver failed to converge") from exc
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
+    try:
+        vals, vecs = spla.eigsh(K, k=count + 1, M=M, sigma=-1.0, which="LM")
+    except spla.ArpackNoConvergence as exc:
+        raise ConvergenceError("eigensolver failed to converge") from exc
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
 
     if abs(vals[0]) > 1e-6 * (1.0 + abs(vals[1])):
         raise ConvergenceError("constant mode not resolved by eigensolver")

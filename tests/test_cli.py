@@ -232,3 +232,14 @@ def test_config_loses_to_abbreviated_flag(tmp_path, flags):
     assert rc in (0, 1)
     report = json.loads(out.read_text())
     assert (report["beta"], report["rho"]) == (-5.0, 13.0)
+
+
+def test_spectrum_non_finite_mesh_exit_2(tmp_path, capsys):
+    mesh = tmp_path / "nan.mesh"
+    mesh.write_text("4 2\n0 0\n1 0\n1 nan\n0 1\n0 1 2\n0 2 3\n")
+    rc = cli.main(["spectrum", "--mesh", str(mesh),
+                   "--out", str(tmp_path / "spec.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: vertex coordinates and triangle areas must be finite\n")

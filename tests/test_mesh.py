@@ -157,6 +157,53 @@ def test_load_mesh_rejects_malformed():
         meshmod.load_mesh("3 1\n0 0\n1 0\n0 1 2\n")
     with pytest.raises(MeshError):
         meshmod.load_mesh("3 1\n0 0\n1 0\nx y\n0 1 2\n")
+    for vertices in ("0 0\n1 0\nnan 1", "0 0\n1 0\n0 inf",
+                     "0 0\n1e200 0\n0 1e200"):    # the last area overflows
+        with pytest.raises(MeshError):
+            meshmod.load_mesh(f"3 1\n{vertices}\n0 1 2\n")
+
+
+_BAD_TOKENS = ["nan", "-inf", "1e400", "1e200", "x", "", "1.5", "-1",
+               str(2 ** 63)]
+
+
+@st.composite
+def _mesh_texts(draw):
+    """An n x n grid of the square with up to three edits: a token replaced
+    (by a small index or a non-finite, huge or unparsable one), a triangle
+    dropped, or a triangle repeated with its corners in another order."""
+    n = draw(st.integers(1, 3))
+    lines = [[str(i), str(j)] for i in range(n + 1) for j in range(n + 1)]
+    for i in range(n):
+        for j in range(n):
+            a, b = i * (n + 1) + j, (i + 1) * (n + 1) + j
+            lines += [[str(a), str(b), str(b + 1)],
+                      [str(a), str(b + 1), str(a + 1)]]
+    nv = (n + 1) ** 2
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["token", "drop", "repeat"]))
+        k = draw(st.integers(nv, len(lines) - 1))
+        if edit == "token":
+            tokens = lines[draw(st.integers(0, len(lines) - 1))]
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(
+                st.one_of(st.integers(-1, nv).map(str),
+                          st.sampled_from(_BAD_TOKENS)))
+        elif edit == "drop" and len(lines) > nv + 1:
+            del lines[k]
+        else:
+            lines.append(draw(st.permutations(lines[k])))
+    header = f"{nv} {len(lines) - nv}"
+    return "\n".join([header] + [" ".join(tokens) for tokens in lines])
+
+
+@hypothesis.settings(max_examples=400, deadline=None)
+@hypothesis.given(st.one_of(_mesh_texts(), st.text(max_size=60)))
+def test_load_mesh_raises_only_mesh_error(text):
+    try:
+        mesh = meshmod.load_mesh(text)
+    except MeshError:
+        return
+    assert np.isfinite(mesh.area) and mesh.area > 0
 
 
 def test_lumped_masses_sum_to_area(disk128):

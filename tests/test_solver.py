@@ -315,3 +315,21 @@ def test_lowest_eigenvalues_are_reproducible():
     for _ in range(3):
         assert np.array_equal(solver._lowest_eigenvalues(model, u, p, 8),
                               first)
+
+
+@pytest.mark.parametrize("damped", [False, True])
+def test_newton_on_underflowing_quadrature_raises_convergence_error(damped):
+    # The shifted quadrature total is about 6e-176, so its square, which
+    # the Hessian's rank-one weight divides by, underflows to zero.
+    mesh = meshmod.build_builtin("unit_square", 8)
+    model = EnergyFunctional.for_mesh(mesh)
+    u = np.zeros(mesh.num_vertices)
+    u[40] = 800.0
+    u = model.project_zero_mean(u)
+    total = model._exp_quad(u)[3]
+    assert total > 0.0 and total ** 2 == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError):
+            solver.newton(model, u, Parameters(beta=-5.0, rho=13.0),
+                          damped=damped)

@@ -1,11 +1,28 @@
 """Neumann eigenpairs and bracket-index arithmetic."""
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
-from ksbench import spectrum
+from ksbench import mesh as meshmod, spectrum
 from ksbench.errors import ResonanceError
 
 SQUARE_MODES = np.pi ** 2 * np.array([1.0, 1.0, 2.0, 4.0, 4.0, 5.0])
+CLUSTER_TOL = 1e-5      # relative gap below which eigenvalues form a cluster
+
+
+def _dense_eigenpairs(mesh, count):
+    """The former dense path of `eigenpairs`: generalized eigh on the full
+    K and M, the lowest count + 1 pairs with the constant mode first."""
+    K, M = spectrum.assemble(mesh)
+    return eigh(K.toarray(), M.toarray(), subset_by_index=[0, count])
+
+
+def _clusters(vals):
+    """Index arrays of the runs of eigenvalues closer than CLUSTER_TOL."""
+    breaks = np.flatnonzero(np.diff(vals) > CLUSTER_TOL * vals[1:]) + 1
+    return np.split(np.arange(len(vals)), breaks)
 
 
 def test_square_eigenvalues_analytic(square64_basis):
@@ -56,9 +73,34 @@ def test_bracket_index_resonance():
         spectrum.bracket_index([1.0, 2.0], -2.0 + 1e-9)
 
 
-def test_dense_and_sparse_paths_agree(square24):
-    # Small mesh uses the dense path; force comparison against shift-invert
-    # by asking through the public interface at two counts.
+def test_dense_and_sparse_paths_agree(square24, disk128):
+    # The dense solve is the oracle for the shift-invert path.  Clusters may
+    # rotate (the annulus pairs are exactly degenerate), so eigenvectors are
+    # compared through the mass projector onto each cluster's span.
+    for mesh in (square24, meshmod.build_builtin("disk", 40),
+                 meshmod.build_builtin("annulus", 64), disk128):
+        got = spectrum.eigenpairs(mesh, 8)
+        vals, vecs = _dense_eigenpairs(mesh, 9)
+        vals, vecs = vals[1:], vecs[:, 1:]
+        assert vals[8] - vals[7] > CLUSTER_TOL * vals[8]   # no cluster is cut
+        assert np.allclose(got.eigenvalues, vals[:8], rtol=1e-10, atol=0)
+        for idx in _clusters(vals[:8]):
+            a, b = got.eigenvectors[:, idx], vecs[:, idx]
+            assert np.abs(a @ (a.T @ (got.mass @ b)) - b).max() < 1e-6
     a = spectrum.eigenpairs(square24, 4)
     b = spectrum.eigenpairs(square24, 8)
     assert np.allclose(a.eigenvalues, b.eigenvalues[:4], rtol=1e-10)
+
+
+def test_eigenpairs_allocates_no_dense_matrix(disk128):
+    # One V x V float64 array is 15.1 MiB at V = 1409; the sparse path peaks
+    # near 2 MiB.  The warm-up call keeps one-time allocations out.
+    spectrum.eigenpairs(disk128, 8)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        spectrum.eigenpairs(disk128, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * disk128.num_vertices ** 2
