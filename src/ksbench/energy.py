@@ -13,7 +13,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import factorized
 
 from . import spectrum
 
@@ -59,15 +58,24 @@ class _BorderedPattern(NamedTuple):
     exp_slots: np.ndarray   # entry of A that each quadrature term of E adds to
 
 
+class _OrderedPattern(NamedTuple):
+    """CSC pattern of the bordered matrix B[order][:, order]."""
+    order: np.ndarray       # the mesh's vertex order, then the border index
+    indptr: np.ndarray
+    indices: np.ndarray
+    gather: np.ndarray      # B's data position of each permuted entry
+
+
 class EnergyFunctional:
     """Discretization of J(u) = 1/2 int(|grad u|^2 + beta u^2) - rho log int e^u."""
 
     def __init__(self, mesh):
         self.mesh = mesh
-        self.stiffness, self.mass = spectrum.assemble(mesh)
+        ops = spectrum.operators(mesh)
+        self.stiffness, self.mass = ops.stiffness, ops.mass
         self.area = mesh.area
         self.lumped = np.asarray(self.mass.sum(axis=1)).ravel()  # int of hats
-        self._mass_solve = factorized(self.mass.tocsc())
+        self._mass_solve = ops.mass_lu.solve
         t = mesh.triangles
         # Quadrature nodes are the three edge midpoints of each triangle.
         self._qa = t[:, [0, 1, 2]].ravel()
@@ -109,14 +117,18 @@ class EnergyFunctional:
 
     # -- exponential quadrature --------------------------------------------
 
+    def _exp_vals(self, u):
+        """Shift s and the shifted quadrature values exp(u_q - s) |T| / 3."""
+        s = float(u.max(initial=0.0))
+        return s, np.exp(0.5 * (u[self._qa] + u[self._qb]) - s) * self._qw
+
     def _exp_quad(self, u):
         """Shift s, shifted quad values, shifted vertex vector w, shifted total W.
 
         w_i = exp(-s) * int e^u phi_i and W = exp(-s) * int e^u under the
         3-point rule, so any ratio of them is shift-free.
         """
-        s = float(u.max(initial=0.0))
-        vals = np.exp(0.5 * (u[self._qa] + u[self._qb]) - s) * self._qw
+        s, vals = self._exp_vals(u)
         half = 0.5 * vals
         w = np.bincount(self._qab, weights=np.concatenate([half, half]),
                         minlength=len(u))
@@ -124,8 +136,8 @@ class EnergyFunctional:
 
     def log_int_exp(self, u):
         u = field_values(u)
-        s, _, _, total = self._exp_quad(u)
-        return s + float(np.log(total))
+        s, vals = self._exp_vals(u)
+        return s + float(np.log(vals.sum()))
 
     def exp_density(self, u):
         """Vertex values of e^u / int e^u (shift-free)."""
@@ -134,6 +146,12 @@ class EnergyFunctional:
         return np.exp(u - s) / total
 
     # -- functional, gradient, Hessian --------------------------------------
+
+    @staticmethod
+    def _energy(u, Ku, Mu, s, total, p):
+        """J(u) from K u, M u and the shifted quadrature total W."""
+        return float(0.5 * (u @ Ku + p.beta * (u @ Mu))
+                     - p.rho * (s + float(np.log(total))))
 
     def evaluate(self, u, p):
         """Energy, residual, gradient and gradient norm of u in one pass.
@@ -150,9 +168,7 @@ class EnergyFunctional:
         Mu = self.mass @ u
         with np.errstate(divide="ignore", invalid="ignore"):
             s, _, w, total = self._exp_quad(u)
-            log_int = s + float(np.log(total))
-            energy = float(0.5 * (u @ Ku + p.beta * (u @ Mu))
-                           - p.rho * log_int)
+            energy = self._energy(u, Ku, Mu, s, total, p)
         if not np.all(np.isfinite(u)) or total <= 0.0:
             nan = np.full_like(u, np.nan)
             return Evaluation(energy, nan, nan, float("nan"))
@@ -162,7 +178,13 @@ class EnergyFunctional:
                           float(np.sqrt(max(r @ g, 0.0))))
 
     def energy(self, u, p):
-        return self.evaluate(u, p).energy
+        """The energy alone: one quadrature and the quadratic form, no
+        residual and no mass solve; equal to `evaluate(u, p).energy`."""
+        u = field_values(u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s, vals = self._exp_vals(u)
+            return self._energy(u, self.stiffness @ u, self.mass @ u, s,
+                                float(vals.sum()), p)
 
     def residual(self, u, p):
         """Dual-space gradient r with r . v = J'(u)[v] for all v."""
@@ -205,6 +227,24 @@ class EnergyFunctional:
             block=block, border=border,
             exp_slots=np.searchsorted(keys, rows * n + cols_q))
 
+    @cached_property
+    def _ordered_pattern(self):
+        """The per-mesh `_OrderedPattern`, built on first use from the
+        bordered pattern and the mesh's order, with the border index last."""
+        pat = self._bordered_pattern
+        n = self.mass.shape[0]
+        order = np.append(spectrum.operators(self.mesh).order, n)
+        rank = np.empty(n + 1, dtype=np.intp)
+        rank[order] = np.arange(n + 1)
+        cols = np.repeat(np.arange(n + 1), np.diff(pat.indptr))
+        new_rows, new_cols = rank[pat.indices], rank[cols]
+        gather = np.lexsort((new_rows, new_cols))
+        indptr = np.zeros(n + 2, dtype=pat.indptr.dtype)
+        np.cumsum(np.bincount(new_cols, minlength=n + 1), out=indptr[1:])
+        return _OrderedPattern(
+            order=order, indptr=indptr,
+            indices=new_rows[gather].astype(pat.indices.dtype), gather=gather)
+
     def hessian_operator(self, u, p):
         """Sparse part A0 and rank-one data (c, w) with J''(u) = A0 + c w w^T.
 
@@ -236,6 +276,14 @@ class EnergyFunctional:
         data[-n:] = self.lumped
         return sp.csc_matrix((data, pat.indices, pat.indptr),
                              shape=(n + 1, n + 1))
+
+    def _ordered_bordered_hessian(self, A0, sigma=0.0):
+        """`_bordered_hessian(A0, sigma)` permuted to B[order][:, order] by
+        one gather of its data, and that order."""
+        B = self._bordered_hessian(A0, sigma)
+        pat = self._ordered_pattern
+        return sp.csc_matrix((B.data[pat.gather], pat.indices, pat.indptr),
+                             shape=B.shape), pat.order
 
     def hessian_apply(self, u, p, v):
         A0, c, w = self.hessian_operator(u, p)

@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 from scipy.spatial import cKDTree
 
 from . import mesh as meshmod
-from . import topology
+from . import spectrum, topology
 from .bubbles import (TestConfig, boundary_atom, interior_atom, make_measure,
                       phi_lambda)
 from .barycenter import JoinPoint
@@ -109,7 +109,8 @@ class _ZeroMeanHessianSolver:
 
     The constraint is imposed by bordering A0 - sigma M with the
     mass-weighted constant; the rank-one part of the Hessian is folded in by
-    the Woodbury identity.  The solve maps the constant mode to zero.
+    the Woodbury identity.  The solve maps the constant mode to zero.  The
+    bordered matrix is factored in the mesh's order, border last.
     """
 
     def __init__(self, model, u, p, sigma=0.0):
@@ -120,11 +121,13 @@ class _ZeroMeanHessianSolver:
                                    "underflows") from exc
         self._hessian = (A0, c, w)
         n = A0.shape[0]
-        self._lu = spla.splu(model._bordered_hessian(A0, sigma))
+        B, order = model._ordered_bordered_hessian(A0, sigma)
+        self._lu = spla.splu(B, permc_spec="NATURAL")
+        self._bordered_solve = spectrum.ordered_solve(self._lu, order)
         self._c = c
         self._w = np.concatenate([w, [0.0]])
         self._n = n
-        y = self._lu.solve(self._w)
+        y = self._bordered_solve(self._w)
         self._denom = 1.0 + c * (self._w @ y)
         self._y = y
         if abs(self._denom) < 1e-14:
@@ -137,7 +140,7 @@ class _ZeroMeanHessianSolver:
 
     def solve(self, rhs):
         b = np.concatenate([rhs, [0.0]])
-        x = self._lu.solve(b)
+        x = self._bordered_solve(b)
         x = x - (self._c * (self._w @ x) / self._denom) * self._y
         return x[:self._n]
 
@@ -157,8 +160,7 @@ def newton(model, u0, p, tol=NEWTON_TOL, max_iter=30, damped=False,
     it = 0
     while gnorm > tol_abs and it < max_iter:
         try:
-            hess = _ZeroMeanHessianSolver(model, u, p)
-            delta = hess.solve(-ev.residual)
+            delta = _ZeroMeanHessianSolver(model, u, p).solve(-ev.residual)
         except (RuntimeError, ValueError) as exc:
             raise ConvergenceError(f"Hessian solve failed: {exc}") from exc
         if not np.all(np.isfinite(delta)):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,6 +50,44 @@ def assemble(mesh):
     return K, M
 
 
+class MeshOperators(NamedTuple):
+    """What every sparse computation on one mesh shares: K and M, the LU of
+    M, and the fill-reducing vertex order that the LU of M chose."""
+    stiffness: sp.csr_matrix
+    mass: sp.csr_matrix
+    mass_lu: spla.SuperLU
+    order: np.ndarray       # A[order][:, order] is A in elimination order
+
+
+def operators(mesh):
+    """The `MeshOperators` of `mesh`, built once and kept on the mesh itself,
+    so that they are freed with it.
+
+    M is factored with a symmetric minimum-degree order on M + M^T, and its
+    postordered column order becomes the mesh's order: every matrix on the
+    P1 pattern (K + M, each bordered Hessian) is permuted by it and factored
+    in natural order, so no later factorization orders its columns again.
+    """
+    ops = getattr(mesh, "_operators", None)
+    if ops is None:
+        K, M = assemble(mesh)
+        lu = spla.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        # SuperLU factors Pr A Pc with column perm_c[i] of Pc holding A's
+        # column i, so A's columns in elimination order are argsort(perm_c).
+        ops = MeshOperators(K, M, lu, np.argsort(lu.perm_c))
+        mesh._operators = ops
+    return ops
+
+
+def ordered_solve(lu, order):
+    """The solve of A x = b given `lu`, the LU of A[order][:, order]."""
+    def solve(b):
+        x = np.empty_like(b, dtype=float)
+        x[order] = lu.solve(b[order])
+        return x
+    return solve
+
+
 def _fix_signs(vecs):
     for j in range(vecs.shape[1]):
         c = vecs[:, j]
@@ -62,16 +101,24 @@ def eigenpairs(mesh, count):
     """Lowest `count` nonconstant Neumann eigenpairs, mass-orthonormal.
 
     Shift-invert Lanczos about -1, below the spectrum, at every mesh size:
-    K and M stay sparse.  The constant mode is removed by projection against
-    the mass-weighted constant, not by pinning a vertex.
+    K and M stay sparse, and K + M is factored in the mesh's order.  A fixed
+    start vector makes the result repeat exactly; it is not projected to
+    zero mean, since the constant mode must be found.  The constant mode is
+    removed by projection against the mass-weighted constant, not by
+    pinning a vertex.
     """
-    K, M = assemble(mesh)
+    K, M, _, q = operators(mesh)
     n = mesh.num_vertices
     if count >= n - 1:
         raise MeshError("count must be below the number of interior degrees of freedom")
 
+    lu = spla.splu((K + M)[q][:, q].tocsc(), permc_spec="NATURAL")
+    OPinv = spla.LinearOperator((n, n), matvec=ordered_solve(lu, q),
+                                dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(n)
     try:
-        vals, vecs = spla.eigsh(K, k=count + 1, M=M, sigma=-1.0, which="LM")
+        vals, vecs = spla.eigsh(K, k=count + 1, M=M, sigma=-1.0, which="LM",
+                                OPinv=OPinv, v0=v0)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError("eigensolver failed to converge") from exc
     order = np.argsort(vals)

@@ -3,10 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
 from ksbench import mesh as meshmod, spectrum
+from ksbench.energy import EnergyFunctional
 from ksbench.errors import ResonanceError
+from test_mesh import ORACLE_MESHES
 
 SQUARE_MODES = np.pi ** 2 * np.array([1.0, 1.0, 2.0, 4.0, 4.0, 5.0])
 CLUSTER_TOL = 1e-5      # relative gap below which eigenvalues form a cluster
@@ -57,6 +60,44 @@ def test_repeat_runs_span_same_subspace(square64):
     Mz_a = a.eigenvectors @ (a.eigenvectors.T @ (a.mass @ z))
     Mz_b = b.eigenvectors @ (b.eigenvectors.T @ (b.mass @ z))
     assert np.allclose(Mz_a, Mz_b, atol=1e-8)
+
+
+def test_eigenpairs_repeat_exactly(square48):
+    # The annulus pairs are exactly degenerate, so only a fixed start vector
+    # pins the basis of each pair.
+    for mesh in (meshmod.build_builtin("annulus", 64), square48):
+        a = spectrum.eigenpairs(mesh, 8)
+        b = spectrum.eigenpairs(mesh, 8)
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert np.array_equal(a.eigenvectors, b.eigenvectors)
+
+
+def test_one_assembly_per_mesh(monkeypatch):
+    calls = []
+    assemble = spectrum.assemble
+
+    def counted(mesh):
+        calls.append(mesh)
+        return assemble(mesh)
+    monkeypatch.setattr(spectrum, "assemble", counted)
+    mesh = meshmod.build_builtin("unit_square", 16)
+    basis = spectrum.eigenpairs(mesh, 8)
+    model = EnergyFunctional.for_mesh(mesh)
+    assert calls == [mesh]
+    assert model.stiffness is basis.stiffness and model.mass is basis.mass
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
+def test_ordered_shift_invert_solve_matches_plain_splu(name):
+    # The solve that eigenpairs hands eigsh: K + M factored in the mesh's
+    # order, against SuperLU's default order on the unpermuted matrix.
+    K, M, _, order = spectrum.operators(ORACLE_MESHES[name])
+    A = (K + M).tocsc()
+    lu = spla.splu(A[order][:, order].tocsc(), permc_spec="NATURAL")
+    b = np.random.default_rng(6).standard_normal(A.shape[0])
+    want = spla.splu(A).solve(b)
+    got = spectrum.ordered_solve(lu, order)(b)
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def test_bracket_index_analytic():
