@@ -7,6 +7,7 @@ the lumped mass quadrature.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -72,13 +73,6 @@ class JoinPoint:
 
 
 @dataclass(eq=False)
-class MeshDensity:
-    """Nonnegative density given by vertex values on a mesh."""
-    mesh: object
-    values: np.ndarray
-
-
-@dataclass(eq=False)
 class Spread:
     points: np.ndarray
     interior: np.ndarray
@@ -115,8 +109,6 @@ def density_atoms(mesh, values):
 def as_weighted_points(obj):
     if isinstance(obj, BarycenterMeasure):
         return obj.points, obj.weights
-    if isinstance(obj, MeshDensity):
-        return density_atoms(obj.mesh, obj.values)
     points, weights = obj
     return np.atleast_2d(np.asarray(points, float)), np.asarray(weights, float)
 
@@ -227,44 +219,52 @@ def _hex_net(mesh, spacing):
     return net[mask]
 
 
+def _ball_incidence(centers, points, radius):
+    """Sparse (centers x points) matrix, 1 where the point lies within
+    `radius` of the center."""
+    balls = cKDTree(points).query_ball_point(centers, radius,
+                                             return_sorted=True)
+    counts = np.fromiter(map(len, balls), dtype=np.intp, count=len(centers))
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    indices = np.fromiter(itertools.chain.from_iterable(balls),
+                          dtype=np.intp, count=indptr[-1])
+    del balls               # the lists take several times the arrays' memory
+    return sp.csr_matrix((np.ones(len(indices)), indices, indptr),
+                         shape=(len(centers), len(points)))
+
+
 def _greedy_capture(mesh, points, weights, net, eps, K):
     """Best-effort admissible family capturing mass within eps-balls.
 
     Interior atoms cost 2 of the budget K, boundary atoms 1 (and sit on the
-    boundary).  Greedy marginal-gain selection; returns (family, interior
-    flags, captured mass fraction).
+    boundary).  Greedy marginal-gain selection: each pick is the affordable
+    candidate of largest uncovered ball mass, where a gain within a 1e-12
+    relative tolerance of the largest counts as equal and, among equals,
+    the cheaper boundary option wins, then the earlier candidate.  Returns
+    (family, interior flags, captured mass fraction).
     """
     bdist = meshmod.boundary_distances(mesh, net)
-    candidates = [(p.copy(), True) for p, d in zip(net, bdist) if d > 0.0]
-    candidates += [(meshmod.nearest_boundary_point(mesh, p), False)
-                   for p, d in zip(net, bdist) if d < eps / 2.0]
-    tree = cKDTree(points)
-    balls = tree.query_ball_point(np.array([c[0] for c in candidates]), eps)
+    inner, edge = bdist > 0.0, bdist < eps / 2.0
+    cand = np.concatenate([net[inner],
+                           meshmod.nearest_boundary_point(mesh, net[edge])])
+    cost = np.repeat([2, 1], [inner.sum(), edge.sum()])
+    balls = _ball_incidence(cand, points, eps)
 
     family, flags = [], []
     covered = np.zeros(len(points), bool)
     budget = K
     while budget > 0:
-        best_gain, best = 0.0, None
-        for idx, (point, is_interior) in enumerate(candidates):
-            cost = 2 if is_interior else 1
-            if cost > budget:
-                continue
-            sel = np.asarray(balls[idx], dtype=int)
-            gain = weights[sel[~covered[sel]]].sum() if len(sel) else 0.0
-            # Prefer the cheaper boundary option on (near-)equal gain.
-            if gain > best_gain * (1.0 + 1e-12) or (
-                    best is not None and gain >= best_gain * (1.0 - 1e-12)
-                    and cost < (2 if candidates[best][1] else 1)):
-                best_gain, best = gain, idx
-        if best is None or best_gain <= 0.0:
+        uncovered = np.where(covered, 0.0, weights)
+        gains = np.where(cost <= budget, balls @ uncovered, 0.0)
+        top = gains.max(initial=0.0)
+        if top <= 0.0:
             break
-        point, is_interior = candidates[best]
-        sel = np.asarray(balls[best], dtype=int)
-        covered[sel] = True
-        family.append(point)
-        flags.append(is_interior)
-        budget -= 2 if is_interior else 1
+        near = np.flatnonzero(gains >= top * (1.0 - 1e-12))
+        best = near[np.argmin(cost[near])]
+        covered[balls[best].indices] = True
+        family.append(cand[best])
+        flags.append(bool(cost[best] == 2))
+        budget -= cost[best]
     captured = weights[covered].sum()
     return family, flags, captured
 
@@ -312,9 +312,7 @@ def spread_points(mesh, f_values, eps, K):
             return Concentrated(points=np.array(family),
                                 interior=np.array(flags, bool))
 
-    tree = cKDTree(points)
-    ball_mass = np.array([weights[idx].sum()
-                          for idx in tree.query_ball_point(net, radius)])
+    ball_mass = _ball_incidence(net, points, radius) @ weights
     heavy = ball_mass >= mass_floor
     cand = net[heavy]
     cand_mass = ball_mass[heavy]
@@ -331,8 +329,8 @@ def spread_points(mesh, f_values, eps, K):
     # The far-apart construction itself stayed within budget, so its balls
     # capture the mass; boundary-tagged members move onto the boundary.
     witness = chosen.copy()
-    for i in np.flatnonzero(~interior):
-        witness[i] = meshmod.nearest_boundary_point(mesh, witness[i])
+    witness[~interior] = meshmod.nearest_boundary_point(mesh,
+                                                        chosen[~interior])
     return Concentrated(points=witness, interior=interior)
 
 
@@ -367,13 +365,15 @@ def project_to_barycenters(mesh, f_values, eps, K):
 
     # Refine atom positions to the local center of mass of their ball.
     atoms = family.copy()
+    moved = np.zeros(len(family), bool)
     for k in range(len(family)):
         sel = assigned == k
         mass = weights[sel].sum()
         if mass > 0:
             atoms[k] = (weights[sel] @ points[sel]) / mass
-            if not interior[k]:
-                atoms[k] = meshmod.nearest_boundary_point(mesh, atoms[k])
+            moved[k] = True
+    onto = moved & ~interior
+    atoms[onto] = meshmod.nearest_boundary_point(mesh, atoms[onto])
     return BarycenterMeasure(points=atoms, weights=t, interior=interior)
 
 

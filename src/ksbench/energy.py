@@ -102,14 +102,8 @@ class EnergyFunctional:
     def field(self, values):
         return Field(self.mesh, self.project_zero_mean(values))
 
-    def zero_field(self):
-        return Field(self.mesh, np.zeros(self.mesh.num_vertices))
-
     def integral(self, values):
         return float(self.lumped @ values)
-
-    def mass_norm(self, values):
-        return float(np.sqrt(max(values @ (self.mass @ values), 0.0)))
 
     def h1_norm(self, values):
         q = values @ (self.stiffness @ values) + values @ (self.mass @ values)
@@ -284,13 +278,6 @@ class EnergyFunctional:
         pat = self._ordered_pattern
         return sp.csc_matrix((B.data[pat.gather], pat.indices, pat.indptr),
                              shape=B.shape), pat.order
-
-    def hessian_apply(self, u, p, v):
-        A0, c, w = self.hessian_operator(u, p)
-        v = field_values(v)
-        r = A0 @ v + c * w * (w @ v)
-        h = self._mass_solve(r)
-        return Field(self.mesh, self.project_zero_mean(h))
 
 
 def project_pi(u, basis, I):

@@ -253,26 +253,26 @@ def winding_numbers(mesh, points):
     return w
 
 
-def boundary_distances(mesh, points):
-    """Distance from each point to the mesh boundary (no containment check).
+def _segment_projections(mesh, points):
+    """Clamped projections of each point onto its candidate boundary segments.
 
     Exact, with no (points x segments) matrix.  The midpoint of a segment
     lies on it, so the nearest midpoint, at distance d0, bounds the distance
     from above; a segment attaining the minimum therefore has its midpoint
     within d0 + L/2, L the longest segment.  A KD-tree ball of that radius,
-    padded against rounding, proposes the candidate segments, and the
-    clamped projection onto each candidate decides.
+    padded against rounding, proposes the candidate segments, in increasing
+    index order, and the clamped projection onto each candidate decides.
+    Returns the candidates' distances and projections, flat, and the
+    number of candidates of each point.
     """
     a = mesh.vertices[mesh.boundary_edges[:, 0]]
     b = mesh.vertices[mesh.boundary_edges[:, 1]]
-    points = np.atleast_2d(points)
-    if len(points) == 0:
-        return np.empty(0)
     d = b - a
     tree = cKDTree(0.5 * (a + b))
     d0, _ = tree.query(points)
     half = 0.5 * float(np.linalg.norm(d, axis=1).max())
-    balls = tree.query_ball_point(points, (d0 + half) * (1.0 + 1e-9) + 1e-12)
+    balls = tree.query_ball_point(points, (d0 + half) * (1.0 + 1e-9) + 1e-12,
+                                  return_sorted=True)
     counts = np.fromiter(map(len, balls), dtype=np.intp, count=len(points))
     seg = np.concatenate(balls).astype(np.intp)
     p = np.repeat(points, counts, axis=0)
@@ -281,7 +281,15 @@ def boundary_distances(mesh, points):
     t = np.clip(np.einsum("nj,nj->n", p - a[seg], d[seg]) / denom[seg],
                 0.0, 1.0)
     proj = a[seg] + t[:, None] * d[seg]
-    dist = np.linalg.norm(p - proj, axis=1)
+    return np.linalg.norm(p - proj, axis=1), proj, counts
+
+
+def boundary_distances(mesh, points):
+    """Distance from each point to the mesh boundary (no containment check)."""
+    points = np.atleast_2d(points)
+    if len(points) == 0:
+        return np.empty(0)
+    dist, _, counts = _segment_projections(mesh, points)
     return np.minimum.reduceat(dist, np.cumsum(counts) - counts)
 
 
@@ -304,17 +312,22 @@ def contains(mesh, points, tol=1e-12):
     return inside
 
 
-def nearest_boundary_point(mesh, p):
-    """Closest point on the mesh boundary to p."""
-    p = np.asarray(p, dtype=float)
-    a = mesh.vertices[mesh.boundary_edges[:, 0]]
-    b = mesh.vertices[mesh.boundary_edges[:, 1]]
-    d = b - a
-    denom = np.einsum("sj,sj->s", d, d)
-    denom = np.where(denom == 0.0, 1.0, denom)
-    t = np.clip(((p - a) * d).sum(axis=1) / denom, 0.0, 1.0)
-    proj = a + t[:, None] * d
-    return proj[np.argmin(np.linalg.norm(proj - p, axis=1))]
+def nearest_boundary_point(mesh, points):
+    """Closest boundary point to each point: (n, 2) for (n, 2), (2,) for (2,).
+
+    On a tie the segment of lowest index wins.
+    """
+    points = np.asarray(points, dtype=float)
+    flat = np.atleast_2d(points)
+    if len(flat) == 0:
+        return np.empty((0, 2))
+    dist, proj, counts = _segment_projections(mesh, flat)
+    starts = np.cumsum(counts) - counts
+    at_min = dist == np.repeat(np.minimum.reduceat(dist, starts), counts)
+    first = np.minimum.reduceat(np.where(at_min, np.arange(len(dist)),
+                                         len(dist)), starts)
+    out = proj[first]
+    return out[0] if points.ndim == 1 else out
 
 
 def min_edge_length(mesh):
@@ -323,7 +336,3 @@ def min_edge_length(mesh):
     v = mesh.vertices
     return float(np.linalg.norm(v[e[:, 0]] - v[e[:, 1]], axis=1).min())
 
-
-def boundary_loops(mesh):
-    """Closed boundary loops as vertex index lists."""
-    return _boundary_loops(mesh.boundary_edges)

@@ -259,16 +259,16 @@ def local_mass(model, u, p, radius):
     weights = mesh.lumped_masses() * density
     weights /= weights.sum()
     tree = cKDTree(mesh.vertices)
+    bdist = meshmod.boundary_distances(mesh, mesh.vertices[peaks])
     taken = np.zeros(n, bool)
     candidates = []
-    for idx in peaks:
+    for idx, peak_bdist in zip(peaks, bdist):
         if taken[idx]:
             continue
         ball = tree.query_ball_point(mesh.vertices[idx], radius)
         taken[ball] = True
         mass = p.rho * weights[ball].sum()
-        bdist = meshmod.boundary_distances(mesh, mesh.vertices[idx][None])[0]
-        tag = "boundary" if bdist < radius / 4.0 else "interior"
+        tag = "boundary" if peak_bdist < radius / 4.0 else "interior"
         candidates.append((mesh.vertices[idx].copy(), float(mass), tag))
 
     interpretation = "none"
@@ -325,16 +325,13 @@ def _seed_configs(mesh, basis, K, I, lambdas=(30.0, 100.0)):
         for m in range(K - 2 * l + 1):
             if l + m == 0:
                 continue
-            pts, flags = [], []
-            for j in range(l):
-                pts.append(i_atom + 0.05 * j)
-                flags.append(True)
-            for j in range(m):
-                ang = 2.0 * np.pi * j / max(m, 1)
-                pts.append(meshmod.nearest_boundary_point(
-                    mesh, b_atom + 0.3 * j * np.array([np.cos(ang), np.sin(ang)])))
-                flags.append(False)
-            measures.append(make_measure(np.array(pts), flags))
+            ang = 2.0 * np.pi * np.arange(m) / max(m, 1)
+            offsets = 0.3 * np.arange(m)[:, None] * np.column_stack(
+                [np.cos(ang), np.sin(ang)])
+            pts = np.concatenate([
+                i_atom + 0.05 * np.arange(l)[:, None],
+                meshmod.nearest_boundary_point(mesh, b_atom + offsets)])
+            measures.append(make_measure(pts, [True] * l + [False] * m))
     sigmas = []
     for i in range(I):
         e = np.zeros(I)

@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
+from scipy.spatial import cKDTree
 
 from ksbench import barycenter as bc
 from ksbench import bubbles
+from ksbench import mesh as meshmod
 from ksbench.energy import EnergyFunctional
 from ksbench.errors import NotConcentratedError, NotInLowSublevelError
+from test_mesh import _nearest_boundary_point_brute
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -107,7 +110,6 @@ def test_concentrated_boundary_half_bubble(square48):
 
 
 def test_spread_postconditions_random(square48):
-    from ksbench import mesh as meshmod
     rng = np.random.default_rng(8)
     points, weights = bc.density_atoms(square48, np.ones(square48.num_vertices))
     for trial in range(10):
@@ -199,11 +201,14 @@ def test_psi_map_pure_measure(square48, square48_basis):
 def test_psi_map_rejects_flat_field(square48, square48_basis):
     model = EnergyFunctional.for_mesh(square48)
     with pytest.raises(NotInLowSublevelError):
-        bc.psi_map(model.zero_field(), square48_basis, I=2, K=1, eps=0.2)
+        bc.psi_map(model.field(np.zeros(square48.num_vertices)),
+                   square48_basis, I=2, K=1, eps=0.2)
 
 
-# Oracles: the all-pairs dual LP and the direct far-apart loop that the
-# partial-transport LP and the KD-tree selection replace.
+# Oracles: the all-pairs dual LP, the direct far-apart loop, the
+# per-candidate greedy scan, the per-ball mass sums and the brute-force
+# boundary projection that the partial-transport LP, the KD-tree selection,
+# the ball-incidence products and the pruned projection replace.
 
 def _bl_distance_dual_lp(mu, nu, prune=1e-10):
     """Maximize sum h_a d_a over |h_a| <= 1, |h_a - h_b| <= |p_a - p_b|."""
@@ -251,9 +256,65 @@ def _far_apart_loop(cand, order, gap):
     return np.array(chosen) if chosen else np.zeros((0, 2))
 
 
+def _greedy_capture_loop(mesh, points, weights, net, eps, K):
+    bdist = meshmod.boundary_distances(mesh, net)
+    candidates = [(p.copy(), True) for p, d in zip(net, bdist) if d > 0.0]
+    candidates += [(_nearest_boundary_point_brute(mesh, p), False)
+                   for p, d in zip(net, bdist) if d < eps / 2.0]
+    tree = cKDTree(points)
+    balls = tree.query_ball_point(np.array([c[0] for c in candidates]), eps)
+
+    family, flags = [], []
+    covered = np.zeros(len(points), bool)
+    budget = K
+    while budget > 0:
+        best_gain, best = 0.0, None
+        for idx, (point, is_interior) in enumerate(candidates):
+            cost = 2 if is_interior else 1
+            if cost > budget:
+                continue
+            sel = np.asarray(balls[idx], dtype=int)
+            gain = weights[sel[~covered[sel]]].sum() if len(sel) else 0.0
+            # Prefer the cheaper boundary option on (near-)equal gain.
+            if gain > best_gain * (1.0 + 1e-12) or (
+                    best is not None and gain >= best_gain * (1.0 - 1e-12)
+                    and cost < (2 if candidates[best][1] else 1)):
+                best_gain, best = gain, idx
+        if best is None or best_gain <= 0.0:
+            break
+        point, is_interior = candidates[best]
+        sel = np.asarray(balls[best], dtype=int)
+        covered[sel] = True
+        family.append(point)
+        flags.append(is_interior)
+        budget -= 2 if is_interior else 1
+    captured = weights[covered].sum()
+    return family, flags, captured
+
+
+class _BallLists:
+    """Stands in for `bc._ball_incidence`: `@ weights` sums each ball's
+    weights one ball at a time."""
+
+    def __init__(self, centers, points, radius):
+        self.balls = cKDTree(points).query_ball_point(centers, radius)
+
+    def __matmul__(self, weights):
+        return np.array([weights[idx].sum() for idx in self.balls])
+
+
+def _oracle(fn, *args):
+    """`fn` run on the replaced loops and the brute-force projection."""
+    with mock.patch.object(bc, "_far_apart", _far_apart_loop), \
+            mock.patch.object(bc, "_greedy_capture", _greedy_capture_loop), \
+            mock.patch.object(bc, "_ball_incidence", _BallLists), \
+            mock.patch.object(meshmod, "nearest_boundary_point",
+                              _nearest_boundary_point_brute):
+        return fn(*args)
+
+
 def _spread_points_oracle(mesh, values, eps, K):
-    with mock.patch.object(bc, "_far_apart", _far_apart_loop):
-        return bc.spread_points(mesh, values, eps, K)
+    return _oracle(bc.spread_points, mesh, values, eps, K)
 
 
 def _assert_same_outcome(out, ref):
@@ -339,3 +400,77 @@ def test_spread_bubbles_match_oracle(square48, centers, scale, K):
     values = np.exp(bubbles.bubble_values(mu, scale, square48))
     _assert_same_outcome(bc.spread_points(square48, values, 0.2, K),
                          _spread_points_oracle(square48, values, 0.2, K))
+
+
+def _bubble_density(mesh, centers, interior, scale):
+    """Bubbles at `centers`; boundary-tagged ones are moved to y = 0."""
+    centers = np.array(centers, dtype=float)
+    centers[~np.asarray(interior), 1] = 0.0
+    mu = bubbles.make_measure(centers, list(interior))
+    return np.exp(bubbles.bubble_values(mu, scale, mesh))
+
+
+_bubbles = st.lists(st.tuples(st.floats(0.1, 0.9), st.floats(0.1, 0.9),
+                              st.booleans()), min_size=1, max_size=3)
+
+
+@hypothesis.settings(max_examples=6, deadline=None)
+@hypothesis.given(_bubbles, st.floats(5.0, 300.0),
+                  st.sampled_from([0.15, 0.2, 0.3]), st.integers(1, 5))
+def test_greedy_capture_matches_oracle(square48, atoms, scale, eps, K):
+    values = _bubble_density(square48, [a[:2] for a in atoms],
+                             [a[2] for a in atoms], scale)
+    points, weights = bc.density_atoms(square48, values)
+    net = bc._hex_net(square48, eps / 6.0)
+    family, flags, captured = bc._greedy_capture(square48, points, weights,
+                                                 net, eps, K)
+    ref_family, ref_flags, ref_captured = _greedy_capture_loop(
+        square48, points, weights, net, eps, K)
+    assert np.array_equal(np.array(family), np.array(ref_family))
+    assert flags == ref_flags
+    assert captured == ref_captured
+
+
+# The projection covers at eps / 3, where the oracle's per-candidate scan
+# is slow; larger eps keep its net small.
+@hypothesis.settings(max_examples=4, deadline=None)
+@hypothesis.given(_bubbles, st.floats(5.0, 300.0), st.sampled_from([0.3, 0.4]),
+                  st.integers(1, 4))
+def test_project_to_barycenters_matches_oracle(square48, atoms, scale, eps,
+                                               K):
+    values = _bubble_density(square48, [a[:2] for a in atoms],
+                             [a[2] for a in atoms], scale)
+    try:
+        ref = _oracle(bc.project_to_barycenters, square48, values, eps, K)
+    except NotConcentratedError:
+        with pytest.raises(NotConcentratedError):
+            bc.project_to_barycenters(square48, values, eps, K)
+        return
+    out = bc.project_to_barycenters(square48, values, eps, K)
+    assert np.array_equal(out.points, ref.points)
+    assert np.array_equal(out.weights, ref.weights)
+    assert np.array_equal(out.interior, ref.interior)
+
+
+def test_boundary_projections_do_not_grow_with_the_net(square48,
+                                                        monkeypatch):
+    # Each boundary projection is one call on an array, so halving eps,
+    # which grows the net about fourfold, leaves the call counts unchanged.
+    calls = []
+    nearest = meshmod.nearest_boundary_point
+
+    def counted(mesh, points):
+        calls.append(len(np.atleast_2d(points)))
+        return nearest(mesh, points)
+    monkeypatch.setattr(meshmod, "nearest_boundary_point", counted)
+    flat = np.ones(square48.num_vertices)
+    half = _bubble_density(square48, [(0.5, 0.0)], [False], 200.0)
+    counts = []
+    for eps in (0.3, 0.15):
+        calls.clear()
+        assert isinstance(bc.spread_points(square48, flat, eps, 2), bc.Spread)
+        spread = len(calls)
+        calls.clear()
+        bc.project_to_barycenters(square48, half, eps, 1)
+        counts.append((spread, len(calls)))
+    assert counts == [(1, 2), (1, 2)]

@@ -71,6 +71,24 @@ def _boundary_distances_brute(mesh, points):
     return out
 
 
+def _nearest_boundary_point_brute(mesh, p):
+    """The former nearest_boundary_point: the point against every boundary
+    segment, the first segment winning a tie.  An (n, 2) array is
+    projected row by row."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim == 2:
+        return np.array([_nearest_boundary_point_brute(mesh, q)
+                         for q in p]).reshape(-1, 2)
+    a = mesh.vertices[mesh.boundary_edges[:, 0]]
+    b = mesh.vertices[mesh.boundary_edges[:, 1]]
+    d = b - a
+    denom = np.einsum("sj,sj->s", d, d)
+    denom = np.where(denom == 0.0, 1.0, denom)
+    t = np.clip(((p - a) * d).sum(axis=1) / denom, 0.0, 1.0)
+    proj = a + t[:, None] * d
+    return proj[np.argmin(np.linalg.norm(proj - p, axis=1))]
+
+
 def _special_points(mesh):
     """Vertices, boundary-edge points, points on the inward bisector at
     each boundary vertex (equidistant from its two segments), and the
@@ -108,7 +126,7 @@ def test_disk_area_converges(disk128, disk256):
 def test_annulus_has_two_loops_and_genus_one():
     ann = meshmod.build_builtin("annulus", 64)
     assert ann.genus == 1
-    assert len(meshmod.boundary_loops(ann)) == 2
+    assert len(meshmod._boundary_loops(ann.boundary_edges)) == 2
 
 
 def test_boundary_distance_square_oracle(square64):
@@ -216,6 +234,8 @@ def test_boundary_distances_match_brute_force(name):
     pts = _special_points(mesh)
     assert np.array_equal(meshmod.boundary_distances(mesh, pts),
                           _boundary_distances_brute(mesh, pts))
+    assert np.array_equal(meshmod.nearest_boundary_point(mesh, pts),
+                          _nearest_boundary_point_brute(mesh, pts))
 
 
 @hypothesis.settings(max_examples=60, deadline=None)
@@ -227,8 +247,13 @@ def test_boundary_distances_match_brute_force_anywhere(name, points):
     pts = np.array(points)
     assert np.array_equal(meshmod.boundary_distances(mesh, pts),
                           _boundary_distances_brute(mesh, pts))
+    assert np.array_equal(meshmod.nearest_boundary_point(mesh, pts),
+                          _nearest_boundary_point_brute(mesh, pts))
 
 
 def test_boundary_distances_of_no_points():
     out = meshmod.boundary_distances(ORACLE_MESHES["disk"], np.zeros((0, 2)))
     assert out.shape == (0,)
+    out = meshmod.nearest_boundary_point(ORACLE_MESHES["disk"],
+                                         np.zeros((0, 2)))
+    assert out.shape == (0, 2)
