@@ -7,7 +7,6 @@ the lumped mass quadrature.
 """
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -221,16 +220,21 @@ def _hex_net(mesh, spacing):
 
 def _ball_incidence(centers, points, radius):
     """Sparse (centers x points) matrix, 1 where the point lies within
-    `radius` of the center."""
-    balls = cKDTree(points).query_ball_point(centers, radius,
-                                             return_sorted=True)
-    counts = np.fromiter(map(len, balls), dtype=np.intp, count=len(centers))
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    indices = np.fromiter(itertools.chain.from_iterable(balls),
-                          dtype=np.intp, count=indptr[-1])
-    del balls               # the lists take several times the arrays' memory
-    return sp.csr_matrix((np.ones(len(indices)), indices, indptr),
-                         shape=(len(centers), len(points)))
+    `radius` of the center, with each row's points in increasing order.
+
+    The (center, point) pairs come from one KD-tree pair query.  Each pair
+    becomes a one-entry row; `tocsc` groups the pairs by point, and `tocsr`
+    then groups them by center with the points in increasing order.  Both
+    are O(pairs) counting passes, so no row is sorted.
+    """
+    pairs = cKDTree(centers).sparse_distance_matrix(
+        cKDTree(points), radius, output_type="ndarray")
+    n = len(pairs)
+    by_point = sp.csr_matrix((np.ones(n), pairs["j"], np.arange(n + 1)),
+                             shape=(n, len(points))).tocsc()
+    return sp.csc_matrix((by_point.data, pairs["i"][by_point.indices],
+                          by_point.indptr),
+                         shape=(len(centers), len(points))).tocsr()
 
 
 def _greedy_capture(mesh, points, weights, net, eps, K):
@@ -273,23 +277,29 @@ def _far_apart(cand, order, gap):
     """Greedy far-apart subset: visit `cand` in `order`, keep a point unless
     a kept one lies closer than `gap`.
 
-    Each kept point q blocks the points p with `norm(p - q) < gap`.  The
-    KD-tree ball is padded against rounding and only proposes candidates;
-    the norm decides, so lattice points exactly `gap` apart resolve the same
-    way as in a direct comparison against every kept point.
+    Each kept point q blocks the points p with `norm(p - q) < gap`.  One
+    KD-tree pair query, padded against rounding, proposes every pair; the
+    norm decides (`vecdot` takes the same dot product per row as `norm` of
+    one vector), so lattice points exactly `gap` apart resolve the same way
+    as in a direct comparison against every kept point.  The blocking pairs
+    form a symmetric neighbour matrix, and the visit only indexes it.
     """
-    tree = cKDTree(cand)
-    blocked = np.zeros(len(cand), dtype=bool)
-    chosen = []
+    pairs = cKDTree(cand).query_pairs(gap * (1.0 + 1e-9),
+                                      output_type="ndarray")
+    diff = cand[pairs[:, 1]] - cand[pairs[:, 0]]
+    a, b = pairs[np.sqrt(np.vecdot(diff, diff)) < gap].T
+    n = len(cand)
+    near = sp.csr_matrix((np.ones(2 * len(a)), (np.concatenate([a, b]),
+                                                 np.concatenate([b, a]))),
+                         shape=(n, n))
+    blocked = np.zeros(n, dtype=bool)
+    kept = []
     for idx in order:
         if blocked[idx]:
             continue
-        q = cand[idx]
-        chosen.append(q)
-        for j in tree.query_ball_point(q, gap * (1.0 + 1e-9)):
-            if not blocked[j] and np.linalg.norm(cand[j] - q) < gap:
-                blocked[j] = True
-    return np.array(chosen) if chosen else np.zeros((0, 2))
+        kept.append(idx)
+        blocked[near.indices[near.indptr[idx]:near.indptr[idx + 1]]] = True
+    return cand[kept] if kept else np.zeros((0, 2))
 
 
 def spread_points(mesh, f_values, eps, K):

@@ -40,13 +40,47 @@ def field_values(u):
     return u.values if isinstance(u, Field) else u
 
 
-class Evaluation(NamedTuple):
+class Evaluation:
     """Energy, dual-space residual, zero-mean gradient (mass representer of
-    the residual) and gradient norm of one field."""
-    energy: float
-    residual: np.ndarray
-    gradient: np.ndarray
-    gradient_norm: float
+    the residual) and gradient norm of one field.
+
+    The energy is computed at once, the other three on first read from the
+    same K u, M u and quadrature values, so a caller that reads only the
+    energy (a rejected flow trial) pays no residual and no mass solve.
+    Iterating yields the four in that order.
+    """
+
+    def __init__(self, model, u, p, Ku, Mu, s, vals):
+        self._model, self._u, self._p = model, u, p
+        self._Ku, self._Mu, self._vals = Ku, Mu, vals
+        self._total = float(vals.sum())
+        self._defined = bool(np.all(np.isfinite(u))) and self._total > 0.0
+        self.energy = model._energy(u, Ku, Mu, s, self._total, p)
+
+    def __iter__(self):
+        return iter((self.energy, self.residual, self.gradient,
+                     self.gradient_norm))
+
+    @cached_property
+    def residual(self):
+        if not self._defined:
+            return np.full_like(self._u, np.nan)
+        model, p = self._model, self._p
+        w = model._exp_weights(self._vals, len(self._u))
+        return self._Ku + p.beta * self._Mu - p.rho * (
+            w / self._total - model.lumped / model.area)
+
+    @cached_property
+    def _solved(self):
+        """Gradient and gradient norm from one mass solve of the residual."""
+        if not self._defined:
+            return np.full_like(self._u, np.nan), float("nan")
+        g = self._model._mass_solve(self.residual)
+        return (self._model.project_zero_mean(g),
+                float(np.sqrt(max(self.residual @ g, 0.0))))
+
+    gradient = property(lambda self: self._solved[0])
+    gradient_norm = property(lambda self: self._solved[1])
 
 
 class _BorderedPattern(NamedTuple):
@@ -123,10 +157,14 @@ class EnergyFunctional:
         3-point rule, so any ratio of them is shift-free.
         """
         s, vals = self._exp_vals(u)
+        return s, vals, self._exp_weights(vals, len(u)), float(vals.sum())
+
+    def _exp_weights(self, vals, n):
+        """The vertex vector w of `_exp_quad` from the quadrature values:
+        each value is split between the two ends of its edge."""
         half = 0.5 * vals
-        w = np.bincount(self._qab, weights=np.concatenate([half, half]),
-                        minlength=len(u))
-        return s, vals, w, float(vals.sum())
+        return np.bincount(self._qab, weights=np.concatenate([half, half]),
+                           minlength=n)
 
     def log_int_exp(self, u):
         u = field_values(u)
@@ -148,10 +186,9 @@ class EnergyFunctional:
                      - p.rho * (s + float(np.log(total))))
 
     def evaluate(self, u, p):
-        """Energy, residual, gradient and gradient norm of u in one pass.
-
-        One exponential quadrature, one K @ u, one M @ u and one mass solve
-        serve all four, each bit-identical to what `energy`, `residual`,
+        """The `Evaluation` of u: one exponential quadrature, one K @ u and
+        one M @ u serve all four values, and one mass solve the gradient
+        and its norm; each is bit-identical to what `energy`, `residual`,
         `gradient` and `gradient_norm` return.  For a non-finite u, or a
         quadrature that underflows to zero, the residual, gradient and
         gradient norm are NaN; the energy is whatever its formula gives
@@ -161,24 +198,13 @@ class EnergyFunctional:
         Ku = self.stiffness @ u
         Mu = self.mass @ u
         with np.errstate(divide="ignore", invalid="ignore"):
-            s, _, w, total = self._exp_quad(u)
-            energy = self._energy(u, Ku, Mu, s, total, p)
-        if not np.all(np.isfinite(u)) or total <= 0.0:
-            nan = np.full_like(u, np.nan)
-            return Evaluation(energy, nan, nan, float("nan"))
-        r = Ku + p.beta * Mu - p.rho * (w / total - self.lumped / self.area)
-        g = self._mass_solve(r)
-        return Evaluation(energy, r, self.project_zero_mean(g),
-                          float(np.sqrt(max(r @ g, 0.0))))
+            s, vals = self._exp_vals(u)
+            return Evaluation(self, u, p, Ku, Mu, s, vals)
 
     def energy(self, u, p):
         """The energy alone: one quadrature and the quadratic form, no
-        residual and no mass solve; equal to `evaluate(u, p).energy`."""
-        u = field_values(u)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s, vals = self._exp_vals(u)
-            return self._energy(u, self.stiffness @ u, self.mass @ u, s,
-                                float(vals.sum()), p)
+        residual and no mass solve."""
+        return self.evaluate(u, p).energy
 
     def residual(self, u, p):
         """Dual-space gradient r with r . v = J'(u)[v] for all v."""

@@ -1,4 +1,5 @@
 """Bounded-Lipschitz metric, covering alternative and barycenter projection."""
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ from ksbench import bubbles
 from ksbench import mesh as meshmod
 from ksbench.energy import EnergyFunctional
 from ksbench.errors import NotConcentratedError, NotInLowSublevelError
-from test_mesh import _nearest_boundary_point_brute
+from test_mesh import ORACLE_MESHES, _nearest_boundary_point_brute
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -206,9 +207,10 @@ def test_psi_map_rejects_flat_field(square48, square48_basis):
 
 
 # Oracles: the all-pairs dual LP, the direct far-apart loop, the
-# per-candidate greedy scan, the per-ball mass sums and the brute-force
-# boundary projection that the partial-transport LP, the KD-tree selection,
-# the ball-incidence products and the pruned projection replace.
+# per-candidate greedy scan, the per-ball mass sums, the per-center ball
+# lists and the brute-force boundary projection that the partial-transport
+# LP, the KD-tree selection, the ball-incidence products, the pair query
+# and the pruned projection replace.
 
 def _bl_distance_dual_lp(mu, nu, prune=1e-10):
     """Maximize sum h_a d_a over |h_a| <= 1, |h_a - h_b| <= |p_a - p_b|."""
@@ -254,6 +256,19 @@ def _far_apart_loop(cand, order, gap):
         if all(np.linalg.norm(p - q) >= gap for q in chosen):
             chosen.append(p)
     return np.array(chosen) if chosen else np.zeros((0, 2))
+
+
+def _ball_incidence_lists(centers, points, radius):
+    """The former `_ball_incidence`: one sorted ball list per center,
+    flattened into the CSR arrays."""
+    balls = cKDTree(points).query_ball_point(centers, radius,
+                                             return_sorted=True)
+    counts = np.fromiter(map(len, balls), dtype=np.intp, count=len(centers))
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    indices = np.fromiter(itertools.chain.from_iterable(balls),
+                          dtype=np.intp, count=indptr[-1])
+    return sp.csr_matrix((np.ones(len(indices)), indices, indptr),
+                         shape=(len(centers), len(points)))
 
 
 def _greedy_capture_loop(mesh, points, weights, net, eps, K):
@@ -381,6 +396,98 @@ def test_far_apart_matches_loop_on_lattice_ties():
         order = rng.permutation(len(cand))
         assert np.array_equal(bc._far_apart(cand, order, 0.2),
                               _far_apart_loop(cand, order, 0.2))
+
+
+def _assert_same_incidence(centers, points, radius):
+    got = bc._ball_incidence(centers, points, radius)
+    want = _ball_incidence_lists(centers, points, radius)
+    assert got.shape == want.shape == (len(centers), len(points))
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
+@pytest.mark.parametrize("eps", [0.15, 0.2, 0.2 / 3.0, 0.3])
+def test_ball_incidence_matches_lists_on_hex_nets(name, eps):
+    # The greedy's eps-balls and the spread's eps/6-balls around the net.
+    mesh = ORACLE_MESHES[name]
+    net = bc._hex_net(mesh, eps / 6.0)
+    for radius in (eps, eps / 6.0):
+        _assert_same_incidence(net, mesh.vertices, radius)
+
+
+@pytest.mark.parametrize("n", [8, 16, 24, 48])
+def test_ball_incidence_matches_lists_on_lattice_ties(n):
+    # Grid points exactly k h or sqrt(2) k h apart sit on the ball's rim;
+    # the centers are the grid itself and a hexagonal net over it.
+    square = meshmod.build_builtin("unit_square", n)
+    grid, h = square.vertices, 1.0 / n
+    for centers in (grid, bc._hex_net(square, h)):
+        for k in (1, 2, 3):
+            for radius in (k * h, np.sqrt(2.0) * k * h):
+                _assert_same_incidence(centers, grid, radius)
+
+
+def test_ball_incidence_matches_lists_on_coincident_points():
+    # Repeated rows on both sides; radius 0 keeps exactly the coincidences.
+    pts = np.array([[0.0, 0.0], [0.0, 0.0], [0.5, 0.0], [0.5, 0.0],
+                    [1.0, 1.0]])
+    for radius in (0.0, 0.5, 2.0):
+        _assert_same_incidence(pts, pts, radius)
+        _assert_same_incidence(pts[::-1], pts[[4, 0, 2, 0]], radius)
+
+
+def test_ball_incidence_of_empty_sets():
+    pts = np.array([[0.0, 0.0], [0.3, 0.4]])
+    empty = np.zeros((0, 2))
+    for centers, points in ((empty, pts), (pts, empty), (empty, empty)):
+        _assert_same_incidence(centers, points, 1.0)
+        assert bc._ball_incidence(centers, points, 1.0).nnz == 0
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
+def test_far_apart_matches_loop_on_hex_nets(name):
+    # `spread_points`' own case: gap = 4 x spacing puts many pairs of the
+    # net exactly (up to the rounding of its rows) a gap apart.
+    spacing = 0.2 / 6.0
+    net = bc._hex_net(ORACLE_MESHES[name], spacing)
+    rng = np.random.default_rng(1)
+    orders = [np.lexsort((net[:, 1], net[:, 0])),
+              rng.permutation(len(net)), rng.permutation(len(net))]
+    for order in orders:
+        assert np.array_equal(bc._far_apart(net, order, 4.0 * spacing),
+                              _far_apart_loop(net, order, 4.0 * spacing))
+
+
+_lattice_points = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                           min_size=1, max_size=40)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(_lattice_points,
+                  st.lists(st.tuples(st.floats(0.0, 0.6), st.floats(0.0, 0.6)),
+                           max_size=20),
+                  st.integers(0, 3),
+                  st.one_of(st.sampled_from([0.1, 0.2, 0.25, 0.3]),
+                            st.tuples(st.integers(0, 99), st.integers(0, 99))),
+                  st.randoms(use_true_random=False))
+def test_far_apart_matches_loop_random(lattice, floats, repeats, gap, rnd):
+    # Lattice rows of step 0.1 tie at the gap; duplicated rows sit at
+    # distance 0; a gap taken as the norm of one pair of rows puts that
+    # pair exactly on it; the order is shuffled.
+    cand = np.array(lattice, dtype=float) * 0.1
+    if floats:
+        cand = np.vstack([cand, np.array(floats)])
+    cand = np.vstack([cand, cand[:repeats]])
+    if isinstance(gap, tuple):
+        a, b = (k % len(cand) for k in gap)
+        gap = float(np.linalg.norm(cand[a] - cand[b]))
+    order = list(range(len(cand)))
+    rnd.shuffle(order)
+    order = np.array(order)
+    assert np.array_equal(bc._far_apart(cand, order, gap),
+                          _far_apart_loop(cand, order, gap))
 
 
 def test_spread_flat_matches_oracle(square48):

@@ -289,6 +289,34 @@ def test_flow_matches_oracle_and_newton_is_quiet(name, kind):
                 want.classification)
 
 
+@pytest.mark.parametrize("p", FLOW_PARAMS)
+def test_flow_solves_once_per_accepted_step(p):
+    # A model of its own, so that the patches stay on it: the start and
+    # each accepted trial pay one mass solve, a rejected trial none.
+    mesh = ORACLE_MESHES["disk"]
+    model = EnergyFunctional(mesh)
+    solves, energies = [], []
+    mass_solve, evaluate = model._mass_solve, model.evaluate
+
+    def counted_solve(b):
+        solves.append(1)
+        return mass_solve(b)
+
+    def recorded(u, p):
+        ev = evaluate(u, p)
+        energies.append(ev.energy)
+        return ev
+    model._mass_solve = counted_solve
+    model.evaluate = recorded
+    solver.flow(model, model.field(_oracle_field(mesh, "noise", 0)), p, 600)
+    accepted, e = 0, energies[0]
+    for e_trial in energies[1:]:
+        if np.isfinite(e_trial) and e_trial <= e:
+            accepted, e = accepted + 1, e_trial
+    assert 0 < accepted < len(energies) - 1
+    assert len(solves) == 1 + accepted
+
+
 @pytest.mark.parametrize("kind", ["nan", "spike"])
 def test_flow_and_newton_quiet_on_unusable_fields(kind):
     mesh = ORACLE_MESHES["disk"]
