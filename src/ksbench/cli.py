@@ -136,15 +136,16 @@ def cmd_probe(args):
     mesh = _build_mesh(args)
     grid = [float(x) for x in args.lambda_grid.split(",")]
     model = EnergyFunctional.for_mesh(mesh)
-    basis = spectrum.eigenpairs(mesh, args.eigs)
+    # Only the eigenmode tail of the t = 0.5 probes reads the basis (its
+    # first mode, which sigma selects): dirichlet_slope and mt compute no
+    # basis and ignore --eigs.
+    t = 0.5 if args.probe in ("exp_lower", "l2_upper") else 0.0
+    basis = spectrum.eigenpairs(mesh, args.eigs) if t > 0 else None
     p = Parameters(beta=args.beta, rho=args.rho)
 
     mu = _probe_fixture(mesh, "boundary")
-    sigma = np.zeros(min(1, len(basis)))
-    if len(sigma):
-        sigma[0] = 1.0
+    sigma = np.ones(1)
     rows = ["lambda,dirichlet,mean,logint,energy"]
-    t = 0.5 if args.probe in ("exp_lower", "l2_upper") else 0.0
     for lam in grid:
         cfg = TestConfig(lam=lam, zeta=JoinPoint(measure=mu, sphere=sigma, t=t))
         u = bubbles.phi_lambda(cfg, mesh, basis)

@@ -109,7 +109,6 @@ class EnergyFunctional:
         self.stiffness, self.mass = ops.stiffness, ops.mass
         self.area = mesh.area
         self.lumped = np.asarray(self.mass.sum(axis=1)).ravel()  # int of hats
-        self._mass_solve = ops.mass_lu.solve
         t = mesh.triangles
         # Quadrature nodes are the three edge midpoints of each triangle.
         self._qa = t[:, [0, 1, 2]].ravel()
@@ -120,12 +119,18 @@ class EnergyFunctional:
     @classmethod
     def for_mesh(cls, mesh):
         """The model of `mesh`, built once and kept on the mesh itself, so
-        that it (and its mass factorization) is freed with the mesh."""
+        that it is freed with the mesh."""
         model = getattr(mesh, "_energy_model", None)
         if model is None:
             model = cls(mesh)
             mesh._energy_model = model
         return model
+
+    @cached_property
+    def _mass_solve(self):
+        """The solve of M x = b by the mesh's mass LU, which is factored
+        on the mesh's first use of it."""
+        return spectrum.operators(self.mesh).mass_lu.solve
 
     # -- fields -----------------------------------------------------------
 

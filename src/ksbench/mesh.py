@@ -129,17 +129,13 @@ def _build_unit_square(n):
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     vertices = np.column_stack([gx.ravel(), gy.ravel()])
 
-    def vid(i, j):
-        return i * (n + 1) + j
-
-    tris = []
-    for i in range(n):
-        for j in range(n):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    return vertices, np.array(tris)
+    # Cell (i, j) has corners a = (i, j), b = (i+1, j), c = (i+1, j+1) and
+    # d = (i, j+1), vertex (i, j) being i (n + 1) + j; each cell gives the
+    # triangles (a, b, c) and (a, c, d), cells in row-major order.
+    i, j = np.divmod(np.arange(n * n), n)
+    a = i * (n + 1) + j
+    b, c, d = a + n + 1, a + n + 2, a + 1
+    return vertices, np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
 
 
 def _disk_rings(n):
@@ -173,17 +169,12 @@ def _build_annulus(n):
         layers.append(np.column_stack([r * np.cos(ang), r * np.sin(ang)]))
     vertices = np.concatenate(layers)
 
-    tris = []
-    for j in range(m):
-        base0, base1 = j * n, (j + 1) * n
-        for i in range(n):
-            a = base0 + i
-            b = base0 + (i + 1) % n
-            c = base1 + i
-            d = base1 + (i + 1) % n
-            tris.append((a, b, d))
-            tris.append((a, d, c))
-    return vertices, np.array(tris)
+    # Cell (j, i) joins points i and i + 1 (mod n) of layers j and j + 1
+    # and gives the triangles (a, b, d) and (a, d, c), cells layer by layer.
+    j, i = np.divmod(np.arange(m * n), n)
+    a, b = j * n + i, j * n + (i + 1) % n
+    c, d = a + n, b + n
+    return vertices, np.stack([a, b, d, a, d, c], axis=1).reshape(-1, 3)
 
 
 def build_builtin(name, resolution):

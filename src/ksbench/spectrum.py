@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,31 +50,48 @@ def assemble(mesh):
     return K, M
 
 
-class MeshOperators(NamedTuple):
-    """What every sparse computation on one mesh shares: K and M, the LU of
-    M, and the fill-reducing vertex order that the LU of M chose."""
-    stiffness: sp.csr_matrix
-    mass: sp.csr_matrix
-    mass_lu: spla.SuperLU
-    order: np.ndarray       # A[order][:, order] is A in elimination order
+class MeshOperators:
+    """What every sparse computation on one mesh shares: K and M, and the
+    LU of M with the fill-reducing vertex order that it chose.
+
+    K and M are assembled at once; M is factored on the first read of
+    `mass_lu` or `order`, so a mesh that never solves with M or with a
+    matrix on its pattern pays no factorization.  Unpacks as
+    (stiffness, mass, mass_lu, order).
+    """
+
+    def __init__(self, stiffness, mass):
+        self.stiffness = stiffness
+        self.mass = mass
+
+    def __iter__(self):
+        return iter((self.stiffness, self.mass, self.mass_lu, self.order))
+
+    @cached_property
+    def mass_lu(self):
+        """M factored with a symmetric minimum-degree order on M + M^T."""
+        return spla.splu(self.mass.tocsc(), permc_spec="MMD_AT_PLUS_A")
+
+    @cached_property
+    def order(self):
+        """The postordered column order of `mass_lu`: A[order][:, order] is
+        A in elimination order."""
+        # SuperLU factors Pr A Pc with column perm_c[i] of Pc holding A's
+        # column i, so A's columns in elimination order are argsort(perm_c).
+        return np.argsort(self.mass_lu.perm_c)
 
 
 def operators(mesh):
     """The `MeshOperators` of `mesh`, built once and kept on the mesh itself,
     so that they are freed with it.
 
-    M is factored with a symmetric minimum-degree order on M + M^T, and its
-    postordered column order becomes the mesh's order: every matrix on the
-    P1 pattern (K + M, each bordered Hessian) is permuted by it and factored
+    The mesh's order is the one the LU of M chose: every matrix on the P1
+    pattern (K + M, each bordered Hessian) is permuted by it and factored
     in natural order, so no later factorization orders its columns again.
     """
     ops = getattr(mesh, "_operators", None)
     if ops is None:
-        K, M = assemble(mesh)
-        lu = spla.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A")
-        # SuperLU factors Pr A Pc with column perm_c[i] of Pc holding A's
-        # column i, so A's columns in elimination order are argsort(perm_c).
-        ops = MeshOperators(K, M, lu, np.argsort(lu.perm_c))
+        ops = MeshOperators(*assemble(mesh))
         mesh._operators = ops
     return ops
 
@@ -107,10 +124,11 @@ def eigenpairs(mesh, count):
     removed by projection against the mass-weighted constant, not by
     pinning a vertex.
     """
-    K, M, _, q = operators(mesh)
     n = mesh.num_vertices
-    if count >= n - 1:
-        raise MeshError("count must be below the number of interior degrees of freedom")
+    if not 1 <= count < n - 1:
+        raise MeshError(f"eigenpair count {count} must be at least 1 and "
+                        f"below {n - 1}")
+    K, M, _, q = operators(mesh)
 
     lu = spla.splu((K + M)[q][:, q].tocsc(), permc_spec="NATURAL")
     OPinv = spla.LinearOperator((n, n), matvec=ordered_solve(lu, q),

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import ksbench
 from ksbench import cli, errors, spectrum
@@ -165,10 +166,59 @@ def test_package_error_exit_code(command, error, monkeypatch, capsys,
         raise error("injected failure")
 
     monkeypatch.setattr(spectrum, "eigenpairs", fail)
-    rc = cli.main([command, "--res", "8", "--out", str(tmp_path / "out")])
+    # The default probe reads no eigenbasis; exp_lower does.
+    probe = ["--probe", "exp_lower"] if command == "probe" else []
+    rc = cli.main([command, "--res", "8", "--out", str(tmp_path / "out")]
+                  + probe)
     assert rc == (3 if command == "solve" else ERROR_EXIT_CODES[error])
     err = capsys.readouterr().err
     assert err == "error: injected failure\n"
+
+
+@pytest.mark.parametrize("eigs", ["0", "-1"])
+@pytest.mark.parametrize("command", [["analyze"], ["spectrum"], ["solve"],
+                                     ["probe", "--probe", "exp_lower"]],
+                         ids=["analyze", "spectrum", "solve", "probe"])
+def test_eigs_below_one_exits_with_one_line(command, eigs, capsys, tmp_path):
+    rc = cli.main(command + ["--res", "8", "--eigs", eigs,
+                             "--out", str(tmp_path / "out")])
+    assert rc == (3 if command[0] == "solve" else 2)
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("probe", ["dirichlet_slope", "mt"])
+def test_t0_probes_factor_nothing(probe, monkeypatch, tmp_path):
+    calls = {"eigenpairs": 0, "splu": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(spectrum, "eigenpairs",
+                        counted("eigenpairs", spectrum.eigenpairs))
+    monkeypatch.setattr(spla, "splu", counted("splu", spla.splu))
+    rc = cli.main(["probe", "--probe", probe, "--res", "64",
+                   "--lambda-grid", "10,20,30", "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert calls == {"eigenpairs": 0, "splu": 0}
+
+
+def test_exp_lower_probe_reads_one_eigenbasis(monkeypatch, tmp_path):
+    calls = []
+    eigenpairs = spectrum.eigenpairs
+
+    def counted(mesh, count):
+        calls.append(count)
+        return eigenpairs(mesh, count)
+
+    monkeypatch.setattr(spectrum, "eigenpairs", counted)
+    rc = cli.main(["probe", "--probe", "exp_lower", "--res", "64",
+                   "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert calls == [8]
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(),

@@ -110,6 +110,67 @@ def _special_points(mesh):
     return np.concatenate([v, on_edges, ties, outside])
 
 
+def _unit_square_loops(n):
+    """The former `_build_unit_square`: one Python loop iteration per cell."""
+    xs = np.linspace(0.0, 1.0, n + 1)
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    vertices = np.column_stack([gx.ravel(), gy.ravel()])
+
+    def vid(i, j):
+        return i * (n + 1) + j
+
+    tris = []
+    for i in range(n):
+        for j in range(n):
+            a, b = vid(i, j), vid(i + 1, j)
+            c, d = vid(i + 1, j + 1), vid(i, j + 1)
+            tris.append((a, b, c))
+            tris.append((a, c, d))
+    return vertices, np.array(tris)
+
+
+def _annulus_loops(n):
+    """The former `_build_annulus`: one Python loop iteration per cell."""
+    m = max(2, int(round(n / 12)))
+    layers = []
+    for j in range(m + 1):
+        r = 0.5 + 0.5 * j / m
+        off = 0.5 if j % 2 else 0.0
+        ang = 2.0 * np.pi * (np.arange(n) + off) / n
+        layers.append(np.column_stack([r * np.cos(ang), r * np.sin(ang)]))
+    vertices = np.concatenate(layers)
+
+    tris = []
+    for j in range(m):
+        base0, base1 = j * n, (j + 1) * n
+        for i in range(n):
+            a = base0 + i
+            b = base0 + (i + 1) % n
+            c = base1 + i
+            d = base1 + (i + 1) % n
+            tris.append((a, b, d))
+            tris.append((a, d, c))
+    return vertices, np.array(tris)
+
+
+GRID_BUILDERS = {
+    "unit_square": (meshmod._build_unit_square, _unit_square_loops),
+    "annulus": (meshmod._build_annulus, _annulus_loops),
+}
+
+
+@pytest.mark.parametrize("domain, n",
+                         [("unit_square", n) for n in (4, 7, 32, 256)]
+                         + [("annulus", n) for n in (4, 7, 29, 64, 256)])
+def test_grid_builders_match_loops(domain, n):
+    build, oracle = GRID_BUILDERS[domain]
+    vertices, tris = build(n)
+    want_vertices, want_tris = oracle(n)
+    assert np.array_equal(vertices, want_vertices)
+    assert tris.dtype == want_tris.dtype == np.int64
+    assert np.array_equal(tris, want_tris)
+
+
 def test_unit_square_area_and_counts(square64):
     assert square64.area == pytest.approx(1.0, rel=1e-12)
     assert square64.num_vertices == 65 * 65

@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
 from ksbench import mesh as meshmod, spectrum
-from ksbench.energy import EnergyFunctional
+from ksbench.energy import EnergyFunctional, Parameters
 from ksbench.errors import ResonanceError
 from test_mesh import ORACLE_MESHES
 
@@ -40,7 +40,7 @@ def test_eigenvalues_sorted_positive(disk128_basis):
 
 
 def test_eigenvectors_mass_orthonormal_zero_mean(square64, square64_basis):
-    from ksbench.energy import EnergyFunctional
+    from ksbench.energy import EnergyFunctional, Parameters
     model = EnergyFunctional.for_mesh(square64)
     V = square64_basis.eigenvectors
     G = V.T @ (model.mass @ V)
@@ -85,6 +85,50 @@ def test_one_assembly_per_mesh(monkeypatch):
     model = EnergyFunctional.for_mesh(mesh)
     assert calls == [mesh]
     assert model.stiffness is basis.stiffness and model.mass is basis.mass
+
+
+def _count_splu(monkeypatch):
+    """The list that every later `spla.splu` call appends its matrix to."""
+    calls = []
+    splu = spla.splu
+
+    def counted(A, *args, **kwargs):
+        calls.append(A)
+        return splu(A, *args, **kwargs)
+    monkeypatch.setattr(spla, "splu", counted)
+    return calls
+
+
+def test_mass_lu_is_factored_on_first_mass_solve(monkeypatch):
+    calls = _count_splu(monkeypatch)
+    mesh = meshmod.build_builtin("unit_square", 16)
+    model = EnergyFunctional.for_mesh(mesh)
+    p = Parameters(beta=-5.0, rho=13.0)
+    u = model.project_zero_mean(np.cos(3.0 * mesh.vertices[:, 0]))
+    model.energy(u, p)
+    model.log_int_exp(u)
+    model.evaluate(u, p).energy
+    assert calls == []
+    model.evaluate(u, p).gradient_norm
+    assert len(calls) == 1
+    EnergyFunctional.for_mesh(mesh).gradient_norm(u, p)
+    EnergyFunctional(mesh).gradient(u, p)
+    assert len(calls) == 1
+
+
+def test_operators_factor_nothing_until_order_is_read(monkeypatch):
+    calls = _count_splu(monkeypatch)
+    mesh = meshmod.build_builtin("disk", 32)
+    ops = spectrum.operators(mesh)
+    assert calls == []
+    order = spectrum.operators(mesh).order
+    assert len(calls) == 1
+    assert np.array_equal(order,
+                          np.argsort(spectrum.operators(mesh).mass_lu.perm_c))
+    K, M, lu, q = ops
+    assert K is ops.stiffness and M is ops.mass
+    assert lu is ops.mass_lu and q is order
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
