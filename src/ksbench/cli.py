@@ -11,9 +11,11 @@ Subcommands:
 
 A package error ends every subcommand with a one-line message on stderr
 and an exit code: 3 from `solve` whatever the error, and otherwise the code
-ERROR_EXITS gives its type (2 unusable input, 4 failed computation).  A
---config value that does not convert to its option's type exits 2 from
-every subcommand, as argparse does for a bad flag value.
+ERROR_EXITS gives its type (2 unusable input, 4 failed computation).  A bad
+option value exits 2 from every subcommand, as argparse does for a flag
+value of the wrong type: a --config value that does not convert to its
+option's type, a non-finite --beta or --rho, and a --lambda-grid that is
+not a list of finite positive scales (3 distinct for dirichlet_slope).
 """
 from __future__ import annotations
 
@@ -34,9 +36,10 @@ from .errors import (ConvergenceError, EmptySpaceError, MeshError,
 FMT = "{:.12g}"
 
 EXIT_SOLVE_FAILED = 3
-# A --config value of the wrong type is a bad option value, which argparse
-# answers with exit 2 in every subcommand.
-EXIT_BAD_CONFIG = 2
+# A bad option value that argparse lets through (see _OptionError) exits
+# as argparse does for a flag value of the wrong type, with 2 in every
+# subcommand.
+EXIT_BAD_OPTION = 2
 # Exit code of each error outside `solve`: 2 when the input cannot be used
 # (unreadable or invalid mesh, resonant parameters, mesh too coarse, empty
 # model space), 4 when a computation on valid input failed.
@@ -132,9 +135,27 @@ def _probe_fixture(mesh, kind):
     return bubbles.make_measure([bubbles.boundary_atom(mesh)], [False])
 
 
+def _lambda_grid(args):
+    """The scales of --lambda-grid: finite, positive, and at least 3
+    distinct ones for the least-squares slope of dirichlet_slope."""
+    try:
+        grid = [float(x) for x in args.lambda_grid.split(",")]
+    except ValueError:
+        raise _OptionError(f"--lambda-grid {args.lambda_grid!r} is not a "
+                           f"comma-separated list of numbers") from None
+    if not all(np.isfinite(lam) and lam > 0.0 for lam in grid):
+        raise _OptionError(f"--lambda-grid {args.lambda_grid!r}: every "
+                           f"scale must be finite and positive")
+    if args.probe == "dirichlet_slope" and len(set(grid)) < 3:
+        raise _OptionError(f"--lambda-grid {args.lambda_grid!r}: "
+                           f"dirichlet_slope needs at least 3 distinct "
+                           f"scales")
+    return grid
+
+
 def cmd_probe(args):
+    grid = _lambda_grid(args)
     mesh = _build_mesh(args)
-    grid = [float(x) for x in args.lambda_grid.split(",")]
     model = EnergyFunctional.for_mesh(mesh)
     # Only the eigenmode tail of the t = 0.5 probes reads the basis (its
     # first mode, which sigma selects): dirichlet_slope and mt compute no
@@ -232,8 +253,10 @@ def build_parser():
     return parser
 
 
-class _ConfigValueError(ValueError):
-    """A --config value that does not convert to its option's type."""
+class _OptionError(ValueError):
+    """A bad option value that argparse does not reject: a --config value
+    that does not convert to its option's type, or a value of the right
+    type that cannot be used."""
 
 
 def _given_options(argv):
@@ -261,9 +284,17 @@ def _apply_config(args, argv):
             try:
                 setattr(args, attr, cast(value))
             except ValueError:
-                raise _ConfigValueError(
+                raise _OptionError(
                     f"{args.config}: {key} = {value!r} is not a valid "
                     f"{cast.__name__}") from None
+
+
+def _check_parameters(args):
+    """--beta and --rho, from a flag or the --config file, must be finite."""
+    for name in ("beta", "rho"):
+        value = getattr(args, name)
+        if not np.isfinite(value):
+            raise _OptionError(f"--{name} must be finite, not {value}")
 
 
 def main(argv=None):
@@ -272,10 +303,11 @@ def main(argv=None):
     try:
         if args.config:
             _apply_config(args, argv)
+        _check_parameters(args)
         return args.fn(args)
-    except _ConfigValueError as exc:
+    except _OptionError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_BAD_CONFIG
+        return EXIT_BAD_OPTION
     except tuple(ERROR_EXITS) as exc:
         sys.stderr.write(f"error: {exc}\n")
         if args.command == "solve":

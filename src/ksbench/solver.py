@@ -20,6 +20,9 @@ from .errors import ConvergenceError, ResonanceError
 NEWTON_TOL = 1e-10
 FLOW_TOL = 1e-6
 BLOWUP_NORM_CAP = 1e3
+# Iterative refinement of a Newton step against a held factorization.
+REFINE_TOL = 1e-12
+REFINE_SWEEPS = 8
 
 CLASS_TRIVIAL = "trivial"
 CLASS_NONTRIVIAL = "nontrivial"
@@ -104,6 +107,16 @@ def flow(model, seed, p, step_budget, flow_tol=FLOW_TOL):
                        classification=cls, morse_index=None, iterations=it)
 
 
+def _hessian_data(model, u, p):
+    """`model.hessian_operator(u, p)`, an undefined Hessian reported as a
+    ConvergenceError."""
+    try:
+        return model.hessian_operator(u, p)
+    except ZeroDivisionError as exc:    # rho / W^2 with W^2 underflowing
+        raise ConvergenceError("Hessian undefined: the quadrature of e^u "
+                               "underflows") from exc
+
+
 class _ZeroMeanHessianSolver:
     """Factorized shifted Hessian H - sigma M on the zero-mean space.
 
@@ -111,17 +124,26 @@ class _ZeroMeanHessianSolver:
     mass-weighted constant; the rank-one part of the Hessian is folded in by
     the Woodbury identity.  The solve maps the constant mode to zero.  The
     bordered matrix is factored in the mesh's order, border last.
+
+    Without u nothing is factored until the first `refined_solve`; `newton`
+    keeps one solver across its iterates that way.
     """
 
-    def __init__(self, model, u, p, sigma=0.0):
-        try:
-            A0, c, w = model.hessian_operator(u, p)
-        except ZeroDivisionError as exc:    # rho / W^2 with W^2 underflowing
-            raise ConvergenceError("Hessian undefined: the quadrature of e^u "
-                                   "underflows") from exc
-        self._hessian = (A0, c, w)
+    def __init__(self, model, u=None, p=None, sigma=0.0):
+        self._model = model
+        self._sigma = sigma
+        self._lu = None
+        if u is not None:
+            self._factor(_hessian_data(model, u, p))
+
+    def _factor(self, hessian):
+        """Factor `hessian`, the (A0, c, w) of `hessian_operator`, which
+        becomes the current Hessian.  The held LU is dropped first, so that
+        two are never alive at once."""
+        self._lu = self._bordered_solve = None
+        A0, c, w = self._hessian = hessian
         n = A0.shape[0]
-        B, order = model._ordered_bordered_hessian(A0, sigma)
+        B, order = self._model._ordered_bordered_hessian(A0, self._sigma)
         self._lu = spla.splu(B, permc_spec="NATURAL")
         self._bordered_solve = spectrum.ordered_solve(self._lu, order)
         self._c = c
@@ -134,15 +156,47 @@ class _ZeroMeanHessianSolver:
             raise ConvergenceError("singular Hessian (degenerate critical point)")
 
     def apply(self, v):
-        """The unshifted Hessian action A0 v + c w (w . v)."""
+        """The unshifted action A0 v + c w (w . v) of the current Hessian."""
         A0, c, w = self._hessian
         return A0 @ v + c * w * (w @ v)
 
     def solve(self, rhs):
+        """The solve with the held factorization, which `refined_solve` may
+        have kept from an earlier Hessian."""
         b = np.concatenate([rhs, [0.0]])
         x = self._bordered_solve(b)
         x = x - (self._c * (self._w @ x) / self._denom) * self._y
         return x[:self._n]
+
+    def refined_solve(self, hessian, rhs):
+        """The zero-mean solve of H x = rhs, to REFINE_TOL relative, for H
+        the unshifted (sigma = 0) Hessian data `hessian`, which becomes the
+        current Hessian.
+
+        Iterative refinement against the held factorization P, which may be
+        of an earlier Hessian: x <- x + P^-1 (rhs - H x), accepted once the
+        correction dx has ||dx|| <= REFINE_TOL ||x||.  When a sweep fails
+        to halve the correction, after REFINE_SWEEPS sweeps, or with
+        nothing factored yet, H is factored in place of P and x is its
+        direct solve.  A factorization costs about 30 solves on both the
+        disk128 (V = 1409) and square256 (V = 66049) meshes, so the cap
+        keeps a stalled refinement well below the cost of refactoring.
+        """
+        self._hessian = hessian
+        if self._lu is not None:
+            x = np.zeros_like(rhs)
+            last = np.inf
+            for _ in range(REFINE_SWEEPS):
+                dx = self.solve(rhs - self.apply(x))
+                x += dx
+                size = np.linalg.norm(dx)
+                if size <= REFINE_TOL * np.linalg.norm(x):
+                    return x
+                if not size <= 0.5 * last:      # a NaN stalls too
+                    break
+                last = size
+        self._factor(hessian)
+        return self.solve(rhs)
 
 
 def newton(model, u0, p, tol=NEWTON_TOL, max_iter=30, damped=False,
@@ -151,16 +205,21 @@ def newton(model, u0, p, tol=NEWTON_TOL, max_iter=30, damped=False,
 
     Converges quadratically near nondegenerate critical points (saddles
     included).  With damped=True a residual-norm backtracking line search
-    makes distant seeds usable.
+    makes distant seeds usable.  Each step solves the Newton system to
+    REFINE_TOL (1e-12) relative, by refinement against one factorization
+    of the Hessian that is taken at the first iterate and again only where
+    refinement stalls (`_ZeroMeanHessianSolver.refined_solve`).
     """
     u = model.project_zero_mean(field_values(u0))
     ev = model.evaluate(u, p)
     gnorm = ev.gradient_norm
     tol_abs = tol * max(1.0, gnorm)
     it = 0
+    hess = _ZeroMeanHessianSolver(model)
     while gnorm > tol_abs and it < max_iter:
         try:
-            delta = _ZeroMeanHessianSolver(model, u, p).solve(-ev.residual)
+            delta = hess.refined_solve(_hessian_data(model, u, p),
+                                       -ev.residual)
         except (RuntimeError, ValueError) as exc:
             raise ConvergenceError(f"Hessian solve failed: {exc}") from exc
         if not np.all(np.isfinite(delta)):

@@ -293,3 +293,53 @@ def test_spectrum_non_finite_mesh_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == (
         "error: vertex coordinates and triangle areas must be finite\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "solve", "probe", "spectrum"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["beta", "rho"])
+def test_non_finite_parameter_exits_2(name, value, command, capsys,
+                                      tmp_path):
+    out = str(tmp_path / "out")
+    rc = cli.main([command, "--res", "8", f"--{name}={value}", "--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"--{name}" in err
+    assert not (tmp_path / "out").exists()
+    # The same value from the config file.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{name} = {value}\n")
+    rc = cli.main([command, "--res", "8", "--config", str(cfg), "--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"--{name}" in err
+
+
+@pytest.mark.parametrize("grid, probe", [
+    ("abc", "dirichlet_slope"), ("10,,20", "mt"),
+    ("0,1,2", "dirichlet_slope"), ("-10,20,40", "mt"),
+    ("10,nan,40", "exp_lower"), ("10,20,inf", "l2_upper"),
+    ("10,20", "dirichlet_slope"), ("10,10,10", "dirichlet_slope")])
+def test_bad_lambda_grid_exits_2(grid, probe, capsys, tmp_path):
+    out = str(tmp_path / "out")
+    rc = cli.main(["probe", "--res", "8", "--probe", probe,
+                   f"--lambda-grid={grid}", "--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --lambda-grid ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"probe = {probe}\nlambda-grid = {grid}\n")
+    rc = cli.main(["probe", "--res", "8", "--config", str(cfg), "--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --lambda-grid ") and err.count("\n") == 1
+
+
+def test_two_scales_are_enough_outside_dirichlet_slope(capsys, tmp_path):
+    rc = cli.main(["probe", "--res", "64", "--probe", "mt",
+                   "--lambda-grid", "10,20", "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert "PASS" in capsys.readouterr().out

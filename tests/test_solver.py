@@ -3,11 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
+import test_mesh
 from ksbench import bubbles, mesh as meshmod, solver, spectrum, topology
 from ksbench.barycenter import JoinPoint
-from ksbench.energy import EnergyFunctional, Field, Parameters
+from ksbench.energy import EnergyFunctional, Field, Parameters, field_values
 from ksbench.errors import ConvergenceError
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -361,3 +363,129 @@ def test_newton_on_underflowing_quadrature_raises_convergence_error(damped):
         with pytest.raises(ConvergenceError):
             solver.newton(model, u, Parameters(beta=-5.0, rho=13.0),
                           damped=damped)
+
+
+def _newton_direct(model, u0, p, tol=solver.NEWTON_TOL, max_iter=30,
+                   damped=False, seed_descriptor="zero"):
+    """The former `newton`: a fresh factorization of the Hessian at every
+    iterate, solved directly."""
+    u = model.project_zero_mean(field_values(u0))
+    ev = model.evaluate(u, p)
+    gnorm = ev.gradient_norm
+    tol_abs = tol * max(1.0, gnorm)
+    it = 0
+    while gnorm > tol_abs and it < max_iter:
+        try:
+            delta = solver._ZeroMeanHessianSolver(model, u, p).solve(
+                -ev.residual)
+        except (RuntimeError, ValueError) as exc:
+            raise ConvergenceError(f"Hessian solve failed: {exc}") from exc
+        if not np.all(np.isfinite(delta)):
+            raise ConvergenceError("non-finite Newton step")
+        alpha = 1.0
+        while True:
+            trial = model.project_zero_mean(u + alpha * delta)
+            ev_trial = model.evaluate(trial, p)
+            gn_trial = ev_trial.gradient_norm
+            if np.isfinite(gn_trial) and (not damped or gn_trial < gnorm
+                                          or alpha < 1e-8):
+                break
+            alpha *= 0.5
+        if damped and alpha < 1e-8 and gn_trial >= gnorm:
+            raise ConvergenceError("Newton line search stalled")
+        u, ev, gnorm = trial, ev_trial, gn_trial
+        it += 1
+    if gnorm > tol_abs:
+        raise ConvergenceError(
+            f"no convergence within {max_iter} Newton iterations "
+            f"(residual {gnorm:.3e})")
+    cls = solver._classify(model, u, gnorm, p, tol_abs)
+    return solver.SolveResult(u=Field(model.mesh, u), residual=gnorm,
+                              energy=ev.energy, classification=cls,
+                              morse_index=None, iterations=it,
+                              seed_descriptor=seed_descriptor)
+
+
+def _outcome(newton, model, u0, p, **kwargs):
+    """The `SolveResult`, or the text of the ConvergenceError raised."""
+    try:
+        return newton(model, u0, p, **kwargs)
+    except ConvergenceError as exc:
+        return str(exc)
+
+
+def _newton_matches_direct(model, u0, p, **kwargs):
+    """Run `newton` and `_newton_direct` from u0; assert that they agree
+    and return the outcome: the error text, or the classification."""
+    want = _outcome(_newton_direct, model, u0, p, **kwargs)
+    got = _outcome(solver.newton, model, u0, p, **kwargs)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return got
+    assert (got.iterations, got.classification) \
+        == (want.iterations, want.classification)
+    # Relative to |E|, or to |rho| where E is rounding: the trivial state's
+    # energy -rho log|Omega| is zero on a unit-area domain, and the
+    # rho log int e^u term is rounded at the scale |rho|.
+    assert abs(got.energy - want.energy) \
+        <= 1e-12 * max(abs(want.energy), abs(p.rho))
+    if want.classification == solver.CLASS_NONTRIVIAL:
+        assert model.h1_norm(got.u.values - want.u.values) \
+            <= 1e-9 * model.h1_norm(want.u.values)
+    return got.classification
+
+
+@pytest.mark.parametrize("damped", [False, True])
+@pytest.mark.parametrize("name", sorted(test_mesh.ORACLE_MESHES))
+def test_refined_newton_matches_direct_on_oracle_meshes(name, damped):
+    mesh = test_mesh.ORACLE_MESHES[name]
+    model = EnergyFunctional.for_mesh(mesh)
+    outcomes = set()
+    for seed, p in enumerate(FLOW_PARAMS):
+        for kind in ("noise", "bubble"):
+            u0 = _oracle_field(mesh, kind, seed)
+            outcomes.add(_newton_matches_direct(model, u0, p, damped=damped))
+    assert outcomes & {solver.CLASS_TRIVIAL, solver.CLASS_NONTRIVIAL}
+
+
+@pytest.mark.parametrize("rho", [13.0, 13.8])
+def test_refined_newton_matches_direct_on_disk_seeds(disk128, disk128_basis,
+                                                     rho):
+    # Every third seed of the disk search, smoothed as the search does.
+    model = EnergyFunctional.for_mesh(disk128)
+    p = Parameters(beta=-5.0, rho=rho)
+    K, I, _ = topology.indices(p, model.area, disk128_basis.eigenvalues)
+    seeds = [bubbles.phi_lambda(cfg, disk128, disk128_basis).values
+             for cfg in solver._seed_configs(disk128, disk128_basis, K, I)]
+    seeds += [s * disk128_basis.eigenvectors[:, i]
+              for i in range(max(I, 2)) for s in (2.0, -2.0, 4.0)]
+    outcomes = set()
+    for seed in seeds[::3]:
+        smooth = solver.flow(model, model.field(seed), p, 300).u
+        outcomes.add(_newton_matches_direct(model, smooth, p, damped=True,
+                                            max_iter=60))
+        outcomes.add(_newton_matches_direct(model, smooth, p, damped=False))
+    assert outcomes & {solver.CLASS_TRIVIAL, solver.CLASS_NONTRIVIAL}
+    assert any(o.startswith("no convergence") for o in outcomes)
+
+
+def test_newton_factors_its_hessian_once(monkeypatch):
+    # The square256 Newton case of the benchmark, on unit_square 64: a
+    # seed near the trivial state, where refinement never stalls.
+    square = meshmod.build_builtin("unit_square", 64)
+    model = EnergyFunctional.for_mesh(square)
+    spectrum.operators(square).mass_lu    # factor M outside the count
+    mu = bubbles.make_measure([bubbles.interior_atom(square)], [True])
+    seed = 0.1 * bubbles.bubble(mu, 5.0, square).values
+    calls = []
+    splu = spla.splu
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+    monkeypatch.setattr(spla, "splu", counted)
+    res = solver.newton(model, seed, Parameters(beta=1.0, rho=1.0),
+                        damped=True)
+    assert res.classification == solver.CLASS_TRIVIAL
+    assert res.iterations >= 3
+    assert len(calls) == 1
