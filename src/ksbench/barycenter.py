@@ -241,14 +241,26 @@ def _greedy_capture(mesh, points, weights, net, eps, K):
     """Best-effort admissible family capturing mass within eps-balls.
 
     Interior atoms cost 2 of the budget K, boundary atoms 1 (and sit on the
-    boundary).  Greedy marginal-gain selection: each pick is the affordable
-    candidate of largest uncovered ball mass, where a gain within a 1e-12
-    relative tolerance of the largest counts as equal and, among equals,
-    the cheaper boundary option wins, then the earlier candidate.  Returns
+    boundary).  Interior candidates are the net points inside the domain.
+    Greedy marginal-gain selection: each pick is the affordable candidate
+    of largest uncovered ball mass, where a gain within a 1e-12 relative
+    tolerance of the largest counts as equal and, among equals, the
+    cheaper boundary option wins, then the earlier candidate.  Returns
     (family, interior flags, captured mass fraction).
     """
-    bdist = meshmod.boundary_distances(mesh, net)
+    # Only a point within eps / 2 of the boundary needs its exact distance:
+    # by the midpoint bound d >= d0 - L/2, the others are interior
+    # candidates and not boundary ones.
+    _, d0, half = meshmod._midpoint_bounds(mesh, net)
+    close = np.flatnonzero(d0 - half <= eps / 2.0 * (1.0 + 1e-9) + 1e-12)
+    bdist = np.full(len(net), np.inf)
+    bdist[close] = meshmod.boundary_distances(mesh, net[close])
     inner, edge = bdist > 0.0, bdist < eps / 2.0
+    # `_hex_net` keeps a point outside the domain only within 1.001
+    # spacings (eps / 6 in `spread_points`) of a vertex, hence of the
+    # boundary, so only such points need the winding test.
+    near = np.flatnonzero(inner & (bdist <= 1.001 * eps / 6.0 * (1.0 + 1e-9)))
+    inner[near] = meshmod.winding_numbers(mesh, net[near]) != 0
     cand = np.concatenate([net[inner],
                            meshmod.nearest_boundary_point(mesh, net[edge])])
     cost = np.repeat([2, 1], [inner.sum(), edge.sum()])

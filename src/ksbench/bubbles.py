@@ -168,9 +168,18 @@ def boundary_atom(mesh):
 
 
 def interior_atom(mesh):
-    """The vertex farthest from the boundary."""
-    d = meshmod.boundary_distances(mesh, mesh.vertices)
-    return mesh.vertices[int(np.argmax(d))].copy()
+    """The vertex farthest from the boundary, the first one on a tie.
+
+    Bound, then project: with d0 the distance to the nearest boundary-
+    segment midpoint and L the longest segment, d0 - L/2 <= d <= d0.  A
+    farthest vertex therefore has d0 >= max(d0) - L/2, and only the
+    vertices that pass this test (padded against rounding as the ball of
+    `boundary_distances` is) get their exact distance.
+    """
+    _, d0, half = meshmod._midpoint_bounds(mesh, mesh.vertices)
+    keep = np.flatnonzero((d0 + half) * (1.0 + 1e-9) + 1e-12 >= d0.max())
+    d = meshmod.boundary_distances(mesh, mesh.vertices[keep])
+    return mesh.vertices[keep[int(np.argmax(d))]].copy()
 
 
 def make_measure(points, interior_flags, weights=None):

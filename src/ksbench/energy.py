@@ -7,6 +7,7 @@ as mass representers (Riesz vectors in the discrete L2 inner product).
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -118,12 +119,16 @@ class EnergyFunctional:
 
     @classmethod
     def for_mesh(cls, mesh):
-        """The model of `mesh`, built once and kept on the mesh itself, so
-        that it is freed with the mesh."""
-        model = getattr(mesh, "_energy_model", None)
+        """The model of `mesh`, shared by every caller while one holds it.
+
+        The model refers to its mesh, and the mesh to the model only
+        weakly, so the two form no reference cycle: a dropped mesh and its
+        model are freed at once, not at the next run of the cyclic garbage
+        collector."""
+        model = getattr(mesh, "_energy_model", lambda: None)()
         if model is None:
             model = cls(mesh)
-            mesh._energy_model = model
+            mesh._energy_model = weakref.ref(model)
         return model
 
     @cached_property

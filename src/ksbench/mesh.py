@@ -244,24 +244,35 @@ def winding_numbers(mesh, points):
     return w
 
 
-def _segment_projections(mesh, points):
-    """Clamped projections of each point onto its candidate boundary segments.
+def _midpoint_bounds(mesh, points):
+    """Distance d0 from each point to the nearest boundary-segment midpoint.
 
-    Exact, with no (points x segments) matrix.  The midpoint of a segment
-    lies on it, so the nearest midpoint, at distance d0, bounds the distance
-    from above; a segment attaining the minimum therefore has its midpoint
-    within d0 + L/2, L the longest segment.  A KD-tree ball of that radius,
-    padded against rounding, proposes the candidate segments, in increasing
-    index order, and the clamped projection onto each candidate decides.
-    Returns the candidates' distances and projections, flat, and the
-    number of candidates of each point.
+    The midpoint of a segment lies on it, so d0 bounds the boundary
+    distance d from above.  The nearest boundary point lies within L/2 of
+    its segment's midpoint, L the longest segment, so d0 - L/2 <= d <= d0.
+    Returns the midpoints' KD-tree, d0 and L/2.
     """
     a = mesh.vertices[mesh.boundary_edges[:, 0]]
     b = mesh.vertices[mesh.boundary_edges[:, 1]]
-    d = b - a
     tree = cKDTree(0.5 * (a + b))
     d0, _ = tree.query(points)
-    half = 0.5 * float(np.linalg.norm(d, axis=1).max())
+    return tree, d0, 0.5 * float(np.linalg.norm(b - a, axis=1).max())
+
+
+def _segment_projections(mesh, points):
+    """Clamped projections of each point onto its candidate boundary segments.
+
+    Exact, with no (points x segments) matrix.  By `_midpoint_bounds`, a
+    segment attaining the minimum distance has its midpoint within d0 + L/2.
+    A KD-tree ball of that radius, padded against rounding, proposes the
+    candidate segments, in increasing index order, and the clamped
+    projection onto each candidate decides.  Returns the candidates'
+    distances and projections, flat, and the number of candidates of each
+    point.
+    """
+    a = mesh.vertices[mesh.boundary_edges[:, 0]]
+    d = mesh.vertices[mesh.boundary_edges[:, 1]] - a
+    tree, d0, half = _midpoint_bounds(mesh, points)
     balls = tree.query_ball_point(points, (d0 + half) * (1.0 + 1e-9) + 1e-12,
                                   return_sorted=True)
     counts = np.fromiter(map(len, balls), dtype=np.intp, count=len(points))

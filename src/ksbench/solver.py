@@ -126,7 +126,8 @@ class _ZeroMeanHessianSolver:
     bordered matrix is factored in the mesh's order, border last.
 
     Without u nothing is factored until the first `refined_solve`; `newton`
-    keeps one solver across its iterates that way.
+    keeps one solver across its iterates that way, and `drop`s the held
+    factorization where refining against it would not pay.
     """
 
     def __init__(self, model, u=None, p=None, sigma=0.0):
@@ -136,11 +137,16 @@ class _ZeroMeanHessianSolver:
         if u is not None:
             self._factor(_hessian_data(model, u, p))
 
+    def drop(self):
+        """Release the held factorization; the next `refined_solve`
+        factors its Hessian directly."""
+        self._lu = self._bordered_solve = None
+
     def _factor(self, hessian):
         """Factor `hessian`, the (A0, c, w) of `hessian_operator`, which
         becomes the current Hessian.  The held LU is dropped first, so that
         two are never alive at once."""
-        self._lu = self._bordered_solve = None
+        self.drop()
         A0, c, w = self._hessian = hessian
         n = A0.shape[0]
         B, order = self._model._ordered_bordered_hessian(A0, self._sigma)
@@ -208,7 +214,11 @@ def newton(model, u0, p, tol=NEWTON_TOL, max_iter=30, damped=False,
     makes distant seeds usable.  Each step solves the Newton system to
     REFINE_TOL (1e-12) relative, by refinement against one factorization
     of the Hessian that is taken at the first iterate and again only where
-    refinement stalls (`_ZeroMeanHessianSolver.refined_solve`).
+    refinement stalls (`_ZeroMeanHessianSolver.refined_solve`) or after a
+    step that did not at least halve the gradient norm: the iterate then
+    moved too far for the held factorization to precondition well (the
+    refactoring test of Kelley, Solving Nonlinear Equations with Newton's
+    Method, SIAM 2003, ch. 5).
     """
     u = model.project_zero_mean(field_values(u0))
     ev = model.evaluate(u, p)
@@ -235,6 +245,8 @@ def newton(model, u0, p, tol=NEWTON_TOL, max_iter=30, damped=False,
             alpha *= 0.5
         if damped and alpha < 1e-8 and gn_trial >= gnorm:
             raise ConvergenceError("Newton line search stalled")
+        if not gn_trial <= 0.5 * gnorm:
+            hess.drop()
         u, ev, gnorm = trial, ev_trial, gn_trial
         it += 1
     if gnorm > tol_abs:

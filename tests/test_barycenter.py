@@ -559,6 +559,21 @@ def test_project_to_barycenters_matches_oracle(square48, atoms, scale, eps,
     assert np.array_equal(out.interior, ref.interior)
 
 
+def test_spread_interior_atoms_lie_in_the_annulus():
+    # Mass along the right half of the inner circle.  The net keeps points
+    # up to one spacing outside the domain, and the unsigned boundary
+    # distance once let such a point in the hole, at r = 0.469, be the
+    # interior atom of the capturing family.
+    annulus = meshmod.build_builtin("annulus", 64)
+    x, y = annulus.vertices.T
+    r, theta = np.hypot(x, y), np.arctan2(y, x)
+    values = np.exp(-((r - 0.5) / 0.05) ** 2) * (np.abs(theta) < 1.5) + 1e-6
+    out = bc.spread_points(annulus, values, 0.4, 3)
+    assert isinstance(out, bc.Concentrated)
+    assert out.interior.any()
+    assert meshmod.contains(annulus, out.points[out.interior]).all()
+
+
 def test_boundary_projections_do_not_grow_with_the_net(square48,
                                                         monkeypatch):
     # Each boundary projection is one call on an array, so halving eps,

@@ -3,9 +3,14 @@ import numpy as np
 import pytest
 
 from ksbench import bubbles
+from ksbench import mesh as meshmod
 from ksbench.barycenter import JoinPoint
 from ksbench.energy import EnergyFunctional
 from ksbench.errors import RefinementNeededError
+from test_mesh import ORACLE_MESHES, _graded_square
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
 
 SCALES = [10.0, 20.0, 40.0, 80.0]
 
@@ -27,6 +32,58 @@ def test_boundary_atom_avoids_corners(square64):
 def test_interior_atom_far_from_boundary(disk128):
     p = bubbles.interior_atom(disk128)
     assert np.linalg.norm(p) < 0.05
+
+
+def _interior_atom_oracle(mesh):
+    """The former `interior_atom`: the exact boundary distance of every
+    vertex, the first farthest one kept."""
+    d = meshmod.boundary_distances(mesh, mesh.vertices)
+    return mesh.vertices[int(np.argmax(d))].copy()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
+def test_interior_atom_matches_oracle_on_oracle_meshes(name):
+    mesh = ORACLE_MESHES[name]
+    assert np.array_equal(bubbles.interior_atom(mesh),
+                          _interior_atom_oracle(mesh))
+
+
+def test_interior_atom_matches_oracle_on_builtin_meshes(square256, disk128):
+    for mesh in (square256, disk128):
+        assert np.array_equal(bubbles.interior_atom(mesh),
+                              _interior_atom_oracle(mesh))
+
+
+def test_interior_atom_keeps_the_first_of_tied_vertices():
+    # The annulus's mid-ring vertices all lie at the largest distance.
+    annulus = meshmod.build_builtin("annulus", 64)
+    d = meshmod.boundary_distances(annulus, annulus.vertices)
+    assert np.sum(d == d.max()) > 1
+    assert np.array_equal(bubbles.interior_atom(annulus),
+                          _interior_atom_oracle(annulus))
+
+
+@hypothesis.settings(max_examples=20, deadline=None)
+@hypothesis.given(st.floats(1.0, 100.0), st.integers(2, 14),
+                  st.integers(0, 40), st.integers(0, 2 ** 32 - 1))
+def test_interior_atom_matches_oracle_on_graded_squares(ratio, steps, inner,
+                                                        seed):
+    mesh = _graded_square(ratio, steps, inner, seed)
+    assert np.array_equal(bubbles.interior_atom(mesh),
+                          _interior_atom_oracle(mesh))
+
+
+def test_interior_atom_projects_few_vertices(square256, monkeypatch):
+    # The midpoint bound rules out all but the centre of the square.
+    sizes = []
+    distances = meshmod.boundary_distances
+
+    def counted(mesh, points):
+        sizes.append(len(points))
+        return distances(mesh, points)
+    monkeypatch.setattr(meshmod, "boundary_distances", counted)
+    assert np.array_equal(bubbles.interior_atom(square256), [0.5, 0.5])
+    assert sizes == [1]
 
 
 def test_bubble_mean_slope(square64):

@@ -346,3 +346,18 @@ def test_model_is_freed_with_its_mesh():
     del mesh, model
     gc.collect()
     assert ref() is None
+
+
+def test_mesh_and_model_form_no_reference_cycle():
+    # Reference counting alone frees them: no collector run is needed.
+    mesh = meshmod.build_builtin("unit_square", 8)
+    model = EnergyFunctional.for_mesh(mesh)
+    model.hessian_operator(np.zeros(mesh.num_vertices),
+                           Parameters(beta=0.0, rho=1.0))
+    refs = weakref.ref(mesh), weakref.ref(model)
+    gc.disable()
+    try:
+        del mesh, model
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()

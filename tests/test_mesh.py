@@ -11,11 +11,13 @@ st = hypothesis.strategies
 
 
 
-def _graded_square():
-    """Delaunay mesh of the unit square whose boundary segments range from
-    about 0.005 to 0.15 in length, so that the nearest segment midpoint
-    can belong to a segment other than the nearest one."""
-    t = np.concatenate([[0.0], np.cumsum(np.geomspace(1.0, 60.0, 12))])
+def _graded_square(ratio=60.0, steps=12, inner=30, seed=5):
+    """Delaunay mesh of the unit square whose boundary segments grow
+    geometrically by `ratio` over `steps` segments from each corner to the
+    middle of a side, with `inner` random interior vertices.  The defaults
+    give segments from about 0.005 to 0.15 in length, so that the nearest
+    segment midpoint can belong to a segment other than the nearest one."""
+    t = np.concatenate([[0.0], np.cumsum(np.geomspace(1.0, ratio, steps))])
     t /= t[-1]
     side = np.concatenate([t[:-1], 1.0 - t[:0:-1]])
     side = np.unique(np.round(side, 12))[:-1]
@@ -24,8 +26,8 @@ def _graded_square():
                           np.column_stack([one, side]),
                           np.column_stack([1.0 - side, one]),
                           np.column_stack([0 * one, 1.0 - side])])
-    inner = np.random.default_rng(5).uniform(0.1, 0.9, size=(30, 2))
-    vertices = np.concatenate([rim, inner])
+    inside = np.random.default_rng(seed).uniform(0.1, 0.9, size=(inner, 2))
+    vertices = np.concatenate([rim, inside])
     tris = Delaunay(vertices).simplices
     p = vertices[tris]
     d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
@@ -310,6 +312,20 @@ def test_boundary_distances_match_brute_force_anywhere(name, points):
                           _boundary_distances_brute(mesh, pts))
     assert np.array_equal(meshmod.nearest_boundary_point(mesh, pts),
                           _nearest_boundary_point_brute(mesh, pts))
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(st.sampled_from(sorted(ORACLE_MESHES)),
+                  st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+                           min_size=1, max_size=40))
+def test_midpoint_bounds_bracket_the_boundary_distance(name, points):
+    # d0 - L/2 <= d <= d0, up to rounding, inside the domain and out.
+    mesh = ORACLE_MESHES[name]
+    pts = np.array(points)
+    _, d0, half = meshmod._midpoint_bounds(mesh, pts)
+    d = _boundary_distances_brute(mesh, pts)
+    assert np.all(d <= d0 + 1e-12)
+    assert np.all(d0 - half <= d + 1e-12)
 
 
 def test_boundary_distances_of_no_points():

@@ -489,3 +489,49 @@ def test_newton_factors_its_hessian_once(monkeypatch):
     assert res.classification == solver.CLASS_TRIVIAL
     assert res.iterations >= 3
     assert len(calls) == 1
+
+
+def test_newton_refactors_after_a_non_contracting_step(monkeypatch):
+    # A far bubble seed at rho = 20, where damped steps often fail to halve
+    # the gradient norm.  Each Newton system is logged with the gradient
+    # norm at its iterate, whether a factorization was held on entry and
+    # how many refinement sweeps (Hessian applications) it took.
+    mesh = test_mesh.ORACLE_MESHES["disk"]
+    model = EnergyFunctional.for_mesh(mesh)
+    p = Parameters(beta=-5.0, rho=20.0)
+    mu = bubbles.make_measure([np.array([0.2, 0.1])], [True])
+    log = []
+    hessian_data = solver._hessian_data
+    refined_solve = solver._ZeroMeanHessianSolver.refined_solve
+    apply = solver._ZeroMeanHessianSolver.apply
+    sweeps = []
+
+    def logged_hessian_data(model, u, p):
+        log.append({"gnorm": model.evaluate(u, p).gradient_norm})
+        return hessian_data(model, u, p)
+
+    def logged_refined_solve(self, hessian, rhs):
+        log[-1]["held"] = self._lu is not None
+        sweeps.clear()
+        out = refined_solve(self, hessian, rhs)
+        log[-1]["sweeps"] = len(sweeps)
+        return out
+
+    def counted_apply(self, v):
+        sweeps.append(1)
+        return apply(self, v)
+    monkeypatch.setattr(solver, "_hessian_data", logged_hessian_data)
+    monkeypatch.setattr(solver._ZeroMeanHessianSolver, "refined_solve",
+                        logged_refined_solve)
+    monkeypatch.setattr(solver._ZeroMeanHessianSolver, "apply", counted_apply)
+    res = solver.newton(model, bubbles.bubble_values(mu, 5.0, mesh), p,
+                        damped=True, max_iter=60)
+    assert res.classification == solver.CLASS_TRIVIAL
+    contracted = [after["gnorm"] <= 0.5 * before["gnorm"]
+                  for before, after in zip(log, log[1:])]
+    assert not all(contracted) and any(contracted)
+    for ok, step in zip(contracted, log[1:]):
+        if not ok:
+            assert not step["held"] and step["sweeps"] == 0
+        else:
+            assert step["held"] and step["sweeps"] > 0
