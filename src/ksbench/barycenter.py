@@ -208,14 +208,18 @@ def _hex_net(mesh, spacing):
         j += 1
     net = np.concatenate(rows)
     # Keep points within one spacing of the domain so the balls cover it.
-    near, _ = cKDTree(mesh.vertices).query(
-        net, distance_upper_bound=spacing * 1.001)
+    tree = cKDTree(mesh.vertices)
+    near, _ = tree.query(net, distance_upper_bound=spacing * 1.001)
     keep = np.isfinite(near)
-    inside = meshmod.contains(mesh, net[~keep]) if (~keep).any() else None
-    mask = keep.copy()
-    if inside is not None:
-        mask[np.flatnonzero(~keep)[inside]] = True
-    return net[mask]
+    # A point of a triangle lies within the longest edge of each of its
+    # corners, so only the far points within that reach, padded against
+    # rounding, can lie in the domain.
+    far = np.flatnonzero(~keep)
+    reach = meshmod.edge_lengths(mesh).max() * (1.0 + 1e-9) + 1e-12
+    near, _ = tree.query(net[far], distance_upper_bound=reach)
+    far = far[np.isfinite(near)]
+    keep[far[meshmod.contains(mesh, net[far])]] = True
+    return net[keep]
 
 
 def _ball_incidence(centers, points, radius):

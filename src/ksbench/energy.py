@@ -10,7 +10,6 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -82,23 +81,6 @@ class Evaluation:
 
     gradient = property(lambda self: self._solved[0])
     gradient_norm = property(lambda self: self._solved[1])
-
-
-class _BorderedPattern(NamedTuple):
-    """CSC pattern of [[A, m], [m^T, 0]] for A on the mass matrix's pattern."""
-    indptr: np.ndarray
-    indices: np.ndarray
-    block: np.ndarray       # position of each of A's entries in the data
-    border: np.ndarray      # position of m_j in column j
-    exp_slots: np.ndarray   # entry of A that each quadrature term of E adds to
-
-
-class _OrderedPattern(NamedTuple):
-    """CSC pattern of the bordered matrix B[order][:, order]."""
-    order: np.ndarray       # the mesh's vertex order, then the border index
-    indptr: np.ndarray
-    indices: np.ndarray
-    gather: np.ndarray      # B's data position of each permuted entry
 
 
 class EnergyFunctional:
@@ -184,8 +166,8 @@ class EnergyFunctional:
     def exp_density(self, u):
         """Vertex values of e^u / int e^u (shift-free)."""
         u = field_values(u)
-        s, _, _, total = self._exp_quad(u)
-        return np.exp(u - s) / total
+        s, vals = self._exp_vals(u)
+        return np.exp(u - s) / float(vals.sum())
 
     # -- functional, gradient, Hessian --------------------------------------
 
@@ -227,53 +209,60 @@ class EnergyFunctional:
         return self.evaluate(u, p).gradient_norm
 
     @cached_property
-    def _bordered_pattern(self):
-        """The per-mesh `_BorderedPattern`, built on first use.
-
-        K and M share one CSR pattern, and the exp-weighted mass matrix E
-        has it too.  M is symmetric, so its CSR arrays are also the CSC
-        arrays of the block.  Column j of the bordered matrix holds the
-        block's column j and then m_j in row n; the last column holds m.
-        """
+    def _exp_entries(self):
+        """Which value of concat([E's diagonal, E's edge values]) each entry
+        of the mass matrix's pattern holds: vertex i's diagonal holds value
+        i, and both off-diagonal entries of the mesh's edge k value n + k.
+        The edges are sorted by the key lo n + hi, so a search finds them."""
         M = self.mass
-        n, nnz = M.shape[0], M.nnz
-        cols = np.arange(n)
-        row_of = np.repeat(cols, np.diff(M.indptr))
-        block = np.arange(nnz) + row_of
-        border = M.indptr[1:] + cols
-        indices = np.empty(nnz + 2 * n, dtype=M.indices.dtype)
-        indices[block] = M.indices
-        indices[border] = n
-        indices[nnz + n:] = cols
-        indptr = np.append(M.indptr + np.arange(n + 1), nnz + 2 * n)
-        # E_ab gathers a quarter of each quadrature value at (qa, qa),
-        # (qa, qb), (qb, qa) and (qb, qb); find those entries among the
-        # sorted row-major keys of M's pattern.
-        keys = row_of * n + M.indices
-        rows = np.concatenate([self._qa, self._qa, self._qb, self._qb])
-        cols_q = np.concatenate([self._qa, self._qb, self._qa, self._qb])
-        return _BorderedPattern(
-            indptr=indptr.astype(M.indices.dtype), indices=indices,
-            block=block, border=border,
-            exp_slots=np.searchsorted(keys, rows * n + cols_q))
+        n = M.shape[0]
+        row = np.repeat(np.arange(n), np.diff(M.indptr))
+        lo, hi = np.minimum(row, M.indices), np.maximum(row, M.indices)
+        edges = self.mesh.edges
+        edge = np.searchsorted(edges[:, 0] * n + edges[:, 1], lo * n + hi)
+        return np.where(lo == hi, row, n + edge)
 
     @cached_property
     def _ordered_pattern(self):
-        """The per-mesh `_OrderedPattern`, built on first use from the
-        bordered pattern and the mesh's order, with the border index last."""
-        pat = self._bordered_pattern
-        n = self.mass.shape[0]
+        """The order and CSC pattern of B[order][:, order] for B = [[A, m],
+        [m^T, 0]] and A on the mass matrix's pattern, built on first use;
+        the order is the mesh's, then the border index.  The pattern's data
+        are each entry's position in concat([A's data, m]).
+
+        Row i of B holds M's row i, then m_i in column n; row n holds m.
+        Its rows are taken in the order and its columns renumbered, and the
+        CSR to CSC conversion, one counting pass over the rows in that
+        order, leaves each column's rows sorted.
+        """
+        M = self.mass
+        n, nnz = M.shape[0], M.nnz
         order = np.append(spectrum.operators(self.mesh).order, n)
         rank = np.empty(n + 1, dtype=np.intp)
         rank[order] = np.arange(n + 1)
-        cols = np.repeat(np.arange(n + 1), np.diff(pat.indptr))
-        new_rows, new_cols = rank[pat.indices], rank[cols]
-        gather = np.lexsort((new_rows, new_cols))
-        indptr = np.zeros(n + 2, dtype=pat.indptr.dtype)
-        np.cumsum(np.bincount(new_cols, minlength=n + 1), out=indptr[1:])
-        return _OrderedPattern(
-            order=order, indptr=indptr,
-            indices=new_rows[gather].astype(pat.indices.dtype), gather=gather)
+        border = nnz + np.arange(n)
+        indices = np.append(np.insert(M.indices, M.indptr[1:], n), np.arange(n))
+        src = np.append(np.insert(np.arange(nnz), M.indptr[1:], border), border)
+        indptr = np.append(M.indptr + np.arange(n + 1), nnz + 2 * n)
+        B = sp.csr_matrix((src, indices, indptr), shape=(n + 1, n + 1))[order]
+        B.indices = rank[B.indices]
+        return order, B.tocsc()
+
+    def _exp_mass(self, quad_vals):
+        """The data of E_ab = exp(-s) int e^u phi_a phi_b on the mass
+        matrix's pattern, from the shifted quadrature values.
+
+        Each value adds a quarter to the four entries of its edge's ends,
+        so an edge's two off-diagonal entries are the sum of the quarters
+        of its (one or two) values, and a vertex's diagonal the sum of the
+        quarters of the values on its edges.  The diagonal is not w / 2:
+        halving w rounds subnormal values differently.
+        """
+        quarter = 0.25 * quad_vals
+        return np.concatenate([
+            np.bincount(self._qab, weights=np.concatenate([quarter, quarter]),
+                        minlength=self.mesh.num_vertices),
+            np.bincount(self.mesh.triangle_edges.ravel(), weights=quarter,
+                        minlength=len(self.mesh.edges))])[self._exp_entries]
 
     def hessian_operator(self, u, p):
         """Sparse part A0 and rank-one data (c, w) with J''(u) = A0 + c w w^T.
@@ -284,36 +273,22 @@ class EnergyFunctional:
         u = field_values(u)
         _, quad_vals, w, total = self._exp_quad(u)
         M = self.mass
-        E = np.bincount(self._bordered_pattern.exp_slots,
-                        weights=np.tile(0.25 * quad_vals, 4),
-                        minlength=M.nnz)
-        data = self.stiffness.data + p.beta * M.data - (p.rho / total) * E
+        data = (self.stiffness.data + p.beta * M.data
+                - (p.rho / total) * self._exp_mass(quad_vals))
         # A0 gets its own index arrays, so that no caller can alter M's.
         A0 = sp.csr_matrix((data, M.indices.copy(), M.indptr.copy()),
                            shape=M.shape)
         return A0, p.rho / total ** 2, w
 
-    def _bordered_hessian(self, A0, sigma=0.0):
-        """The CSC matrix [[A0 - sigma M, m], [m^T, 0]] with m the lumped
-        masses, for A0 from `hessian_operator`: the data is filled into the
-        per-mesh pattern, so no sparsity structure is built per call."""
-        pat = self._bordered_pattern
-        n = A0.shape[0]
-        data = np.empty(len(pat.indices))
-        data[pat.block] = (A0.data - sigma * self.mass.data) if sigma \
-            else A0.data
-        data[pat.border] = self.lumped
-        data[-n:] = self.lumped
-        return sp.csc_matrix((data, pat.indices, pat.indptr),
-                             shape=(n + 1, n + 1))
-
     def _ordered_bordered_hessian(self, A0, sigma=0.0):
-        """`_bordered_hessian(A0, sigma)` permuted to B[order][:, order] by
-        one gather of its data, and that order."""
-        B = self._bordered_hessian(A0, sigma)
-        pat = self._ordered_pattern
-        return sp.csc_matrix((B.data[pat.gather], pat.indices, pat.indptr),
-                             shape=B.shape), pat.order
+        """The CSC matrix B[order][:, order] for B = [[A0 - sigma M, m],
+        [m^T, 0]], m the lumped masses and A0 from `hessian_operator`, and
+        that order: one gather fills the per-mesh pattern, so no sparsity
+        structure is built per call."""
+        order, pattern = self._ordered_pattern
+        data = np.concatenate([A0.data - sigma * self.mass.data, self.lumped])
+        return sp.csc_matrix((data[pattern.data], pattern.indices,
+                              pattern.indptr), shape=pattern.shape), order
 
 
 def project_pi(u, basis, I):

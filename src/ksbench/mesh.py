@@ -26,6 +26,8 @@ class Mesh:
     area: float
     genus: int
     triangle_areas: np.ndarray      # (T,) float
+    edges: np.ndarray               # (E, 2) int, lo < hi, sorted by lo V + hi
+    triangle_edges: np.ndarray      # (T, 3) int, edge k joins corners k, k + 1
 
     @property
     def num_vertices(self):
@@ -90,14 +92,17 @@ def _finalize(vertices, triangles, allow_flip=False):
     if np.any(areas <= 0):
         raise MeshError("inverted or degenerate triangle")
 
-    # Undirected edge census; boundary edges occur in exactly one triangle.
+    # Undirected edge census by the key lo V + hi of each triangle side; the
+    # stable sort keeps the sides of one edge in triangle order.  Boundary
+    # edges occur in exactly one triangle.
     e = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]],
                         triangles[:, [2, 0]]])
-    key = np.sort(e, axis=1)
-    order = np.lexsort((key[:, 1], key[:, 0]))
+    lo, hi = e.min(axis=1), e.max(axis=1)
+    key = lo * len(vertices) + hi
+    order = np.argsort(key, kind="stable")
     ks = key[order]
     new = np.ones(len(ks), bool)
-    new[1:] = np.any(ks[1:] != ks[:-1], axis=1)
+    new[1:] = ks[1:] != ks[:-1]
     group = np.cumsum(new) - 1
     counts = np.bincount(group)
     if counts.max(initial=0) > 2:
@@ -105,12 +110,14 @@ def _finalize(vertices, triangles, allow_flip=False):
     first_of_group = order[new]
     boundary = first_of_group[counts == 1]
     boundary_edges = e[boundary]           # directed as in their triangle
+    edges = np.column_stack([lo, hi])[first_of_group]
+    side_edge = np.empty(len(e), dtype=np.intp)
+    side_edge[order] = group
 
     flags = np.zeros(len(vertices), bool)
     flags[boundary_edges.ravel()] = True
 
-    n_edges = len(counts)
-    chi = len(vertices) - n_edges + len(triangles)
+    chi = len(vertices) - len(edges) + len(triangles)
     genus = 1 - chi
     if genus < 0:
         raise MeshError("mesh has positive Euler characteristic > 1")
@@ -121,7 +128,8 @@ def _finalize(vertices, triangles, allow_flip=False):
     return Mesh(vertices=vertices, triangles=triangles,
                 boundary_edges=boundary_edges, boundary_vertex_flags=flags,
                 area=float(areas.sum()), genus=int(genus),
-                triangle_areas=areas)
+                triangle_areas=areas, edges=edges,
+                triangle_edges=np.ascontiguousarray(side_edge.reshape(3, -1).T))
 
 
 def _build_unit_square(n):
@@ -332,9 +340,11 @@ def nearest_boundary_point(mesh, points):
     return out[0] if points.ndim == 1 else out
 
 
-def min_edge_length(mesh):
-    e = np.concatenate([mesh.triangles[:, [0, 1]], mesh.triangles[:, [1, 2]],
-                        mesh.triangles[:, [2, 0]]])
+def edge_lengths(mesh):
+    """Length of each edge of `mesh.edges`."""
     v = mesh.vertices
-    return float(np.linalg.norm(v[e[:, 0]] - v[e[:, 1]], axis=1).min())
+    return np.linalg.norm(v[mesh.edges[:, 0]] - v[mesh.edges[:, 1]], axis=1)
 
+
+def min_edge_length(mesh):
+    return float(edge_lengths(mesh).min())

@@ -13,7 +13,8 @@ from ksbench import bubbles
 from ksbench import mesh as meshmod
 from ksbench.energy import EnergyFunctional
 from ksbench.errors import NotConcentratedError, NotInLowSublevelError
-from test_mesh import ORACLE_MESHES, _nearest_boundary_point_brute
+from test_mesh import (ORACLE_MESHES, _graded_square,
+                       _nearest_boundary_point_brute)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -444,6 +445,80 @@ def test_ball_incidence_of_empty_sets():
     for centers, points in ((empty, pts), (pts, empty), (empty, empty)):
         _assert_same_incidence(centers, points, 1.0)
         assert bc._ball_incidence(centers, points, 1.0).nnz == 0
+
+
+def _hex_lattice(mesh, spacing):
+    """The hexagonal lattice over the mesh's bounding box, padded by one
+    spacing, from which `_hex_net` keeps its points."""
+    lo = mesh.vertices.min(axis=0) - spacing
+    hi = mesh.vertices.max(axis=0) + spacing
+    dy = spacing * np.sqrt(3.0) / 2.0
+    rows = []
+    j = 0
+    y = lo[1]
+    while y <= hi[1]:
+        xs = np.arange(lo[0] + 0.5 * spacing * (j % 2), hi[0] + spacing,
+                       spacing)
+        rows.append(np.column_stack([xs, np.full(len(xs), y)]))
+        y += dy
+        j += 1
+    return np.concatenate(rows)
+
+
+def _far_from_vertices(mesh, points, spacing):
+    """Mask of the points farther than 1.001 spacings from every vertex."""
+    near, _ = cKDTree(mesh.vertices).query(
+        points, distance_upper_bound=spacing * 1.001)
+    return ~np.isfinite(near)
+
+
+def _hex_net_oracle(mesh, spacing):
+    """The former `_hex_net`: the containment test on every lattice point
+    farther than 1.001 spacings from each vertex."""
+    net = _hex_lattice(mesh, spacing)
+    far = _far_from_vertices(mesh, net, spacing)
+    inside = meshmod.contains(mesh, net[far]) if far.any() else None
+    mask = ~far
+    if inside is not None:
+        mask[np.flatnonzero(far)[inside]] = True
+    return net[mask]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
+@pytest.mark.parametrize("spacing", [0.2 / 18.0, 0.2 / 6.0, 0.05, 0.3])
+def test_hex_net_matches_oracle_on_oracle_meshes(name, spacing):
+    mesh = ORACLE_MESHES[name]
+    assert np.array_equal(bc._hex_net(mesh, spacing),
+                          _hex_net_oracle(mesh, spacing))
+
+
+@hypothesis.settings(max_examples=20, deadline=None)
+@hypothesis.given(st.floats(1.0, 100.0), st.integers(2, 14),
+                  st.integers(0, 40), st.integers(0, 2 ** 32 - 1),
+                  st.floats(0.01, 0.3))
+def test_hex_net_matches_oracle_on_graded_squares(ratio, steps, inner, seed,
+                                                  spacing):
+    mesh = _graded_square(ratio, steps, inner, seed)
+    assert np.array_equal(bc._hex_net(mesh, spacing),
+                          _hex_net_oracle(mesh, spacing))
+
+
+def test_hex_net_tests_containment_only_near_the_mesh():
+    # The lattice points in the annulus's hole beyond the longest edge from
+    # every vertex need no winding test.
+    annulus = meshmod.build_builtin("annulus", 256)
+    spacing = 0.2 / 18.0
+    sizes = []
+    contains = meshmod.contains
+
+    def counting(mesh, points, *args, **kwargs):
+        sizes.append(len(points))
+        return contains(mesh, points, *args, **kwargs)
+    with mock.patch.object(meshmod, "contains", counting):
+        net = bc._hex_net(annulus, spacing)
+    assert np.array_equal(net, _hex_net_oracle(annulus, spacing))
+    far = _far_from_vertices(annulus, _hex_lattice(annulus, spacing), spacing)
+    assert len(sizes) == 1 and sizes[0] < 0.5 * far.sum()
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_MESHES))

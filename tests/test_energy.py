@@ -8,12 +8,16 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ksbench import mesh as meshmod, solver
+from ksbench import mesh as meshmod, solver, spectrum
 from ksbench.energy import EnergyFunctional, Parameters, project_pi
-from test_mesh import ORACLE_MESHES
+from test_mesh import ORACLE_MESHES, _graded_square
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
+
+# The (beta, rho) pairs of the Hessian oracle tests.
+PAIRS = (Parameters(beta=-5.0, rho=13.0), Parameters(beta=2.0, rho=-30.0),
+         Parameters(beta=0.0, rho=1.0))
 
 PARAM_SETS = [Parameters(beta=1.0, rho=1.0),
               Parameters(beta=-5.0, rho=13.0),
@@ -185,8 +189,10 @@ def _bordered_oracle(model, u, p, sigma):
 
 def _oracle_input(model, kind, seed, amp):
     """A field of the given kind: scaled noise, noise with a NaN or an
-    infinite entry, a constant whose quadrature underflows, or a zero-mean
-    spike whose quadrature underflows."""
+    infinite entry, a constant whose quadrature underflows, a zero-mean
+    spike whose quadrature underflows, or a field that is 0 at a fifth of the
+    vertices and between -750 and -720 at the rest, so that the quadrature
+    values on edges between the latter are subnormal."""
     rng = np.random.default_rng(seed)
     n = model.mesh.num_vertices
     u = amp * rng.standard_normal(n)
@@ -200,6 +206,8 @@ def _oracle_input(model, kind, seed, amp):
         u = np.zeros(n)
         u[rng.integers(n)] = 1e4 + amp
         u = model.project_zero_mean(u)
+    elif kind == "subnormal":
+        u = np.where(rng.random(n) < 0.2, 0.0, -720.0 - 30.0 * rng.random(n))
     return u
 
 
@@ -246,15 +254,16 @@ def test_bordered_hessian_matches_bmat(name, sigma):
     model = EnergyFunctional.for_mesh(ORACLE_MESHES[name])
     rng = np.random.default_rng(1)
     u = model.project_zero_mean(rng.standard_normal(model.mesh.num_vertices))
-    for p in (Parameters(beta=-5.0, rho=13.0), Parameters(beta=2.0, rho=-30.0),
-              Parameters(beta=0.0, rho=1.0)):
+    for p in PAIRS:
         A0_old, B_old = _bordered_oracle(model, u, p, sigma)
         A0, _, _ = model.hessian_operator(u, p)
-        B = model._bordered_hessian(A0, sigma)
+        B, order = model._ordered_bordered_hessian(A0, sigma)
+        want = B_old[order][:, order].tocsc()
+        want.sort_indices()
         assert B.format == "csc"
-        assert np.array_equal(B.indptr, B_old.indptr)
-        assert np.array_equal(B.indices, B_old.indices)
-        assert abs(B - B_old).max() <= 1e-13 * abs(B_old).max()
+        assert np.array_equal(B.indptr, want.indptr)
+        assert np.array_equal(B.indices, want.indices)
+        assert abs(B - want).max() <= 1e-13 * abs(want).max()
         assert abs(A0 - A0_old).max() <= 1e-13 * abs(A0_old).max()
 
 
@@ -281,15 +290,14 @@ def test_energy_alone_matches_oracle(name, kind, seed, log_amp, beta, rho):
 
 
 def _hessian_cases(name, sigma):
-    """(model, u, p, A0, bordered matrix) at a noise field u for the three
-    parameter pairs of `test_bordered_hessian_matches_bmat`."""
+    """(model, u, p, A0, bordered matrix by `_bordered_oracle`) at a noise
+    field u for the parameter pairs `PAIRS`."""
     model = EnergyFunctional.for_mesh(ORACLE_MESHES[name])
     rng = np.random.default_rng(1)
     u = model.project_zero_mean(rng.standard_normal(model.mesh.num_vertices))
-    for p in (Parameters(beta=-5.0, rho=13.0), Parameters(beta=2.0, rho=-30.0),
-              Parameters(beta=0.0, rho=1.0)):
+    for p in PAIRS:
         A0, _, _ = model.hessian_operator(u, p)
-        yield model, u, p, A0, model._bordered_hessian(A0, sigma)
+        yield model, u, p, A0, _bordered_oracle(model, u, p, sigma)[1]
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
@@ -305,7 +313,8 @@ def test_ordered_bordered_hessian_is_permuted_bmat(name, sigma):
         assert Bq.format == "csc" and Bq.has_sorted_indices
         assert np.array_equal(Bq.indptr, want.indptr)
         assert np.array_equal(Bq.indices, want.indices)
-        assert np.array_equal(Bq.data, want.data)
+        assert np.abs(Bq.data - want.data).max() \
+            <= 1e-13 * np.abs(want.data).max()
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
@@ -331,9 +340,146 @@ def test_ordered_bordered_lu_halves_the_fill():
     u = model.project_zero_mean(rng.standard_normal(model.mesh.num_vertices))
     p = Parameters(beta=-5.0, rho=13.0)
     hess = solver._ZeroMeanHessianSolver(model, u, p)
-    colamd = spla.splu(model._bordered_hessian(model.hessian_operator(u, p)[0]))
+    colamd = spla.splu(_bordered_oracle(model, u, p, 0.0)[1])
     fill = hess._lu.L.nnz + hess._lu.U.nnz
     assert fill <= 0.7 * (colamd.L.nnz + colamd.U.nnz)
+
+
+def _bordered_pattern_oracle(model):
+    """The former `_bordered_pattern`: the CSC pattern of [[A, m], [m^T, 0]]
+    for A on the mass matrix's pattern, the data positions of A's entries
+    and of the border, and the entry of A that each quadrature term of E
+    adds to, by a search of the pattern's row-major keys."""
+    M = model.mass
+    n, nnz = M.shape[0], M.nnz
+    cols = np.arange(n)
+    row_of = np.repeat(cols, np.diff(M.indptr))
+    block = np.arange(nnz) + row_of
+    border = M.indptr[1:] + cols
+    indices = np.empty(nnz + 2 * n, dtype=M.indices.dtype)
+    indices[block] = M.indices
+    indices[border] = n
+    indices[nnz + n:] = cols
+    indptr = np.append(M.indptr + np.arange(n + 1), nnz + 2 * n)
+    keys = row_of * n + M.indices
+    rows = np.concatenate([model._qa, model._qa, model._qb, model._qb])
+    cols_q = np.concatenate([model._qa, model._qb, model._qa, model._qb])
+    return (indptr, indices, block, border,
+            np.searchsorted(keys, rows * n + cols_q))
+
+
+def _exp_mass_oracle(pattern, quad_vals, nnz):
+    """The former E data of `hessian_operator`: the quarter values tiled
+    four times and summed into their entries by one bincount."""
+    return np.bincount(pattern[4], weights=np.tile(0.25 * quad_vals, 4),
+                       minlength=nnz)
+
+
+def _bordered_data_oracle(model, pattern, A0, sigma):
+    """The data of the former `_bordered_hessian`: A0 - sigma M and m
+    filled into the unordered pattern."""
+    _, indices, block, border, _ = pattern
+    n = A0.shape[0]
+    data = np.empty(len(indices))
+    data[block] = (A0.data - sigma * model.mass.data) if sigma else A0.data
+    data[border] = model.lumped
+    data[-n:] = model.lumped
+    return data
+
+
+def _ordered_pattern_oracle(model, pattern):
+    """The former `_ordered_pattern`: the unordered pattern's entries
+    renumbered by the mesh's order, border last, and sorted by a lexsort.
+    Returns the order, indptr, indices and each entry's unordered data
+    position."""
+    indptr, indices = pattern[:2]
+    n = model.mesh.num_vertices
+    order = np.append(spectrum.operators(model.mesh).order, n)
+    rank = np.empty(n + 1, dtype=np.intp)
+    rank[order] = np.arange(n + 1)
+    cols = np.repeat(np.arange(n + 1), np.diff(indptr))
+    new_rows, new_cols = rank[indices], rank[cols]
+    gather = np.lexsort((new_rows, new_cols))
+    new_indptr = np.zeros(n + 2, dtype=indptr.dtype)
+    np.cumsum(np.bincount(new_cols, minlength=n + 1), out=new_indptr[1:])
+    return order, new_indptr, new_rows[gather], gather
+
+
+def _check_hessian_against_oracles(model, fields):
+    """E, A0 and the ordered bordered Hessian of each field, for the pairs
+    `PAIRS` and sigma in {0, -7.5}, bit for bit against the oracles.  Where
+    W^2 underflows, `hessian_operator`'s c = rho / W^2 is not defined, and
+    only E is compared."""
+    pattern = _bordered_pattern_oracle(model)
+    order, indptr, indices, gather = _ordered_pattern_oracle(model, pattern)
+    K, M = model.stiffness, model.mass
+    for u in fields:
+        with np.errstate(all="ignore"):
+            _, vals, _, total = model._exp_quad(u)
+            E = _exp_mass_oracle(pattern, vals, M.nnz)
+            assert np.array_equal(model._exp_mass(vals), E, equal_nan=True)
+            if total ** 2 == 0.0:
+                continue
+            for p in PAIRS:
+                A0, _, _ = model.hessian_operator(u, p)
+                assert np.array_equal(
+                    A0.data, K.data + p.beta * M.data - (p.rho / total) * E,
+                    equal_nan=True)
+                for sigma in (0.0, -7.5):
+                    B, got_order = model._ordered_bordered_hessian(A0, sigma)
+                    data = _bordered_data_oracle(model, pattern, A0, sigma)
+                    assert B.format == "csc"
+                    assert np.array_equal(B.indptr, indptr)
+                    assert np.array_equal(B.indices, indices)
+                    assert np.array_equal(B.data, data[gather],
+                                          equal_nan=True)
+                    assert np.array_equal(got_order, order)
+
+
+HESSIAN_KINDS = ["noise", "nan", "inf", "underflow", "spike", "subnormal"]
+
+
+@hypothesis.settings(max_examples=80, deadline=None)
+@hypothesis.given(st.sampled_from(sorted(ORACLE_MESHES)),
+                  st.sampled_from(HESSIAN_KINDS),
+                  st.integers(0, 2 ** 32 - 1), st.floats(-3.0, 3.0))
+def test_hessian_matches_oracles_on_oracle_meshes(name, kind, seed, log_amp):
+    model = EnergyFunctional.for_mesh(ORACLE_MESHES[name])
+    _check_hessian_against_oracles(
+        model, [_oracle_input(model, kind, seed, 10.0 ** log_amp)])
+
+
+def test_hessian_matches_oracles_on_builtin_meshes(square48, square256,
+                                                   disk128):
+    for mesh in (square48, square256, disk128,
+                 meshmod.build_builtin("annulus", 64)):
+        model = EnergyFunctional.for_mesh(mesh)
+        _check_hessian_against_oracles(
+            model, [_oracle_input(model, kind, 8, 1.0)
+                    for kind in ("noise", "nan", "subnormal")])
+
+
+@hypothesis.settings(max_examples=20, deadline=None)
+@hypothesis.given(st.floats(1.0, 100.0), st.integers(2, 14),
+                  st.integers(0, 40), st.integers(0, 2 ** 32 - 1),
+                  st.sampled_from(HESSIAN_KINDS))
+def test_hessian_matches_oracles_on_graded_squares(ratio, steps, inner, seed,
+                                                   kind):
+    model = EnergyFunctional(_graded_square(ratio, steps, inner, seed))
+    _check_hessian_against_oracles(
+        model, [_oracle_input(model, kind, seed, 1.0)])
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
+def test_mass_pattern_is_the_diagonal_and_both_directions_of_each_edge(name):
+    mesh = ORACLE_MESHES[name]
+    M = spectrum.operators(mesh).mass
+    n = mesh.num_vertices
+    lo, hi = mesh.edges.T
+    keys = np.repeat(np.arange(n), np.diff(M.indptr)) * n + M.indices
+    want = np.sort(np.concatenate([np.arange(n) * (n + 1), lo * n + hi,
+                                   hi * n + lo]))
+    assert np.array_equal(keys, want)
 
 
 def test_model_is_freed_with_its_mesh():

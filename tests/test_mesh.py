@@ -223,6 +223,66 @@ def test_min_edge_length(square64):
     assert meshmod.min_edge_length(square64) == pytest.approx(1.0 / 64)
 
 
+def _edge_census_oracle(triangles):
+    """The former census of `_finalize`, by a two-column lexsort of the
+    sorted sides: the boundary edges, and the edges (lo, hi) with the edge
+    of each triangle side, in that census's group order."""
+    e = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]],
+                        triangles[:, [2, 0]]])
+    key = np.sort(e, axis=1)
+    order = np.lexsort((key[:, 1], key[:, 0]))
+    ks = key[order]
+    new = np.ones(len(ks), bool)
+    new[1:] = np.any(ks[1:] != ks[:-1], axis=1)
+    group = np.cumsum(new) - 1
+    counts = np.bincount(group)
+    side_edge = np.empty(len(e), dtype=np.intp)
+    side_edge[order] = group
+    return (e[order[new][counts == 1]], key[order[new]],
+            side_edge.reshape(3, -1).T)
+
+
+def _min_edge_length_oracle(mesh):
+    """The former `min_edge_length`: every triangle side, shared ones twice."""
+    e = np.concatenate([mesh.triangles[:, [0, 1]], mesh.triangles[:, [1, 2]],
+                        mesh.triangles[:, [2, 0]]])
+    v = mesh.vertices
+    return float(np.linalg.norm(v[e[:, 0]] - v[e[:, 1]], axis=1).min())
+
+
+def _check_edge_census(mesh):
+    boundary_edges, edges, triangle_edges = _edge_census_oracle(mesh.triangles)
+    assert np.array_equal(mesh.boundary_edges, boundary_edges)
+    assert np.array_equal(mesh.edges, edges)
+    assert np.array_equal(mesh.triangle_edges, triangle_edges)
+    assert mesh.triangle_edges.flags.c_contiguous
+    # Edge k of triangle t joins its corners k and k + 1.
+    t = mesh.triangles
+    sides = np.sort(np.stack([t, np.roll(t, -1, axis=1)], axis=2), axis=2)
+    assert np.array_equal(mesh.edges[mesh.triangle_edges], sides)
+    assert meshmod.min_edge_length(mesh) == _min_edge_length_oracle(mesh)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
+def test_edge_census_matches_lexsort_on_oracle_meshes(name):
+    _check_edge_census(ORACLE_MESHES[name])
+
+
+def test_edge_census_matches_lexsort_on_builtin_meshes(square48, square256,
+                                                       disk128):
+    for mesh in (square48, square256, disk128,
+                 meshmod.build_builtin("annulus", 64)):
+        _check_edge_census(mesh)
+
+
+@hypothesis.settings(max_examples=20, deadline=None)
+@hypothesis.given(st.floats(1.0, 100.0), st.integers(2, 14),
+                  st.integers(0, 40), st.integers(0, 2 ** 32 - 1))
+def test_edge_census_matches_lexsort_on_graded_squares(ratio, steps, inner,
+                                                       seed):
+    _check_edge_census(_graded_square(ratio, steps, inner, seed))
+
+
 def test_load_mesh_roundtrip_and_orientation():
     text = "4 2\n0 0\n1 0\n1 1\n0 1\n0 1 2\n0 2 3\n"
     m = meshmod.load_mesh(text)
