@@ -9,6 +9,8 @@ Subcommands:
             (exit 0 pass, 1 fail, 2 under-resolved)
   spectrum  eigenvalue export -> CSV
 
+Only `analyze` takes --format (json or csv); the others reject it.
+
 A package error ends every subcommand with a one-line message on stderr
 and an exit code: 3 from `solve` whatever the error, and otherwise the code
 ERROR_EXITS gives its type (2 unusable input, 4 failed computation).  A bad
@@ -229,7 +231,6 @@ def _add_common(sub):
     sub.add_argument("--rho", type=float, default=1.0)
     sub.add_argument("--eigs", type=int, default=8)
     sub.add_argument("--out", help="output file (default stdout)")
-    sub.add_argument("--format", default="json", choices=["json", "csv"])
     sub.add_argument("--config", help="key=value config file; flags override")
 
 
@@ -242,6 +243,9 @@ def build_parser():
                      ("probe", cmd_probe), ("spectrum", cmd_spectrum)):
         sub = subs.add_parser(name)
         _add_common(sub)
+        if name == "analyze":
+            sub.add_argument("--format", default="json",
+                             choices=["json", "csv"])
         if name == "solve":
             sub.add_argument("--steps", type=int, default=300)
         if name == "probe":

@@ -123,7 +123,8 @@ class _ZeroMeanHessianSolver:
     The constraint is imposed by bordering A0 - sigma M with the
     mass-weighted constant; the rank-one part of the Hessian is folded in by
     the Woodbury identity.  The solve maps the constant mode to zero.  The
-    bordered matrix is factored in the mesh's order, border last.
+    bordered matrix is factored in the mesh's order, border last, without
+    relaxed supernodes (`spectrum.SUPERNODE_RELAX`).
 
     Without u nothing is factored until the first `refined_solve`; `newton`
     keeps one solver across its iterates that way, and `drop`s the held
@@ -150,7 +151,8 @@ class _ZeroMeanHessianSolver:
         A0, c, w = self._hessian = hessian
         n = A0.shape[0]
         B, order = self._model._ordered_bordered_hessian(A0, self._sigma)
-        self._lu = spla.splu(B, permc_spec="NATURAL")
+        self._lu = spla.splu(B, permc_spec="NATURAL",
+                             relax=spectrum.SUPERNODE_RELAX)
         self._bordered_solve = spectrum.ordered_solve(self._lu, order)
         self._c = c
         self._w = np.concatenate([w, [0.0]])
@@ -184,9 +186,10 @@ class _ZeroMeanHessianSolver:
         correction dx has ||dx|| <= REFINE_TOL ||x||.  When a sweep fails
         to halve the correction, after REFINE_SWEEPS sweeps, or with
         nothing factored yet, H is factored in place of P and x is its
-        direct solve.  A factorization costs about 30 solves on both the
-        disk128 (V = 1409) and square256 (V = 66049) meshes, so the cap
-        keeps a stalled refinement well below the cost of refactoring.
+        direct solve.  A factorization costs about 20-30 sweeps, each a
+        solve and a Hessian product (21 on disk128, V = 1409; 29 on
+        square256, V = 66049), so the cap keeps a stalled refinement well
+        below the cost of refactoring.
         """
         self._hessian = hessian
         if self._lu is not None:

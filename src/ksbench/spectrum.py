@@ -50,6 +50,14 @@ def assemble(mesh):
     return K, M
 
 
+# SuperLU's supernode relaxation for every factorization on the mesh.  The
+# default pads relaxed supernodes with explicit zeros that every solve and
+# factorization multiplies through (disk128: +64% in M's LU, +45% in the
+# bordered Hessian's); 1 relaxes none, so a factor stores only its
+# nonzeros, with the same permutations and so the same mesh order.
+SUPERNODE_RELAX = 1
+
+
 class MeshOperators:
     """What every sparse computation on one mesh shares: K and M, and the
     LU of M with the fill-reducing vertex order that it chose.
@@ -69,8 +77,10 @@ class MeshOperators:
 
     @cached_property
     def mass_lu(self):
-        """M factored with a symmetric minimum-degree order on M + M^T."""
-        return spla.splu(self.mass.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        """M factored with a symmetric minimum-degree order on M + M^T,
+        unrelaxed (`SUPERNODE_RELAX`): its factors store only nonzeros."""
+        return spla.splu(self.mass.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                         relax=SUPERNODE_RELAX)
 
     @cached_property
     def order(self):
@@ -130,15 +140,16 @@ def eigenpairs(mesh, count):
                         f"below {n - 1}")
     K, M, _, q = operators(mesh)
 
-    lu = spla.splu((K + M)[q][:, q].tocsc(), permc_spec="NATURAL")
+    lu = spla.splu((K + M)[q][:, q].tocsc(), permc_spec="NATURAL",
+                   relax=SUPERNODE_RELAX)
     OPinv = spla.LinearOperator((n, n), matvec=ordered_solve(lu, q),
                                 dtype=float)
     v0 = np.random.default_rng(0).standard_normal(n)
     try:
         vals, vecs = spla.eigsh(K, k=count + 1, M=M, sigma=-1.0, which="LM",
                                 OPinv=OPinv, v0=v0)
-    except spla.ArpackNoConvergence as exc:
-        raise ConvergenceError("eigensolver failed to converge") from exc
+    except spla.ArpackError as exc:     # ArpackNoConvergence included
+        raise ConvergenceError(f"eigensolver failed: {exc}") from exc
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
 

@@ -54,6 +54,20 @@ def test_analyze_csv_format(tmp_path):
     assert any(line.startswith("verdict,") for line in lines)
 
 
+@pytest.mark.parametrize("command, fmt", [("solve", "csv"),
+                                          ("spectrum", "json"),
+                                          ("probe", "json")])
+def test_format_is_analyze_only(command, fmt, capsys, tmp_path):
+    # Only analyze has a choice of format: elsewhere --format would be
+    # accepted and ignored, so argparse rejects it.
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--res", "8", "--format", fmt, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_coercive_exit_1(tmp_path):
     out = tmp_path / "sol.json"
     rc = cli.main(["solve", "--domain", "unit_square", "--res", "24",
@@ -173,6 +187,21 @@ def test_package_error_exit_code(command, error, monkeypatch, capsys,
     assert rc == (3 if command == "solve" else ERROR_EXIT_CODES[error])
     err = capsys.readouterr().err
     assert err == "error: injected failure\n"
+
+
+@pytest.mark.parametrize("command", ["spectrum", "solve"])
+def test_arpack_error_exits_with_one_line(command, monkeypatch, capsys,
+                                          tmp_path):
+    # An ARPACK failure other than no convergence is a ConvergenceError too.
+    def fail(*args, **kwargs):
+        raise spla.ArpackError(-9999)
+
+    monkeypatch.setattr(spla, "eigsh", fail)
+    rc = cli.main([command, "--res", "8", "--out", str(tmp_path / "out")])
+    assert rc == (3 if command == "solve" else 4)
+    err = capsys.readouterr().err
+    assert err.startswith("error: eigensolver failed: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("eigs", ["0", "-1"])

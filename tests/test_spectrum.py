@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
-from ksbench import mesh as meshmod, spectrum
+from ksbench import mesh as meshmod, solver, spectrum
 from ksbench.energy import EnergyFunctional, Parameters
 from ksbench.errors import ResonanceError
 from test_mesh import ORACLE_MESHES
@@ -142,6 +142,74 @@ def test_ordered_shift_invert_solve_matches_plain_splu(name):
     want = spla.splu(A).solve(b)
     got = spectrum.ordered_solve(lu, order)(b)
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+# The meshes whose factorizations must store only their nonzeros: the
+# oracle meshes, the paper's disk, the annulus (the most padded by relaxed
+# supernodes, +111% in M) and a square.
+FACTOR_MESHES = sorted(ORACLE_MESHES) + ["disk128", "annulus64", "square48"]
+
+
+def _factor_mesh(name, request):
+    if name in ORACLE_MESHES:
+        return ORACLE_MESHES[name]
+    if name == "annulus64":
+        return meshmod.build_builtin("annulus", 64)
+    return request.getfixturevalue(name)
+
+
+def _check_unpadded(lu, A, permc_spec):
+    """`lu`, a factorization of A, stores (within 1%) only its nonzeros,
+    pivots as SuperLU's default factorization with relaxed supernodes does,
+    and solves as it does; that default factorization is returned."""
+    relaxed = spla.splu(A, permc_spec=permc_spec)
+    assert lu.nnz <= 1.01 * (lu.L.nnz + lu.U.nnz)
+    assert np.array_equal(lu.perm_c, relaxed.perm_c)
+    assert np.array_equal(lu.perm_r, relaxed.perm_r)
+    b = np.random.default_rng(7).standard_normal(A.shape[0])
+    want = relaxed.solve(b)
+    assert np.abs(lu.solve(b) - want).max() <= 1e-12 * np.abs(want).max()
+    return relaxed
+
+
+@pytest.mark.parametrize("name", FACTOR_MESHES)
+def test_mass_lu_stores_only_nonzeros(name, request):
+    ops = spectrum.operators(_factor_mesh(name, request))
+    relaxed = _check_unpadded(ops.mass_lu, ops.mass.tocsc(), "MMD_AT_PLUS_A")
+    assert np.array_equal(ops.order, np.argsort(relaxed.perm_c))
+
+
+@pytest.mark.parametrize("name", FACTOR_MESHES)
+def test_shift_invert_lu_stores_only_nonzeros(name, request, monkeypatch):
+    mesh = _factor_mesh(name, request)
+    spectrum.operators(mesh).order      # the mass LU, outside the capture
+    factored = []
+    splu = spla.splu
+
+    def capture(A, *args, **kwargs):
+        lu = splu(A, *args, **kwargs)
+        factored.append((A, lu))
+        return lu
+    monkeypatch.setattr(spla, "splu", capture)
+    spectrum.eigenpairs(mesh, 4)
+    (A, lu), = factored
+    _check_unpadded(lu, A, "NATURAL")
+
+
+@pytest.mark.parametrize("shift", ["zero", "morse"])
+@pytest.mark.parametrize("name", FACTOR_MESHES)
+def test_bordered_hessian_lu_stores_only_nonzeros(name, shift, request):
+    model = EnergyFunctional.for_mesh(_factor_mesh(name, request))
+    rng = np.random.default_rng(5)
+    u = model.project_zero_mean(rng.standard_normal(model.mesh.num_vertices))
+    p = Parameters(beta=-5.0, rho=13.0)
+    sigma = 0.0
+    if shift == "morse":    # the shift of solver._lowest_eigenvalues
+        sigma = p.beta - abs(p.rho) * float(model.exp_density(u).max()) - 1.0
+    hess = solver._ZeroMeanHessianSolver(model, u, p, sigma=sigma)
+    A0, _, _ = model.hessian_operator(u, p)
+    B, _ = model._ordered_bordered_hessian(A0, sigma)
+    _check_unpadded(hess._lu, B, "NATURAL")
 
 
 def test_bracket_index_analytic():
