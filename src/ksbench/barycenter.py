@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -223,8 +224,10 @@ def _hex_net(mesh, spacing):
 
 
 def _ball_incidence(centers, points, radius):
-    """Sparse (centers x points) matrix, 1 where the point lies within
-    `radius` of the center, with each row's points in increasing order.
+    """Sparse boolean (centers x points) matrix, True where the point lies
+    within `radius` of the center, with each row's points in increasing
+    order.  Times a float vector it upcasts to ones and sums each row in
+    that order.
 
     The (center, point) pairs come from one KD-tree pair query.  Each pair
     becomes a one-entry row; `tocsc` groups the pairs by point, and `tocsr`
@@ -234,23 +237,20 @@ def _ball_incidence(centers, points, radius):
     pairs = cKDTree(centers).sparse_distance_matrix(
         cKDTree(points), radius, output_type="ndarray")
     n = len(pairs)
-    by_point = sp.csr_matrix((np.ones(n), pairs["j"], np.arange(n + 1)),
+    by_point = sp.csr_matrix((np.ones(n, bool), pairs["j"], np.arange(n + 1)),
                              shape=(n, len(points))).tocsc()
     return sp.csc_matrix((by_point.data, pairs["i"][by_point.indices],
                           by_point.indptr),
                          shape=(len(centers), len(points))).tocsr()
 
 
-def _greedy_capture(mesh, points, weights, net, eps, K):
-    """Best-effort admissible family capturing mass within eps-balls.
+def _capture_candidates(mesh, points, net, eps):
+    """The greedy capture's candidates, their costs and their eps-balls.
 
-    Interior atoms cost 2 of the budget K, boundary atoms 1 (and sit on the
-    boundary).  Interior candidates are the net points inside the domain.
-    Greedy marginal-gain selection: each pick is the affordable candidate
-    of largest uncovered ball mass, where a gain within a 1e-12 relative
-    tolerance of the largest counts as equal and, among equals, the
-    cheaper boundary option wins, then the earlier candidate.  Returns
-    (family, interior flags, captured mass fraction).
+    Interior candidates are the net points inside the domain and cost 2 of
+    the budget; boundary candidates are the nearest boundary points of the
+    net points within eps / 2 of the boundary and cost 1.  Returns
+    (candidates, costs, candidates x points ball incidence).
     """
     # Only a point within eps / 2 of the boundary needs its exact distance:
     # by the midpoint bound d >= d0 - L/2, the others are interior
@@ -268,10 +268,18 @@ def _greedy_capture(mesh, points, weights, net, eps, K):
     cand = np.concatenate([net[inner],
                            meshmod.nearest_boundary_point(mesh, net[edge])])
     cost = np.repeat([2, 1], [inner.sum(), edge.sum()])
-    balls = _ball_incidence(cand, points, eps)
+    return cand, cost, _ball_incidence(cand, points, eps)
 
+
+def _greedy_select(cand, cost, balls, weights, K):
+    """Greedy marginal-gain selection among the capture candidates: each
+    pick is the affordable candidate of largest uncovered ball mass, where
+    a gain within a 1e-12 relative tolerance of the largest counts as equal
+    and, among equals, the cheaper boundary option wins, then the earlier
+    candidate.  Returns (family, interior flags, captured mass fraction).
+    """
     family, flags = [], []
-    covered = np.zeros(len(points), bool)
+    covered = np.zeros(len(weights), bool)
     budget = K
     while budget > 0:
         uncovered = np.where(covered, 0.0, weights)
@@ -287,6 +295,59 @@ def _greedy_capture(mesh, points, weights, net, eps, K):
         budget -= cost[best]
     captured = weights[covered].sum()
     return family, flags, captured
+
+
+def _greedy_capture(mesh, points, weights, net, eps, K):
+    """Best-effort admissible family capturing mass within eps-balls, from
+    candidates built for this call: `_greedy_select` over
+    `_capture_candidates`.  `spread_points` takes the same candidates from
+    the mesh's cover instead.
+    """
+    return _greedy_select(*_capture_candidates(mesh, points, net, eps),
+                          weights, K)
+
+
+class _Cover:
+    """What `spread_points` computes from the mesh and eps alone: the hex
+    net of spacing eps / 6, whose size gives the mass floor, and, each on
+    first use, the net's eps / 6-balls and the greedy capture's candidates
+    with their eps-balls.  Every density on the mesh at this eps shares it.
+
+    It holds the mesh's vertex array but not the mesh, so a mesh that keeps
+    its cover is still freed by reference counting.
+    """
+
+    def __init__(self, mesh, eps):
+        self.eps = eps
+        self.radius = eps / 6.0
+        self.net = _hex_net(mesh, self.radius)
+        self.mass_floor = eps / len(self.net)
+        self._vertices = mesh.vertices
+        self._candidates = None
+
+    @cached_property
+    def _net_balls(self):
+        return _ball_incidence(self.net, self._vertices, self.radius)
+
+    def ball_masses(self, weights):
+        """The mass of each net point's ball of the net's spacing."""
+        return self._net_balls @ weights
+
+    def greedy_capture(self, mesh, weights, K):
+        """`_greedy_capture` of the vertex weights on the net."""
+        if self._candidates is None:
+            self._candidates = _capture_candidates(mesh, self._vertices,
+                                                   self.net, self.eps)
+        return _greedy_select(*self._candidates, weights, K)
+
+
+def _cover(mesh, eps):
+    """The `_Cover` of `mesh` at `eps`.  The mesh keeps one cover, for the
+    last eps asked for, and a new eps replaces it."""
+    cover = getattr(mesh, "_cover", None)
+    if cover is None or cover.eps != eps:
+        cover = mesh._cover = _Cover(mesh, eps)
+    return cover
 
 
 def _far_apart(cand, order, gap):
@@ -326,21 +387,19 @@ def spread_points(mesh, f_values, eps, K):
     eps-balls, and Spread (points far apart, each holding definite mass,
     with weighted count at least K + 1) otherwise.
     """
-    points, weights = density_atoms(mesh, f_values)
-    radius = eps / 6.0
-    net = _hex_net(mesh, radius)
-    mass_floor = eps / len(net)
+    _, weights = density_atoms(mesh, f_values)
+    cover = _cover(mesh, eps)
+    radius = cover.radius
 
     if K > 0:
-        family, flags, captured = _greedy_capture(mesh, points, weights,
-                                                  net, eps, K)
+        family, flags, captured = cover.greedy_capture(mesh, weights, K)
         if captured >= 1.0 - eps:
             return Concentrated(points=np.array(family),
                                 interior=np.array(flags, bool))
 
-    ball_mass = _ball_incidence(net, points, radius) @ weights
-    heavy = ball_mass >= mass_floor
-    cand = net[heavy]
+    ball_mass = cover.ball_masses(weights)
+    heavy = ball_mass >= cover.mass_floor
+    cand = cover.net[heavy]
     cand_mass = ball_mass[heavy]
 
     order = np.lexsort((cand[:, 1], cand[:, 0], -cand_mass))
@@ -351,7 +410,7 @@ def spread_points(mesh, f_values, eps, K):
 
     if weighted_count(interior) >= K + 1:
         return Spread(points=chosen, interior=interior,
-                      mass_floor=mass_floor, radius=radius)
+                      mass_floor=cover.mass_floor, radius=radius)
     # The far-apart construction itself stayed within budget, so its balls
     # capture the mass; boundary-tagged members move onto the boundary.
     witness = chosen.copy()

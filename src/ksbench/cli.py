@@ -15,9 +15,10 @@ A package error ends every subcommand with a one-line message on stderr
 and an exit code: 3 from `solve` whatever the error, and otherwise the code
 ERROR_EXITS gives its type (2 unusable input, 4 failed computation).  A bad
 option value exits 2 from every subcommand, as argparse does for a flag
-value of the wrong type: a --config value that does not convert to its
-option's type, a non-finite --beta or --rho, and a --lambda-grid that is
-not a list of finite positive scales (3 distinct for dirichlet_slope).
+value of the wrong type: a --config key that names no option of the
+subcommand, a --config value that does not convert to its option's type, a
+non-finite --beta or --rho, and a --lambda-grid that is not a list of
+finite positive scales (3 distinct for dirichlet_slope).
 """
 from __future__ import annotations
 
@@ -263,26 +264,38 @@ class _OptionError(ValueError):
     type that cannot be used."""
 
 
+def _subcommand_actions(parser):
+    """The option actions of each subcommand of `parser`, by name."""
+    subs = next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+    return {name: sub._actions for name, sub in subs.choices.items()}
+
+
 def _given_options(argv):
     """Destinations of the options set on the command line, as argparse
     reads them (so `--bet` counts as `--beta`): the command line parsed
     again with every default suppressed."""
     parser = build_parser()
-    subs = next(a for a in parser._actions
-                if isinstance(a, argparse._SubParsersAction))
-    for sub in subs.choices.values():
-        for action in sub._actions:
+    for actions in _subcommand_actions(parser).values():
+        for action in actions:
             action.default = argparse.SUPPRESS
     return set(vars(parser.parse_args(argv)))
 
 
 def _apply_config(args, argv):
     """Set each option from the --config file unless the command line
-    gives it."""
+    gives it.  A key must name an option of the subcommand (with dashes
+    or underscores), other than --config and --help."""
+    options = {action.dest for action
+               in _subcommand_actions(build_parser())[args.command]}
+    options -= {"config", "help"}
     given = _given_options(argv)
     for key, value in _read_config_file(args.config).items():
         attr = key.replace("-", "_")
-        if attr not in given and hasattr(args, attr):
+        if attr not in options:
+            raise _OptionError(f"{args.config}: {key!r} is not an option of "
+                               f"{args.command}")
+        if attr not in given:
             cur = getattr(args, attr)
             cast = type(cur) if cur is not None else str
             try:

@@ -2,18 +2,16 @@
 blow-up diagnostics."""
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
-from scipy.spatial import cKDTree
 
 from . import mesh as meshmod
 from . import spectrum, topology
 from .bubbles import (TestConfig, boundary_atom, interior_atom, make_measure,
                       phi_lambda)
-from .barycenter import JoinPoint
+from .barycenter import JoinPoint, _ball_incidence
 from .energy import EnergyFunctional, Field, Parameters, field_values
 from .errors import ConvergenceError, ResonanceError
 
@@ -322,28 +320,29 @@ def local_mass(model, u, p, radius):
     u = field_values(u)
     density = model.exp_density(u)
 
-    tri = mesh.triangles
-    n = mesh.num_vertices
-    nbr_max = np.full(n, -np.inf)
-    for a, b in itertools.permutations(range(3), 2):
-        np.maximum.at(nbr_max, tri[:, a], u[tri[:, b]])
+    # Two vertices share a triangle exactly when they share an edge.
+    a, b = mesh.edges.T
+    nbr_max = np.full(mesh.num_vertices, -np.inf)
+    np.maximum.at(nbr_max, a, u[b])
+    np.maximum.at(nbr_max, b, u[a])
     peaks = np.flatnonzero((u >= nbr_max) & (density > 2.0 / mesh.area))
     peaks = peaks[np.argsort(-u[peaks])]
 
     weights = mesh.lumped_masses() * density
     weights /= weights.sum()
-    tree = cKDTree(mesh.vertices)
-    bdist = meshmod.boundary_distances(mesh, mesh.vertices[peaks])
-    taken = np.zeros(n, bool)
+    points = mesh.vertices[peaks]
+    balls = _ball_incidence(points, mesh.vertices, radius)
+    masses = p.rho * (balls @ weights)
+    boundary = meshmod.boundary_distances(mesh, points) < radius / 4.0
+    # A peak inside the ball of a higher one is not a candidate.
+    taken = np.zeros(mesh.num_vertices, bool)
     candidates = []
-    for idx, peak_bdist in zip(peaks, bdist):
+    for k, idx in enumerate(peaks):
         if taken[idx]:
             continue
-        ball = tree.query_ball_point(mesh.vertices[idx], radius)
-        taken[ball] = True
-        mass = p.rho * weights[ball].sum()
-        tag = "boundary" if peak_bdist < radius / 4.0 else "interior"
-        candidates.append((mesh.vertices[idx].copy(), float(mass), tag))
+        taken[balls.indices[balls.indptr[k]:balls.indptr[k + 1]]] = True
+        candidates.append((points[k], float(masses[k]),
+                           "boundary" if boundary[k] else "interior"))
 
     interpretation = "none"
     for _, mass, _ in candidates:

@@ -290,6 +290,43 @@ def test_config_value_that_does_not_cast_exit_2(tmp_path, capsys):
         assert "beta" in err and "'x'" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "solve", "probe", "spectrum"])
+def test_config_key_naming_no_option_exits_2(command, capsys, tmp_path):
+    # A misspelt key, another subcommand's option or --config itself.
+    out = tmp_path / "out"
+    for key in ["bta", "steps" if command != "solve" else "probe", "config",
+                *(["format"] if command != "analyze" else [])]:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"rho = 2\n{key} = 3\n")
+        rc = cli.main([command, "--res", "8", "--eigs", "2", "--config",
+                       str(cfg), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"'{key}'" in err and command in err
+        assert not out.exists()
+
+
+def test_config_format_takes_effect_in_analyze(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = csv\nres = 8\n")
+    out = tmp_path / "r.csv"
+    rc = cli.main(["analyze", "--config", str(cfg), "--out", str(out)])
+    assert rc in (0, 1)
+    assert out.read_text().splitlines()[0] == "field,value"
+
+
+def test_config_dashed_key_sets_its_option(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda-grid = 10,20,40\nprobe = mt\n")
+    out = tmp_path / "probe.csv"
+    rc = cli.main(["probe", "--res", "16", "--config", str(cfg),
+                   "--out", str(out)])
+    assert rc in (0, 1)
+    lines = out.read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["10", "20", "40"]
+
+
 def test_config_loses_to_flag_with_equals_sign(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("beta = 3\nrho = 2\nres = 16\n")

@@ -1,10 +1,12 @@
 """Gradient flow, Newton polishing, Morse indices and blow-up diagnostics."""
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
+from scipy.spatial import cKDTree
 
 import test_mesh
 from ksbench import bubbles, mesh as meshmod, solver, spectrum, topology
@@ -199,6 +201,103 @@ def test_local_mass_quantization(disk128):
                              Parameters(beta=0.0, rho=10.0), radius=0.3)
     assert flat.interpretation == "none"
     assert not flat.candidate_points
+
+
+def _local_mass_oracle(model, u, p, radius):
+    """The former `local_mass`: neighbour maxima over the triangles' corner
+    pairs and one KD-tree ball query per peak."""
+    mesh = model.mesh
+    u = field_values(u)
+    density = model.exp_density(u)
+
+    tri = mesh.triangles
+    n = mesh.num_vertices
+    nbr_max = np.full(n, -np.inf)
+    for a, b in itertools.permutations(range(3), 2):
+        np.maximum.at(nbr_max, tri[:, a], u[tri[:, b]])
+    peaks = np.flatnonzero((u >= nbr_max) & (density > 2.0 / mesh.area))
+    peaks = peaks[np.argsort(-u[peaks])]
+
+    weights = mesh.lumped_masses() * density
+    weights /= weights.sum()
+    tree = cKDTree(mesh.vertices)
+    bdist = meshmod.boundary_distances(mesh, mesh.vertices[peaks])
+    taken = np.zeros(n, bool)
+    candidates = []
+    for idx, peak_bdist in zip(peaks, bdist):
+        if taken[idx]:
+            continue
+        ball = tree.query_ball_point(mesh.vertices[idx], radius)
+        taken[ball] = True
+        mass = p.rho * weights[ball].sum()
+        tag = "boundary" if peak_bdist < radius / 4.0 else "interior"
+        candidates.append((mesh.vertices[idx].copy(), float(mass), tag))
+
+    interpretation = "none"
+    for _, mass, _ in candidates:
+        if abs(mass - 8.0 * np.pi) <= 0.15 * 8.0 * np.pi:
+            interpretation = "interior_like"
+            break
+        if abs(mass - 4.0 * np.pi) <= 0.15 * 4.0 * np.pi:
+            interpretation = "boundary_like"
+            break
+    return solver.BlowupDiagnostic(candidate_points=candidates,
+                                   interpretation=interpretation)
+
+
+def _assert_same_diagnostic(got, want):
+    # A CSR row sums a ball in another order than `weights[ball].sum()`.
+    assert got.interpretation == want.interpretation
+    assert len(got.candidate_points) == len(want.candidate_points)
+    for (x, m, tag), (x0, m0, tag0) in zip(got.candidate_points,
+                                           want.candidate_points):
+        assert np.array_equal(x, x0)
+        assert tag == tag0
+        assert m == pytest.approx(m0, rel=1e-12, abs=0.0)
+
+
+def _peaky_field(mesh, rng):
+    """A sum of bubbles of random height and width at random vertices,
+    boundary ones included, over low noise."""
+    v = mesh.vertices
+    centers = v[rng.choice(len(v), size=rng.integers(1, 5))]
+    u = 0.1 * rng.standard_normal(len(v))
+    for c in centers:
+        width = rng.uniform(0.02, 0.3)
+        u += rng.uniform(0.5, 8.0) * np.exp(-((v - c) ** 2).sum(axis=1)
+                                            / width ** 2)
+    return u
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
+def test_local_mass_matches_oracle_on_oracle_meshes(name):
+    mesh = ORACLE_MESHES[name]
+    model = EnergyFunctional.for_mesh(mesh)
+    rng = np.random.default_rng(3)
+    for _ in range(6):
+        u = _peaky_field(mesh, rng)
+        p = Parameters(beta=0.0, rho=rng.uniform(1.0, 40.0))
+        for radius in (0.05, 0.15, 0.3):
+            _assert_same_diagnostic(solver.local_mass(model, u, p, radius),
+                                    _local_mass_oracle(model, u, p, radius))
+
+
+def test_local_mass_matches_oracle_on_bubbles(disk128):
+    # The quantization fixtures of `test_local_mass_quantization`, the flat
+    # field and a flat plateau (every vertex its own neighbours' maximum).
+    model = EnergyFunctional.for_mesh(disk128)
+    interior = bubbles.make_measure([np.array([0.0, 0.0])], [True])
+    boundary = bubbles.make_measure([bubbles.boundary_atom(disk128)], [False])
+    r = np.linalg.norm(disk128.vertices, axis=1)
+    fields = [(bubbles.bubble_values(interior, 40.0, disk128), 8 * np.pi),
+              (bubbles.bubble_values(boundary, 40.0, disk128), 4 * np.pi),
+              (np.zeros(disk128.num_vertices), 10.0),
+              (np.where(r < 0.3, 1.0, 0.0), 10.0)]
+    for u, rho in fields:
+        p = Parameters(beta=0.0, rho=rho)
+        for radius in (0.1, 0.3):
+            _assert_same_diagnostic(solver.local_mass(model, u, p, radius),
+                                    _local_mass_oracle(model, u, p, radius))
 
 
 def test_triviality_tol_scales_with_parameters():
