@@ -187,8 +187,14 @@ def bl_distance(mu, nu, prune=1e-10):
     cols = np.tile(np.arange(m), 2)
     A = sp.csr_matrix((np.ones(2 * m), (rows, cols)),
                       shape=(len(a) + len(b), m))
+    # At HiGHS's default tolerances, 1e-7, a pair closer to the cap than
+    # that looks unprofitable and a plan may overshoot a weight by that
+    # much, each moving the distance by up to 1e-7 per unit weight; 1e-10,
+    # the tightest HiGHS accepts, keeps the error near 1e-10.
     res = linprog(pairs["v"] - 2.0, A_ub=A, b_ub=np.concatenate([a, b]),
-                  bounds=(0.0, None), method="highs")
+                  bounds=(0.0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
     if not res.success:
         raise RuntimeError(f"bounded-Lipschitz LP failed: {res.message}")
     return float(a.sum() + b.sum() + res.fun)

@@ -407,6 +407,13 @@ def _measure_pair(draw):
 @hypothesis.example(pair=((np.zeros((2, 2)), np.ones(2)),
                           (np.array([[0.0, 2.0 ** -24]]), np.ones(1))),
                     prune=1e-10)
+# A pair 7.6e-8 inside the cap, whose transport cost is below HiGHS's
+# default dual feasibility tolerance.
+@hypothesis.example(pair=((np.array([[0.0, 0.0], [0.5, 1.0],
+                                     [2.0, 7.57384352e-08]]),
+                           np.array([2.0, 0.5, 1.0])),
+                          (np.array([[2.0, 2.0]]), np.ones(1))),
+                    prune=1e-10)
 def test_bl_distance_matches_dual_lp(pair, prune):
     mu, nu = pair
     assert bc.bl_distance(mu, nu, prune) == pytest.approx(
