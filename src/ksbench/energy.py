@@ -1,9 +1,11 @@
 """The mean-field energy functional and its first two derivatives.
 
-All fields are zero-mean P1 functions.  Nonlinear integrals of e^u use a
-3-point (edge-midpoint) Gauss rule per triangle, evaluated with a log-sum-exp
-shift so that nothing overflows.  Gradient and Hessian actions are returned
-as mass representers (Riesz vectors in the discrete L2 inner product).
+All fields are zero-mean P1 functions.  Nonlinear integrals of e^u use the
+edge-midpoint rule: one node per mesh edge, weighing a third of the area of
+each triangle on it (each triangle's 3-point rule, shared nodes merged),
+with a log-sum-exp shift so that nothing overflows.  Gradient and Hessian
+actions are returned as mass representers (Riesz vectors in the discrete L2
+inner product).
 """
 from __future__ import annotations
 
@@ -45,17 +47,17 @@ class Evaluation:
     the residual) and gradient norm of one field.
 
     The energy is computed at once, the other three on first read from the
-    same K u, M u and quadrature values, so a caller that reads only the
-    energy (a rejected flow trial) pays no residual and no mass solve.
+    same K u + beta M u and quadrature values, so a caller that reads only
+    the energy (a rejected flow trial) pays no residual and no mass solve.
     Iterating yields the four in that order.
     """
 
-    def __init__(self, model, u, p, Ku, Mu, s, vals):
+    def __init__(self, model, u, p, Au, s, vals):
         self._model, self._u, self._p = model, u, p
-        self._Ku, self._Mu, self._vals = Ku, Mu, vals
+        self._Au, self._vals = Au, vals
         self._total = float(vals.sum())
         self._defined = bool(np.all(np.isfinite(u))) and self._total > 0.0
-        self.energy = model._energy(u, Ku, Mu, s, self._total, p)
+        self.energy = model._energy(u, Au, s, self._total, p)
 
     def __iter__(self):
         return iter((self.energy, self.residual, self.gradient,
@@ -67,7 +69,7 @@ class Evaluation:
             return np.full_like(self._u, np.nan)
         model, p = self._model, self._p
         w = model._exp_weights(self._vals, len(self._u))
-        return self._Ku + p.beta * self._Mu - p.rho * (
+        return self._Au - p.rho * (
             w / self._total - model.lumped / model.area)
 
     @cached_property
@@ -92,12 +94,13 @@ class EnergyFunctional:
         self.stiffness, self.mass = ops.stiffness, ops.mass
         self.area = mesh.area
         self.lumped = np.asarray(self.mass.sum(axis=1)).ravel()  # int of hats
-        t = mesh.triangles
-        # Quadrature nodes are the three edge midpoints of each triangle.
-        self._qa = t[:, [0, 1, 2]].ravel()
-        self._qb = t[:, [1, 2, 0]].ravel()
-        self._qab = np.concatenate([self._qa, self._qb])
-        self._qw = np.repeat(mesh.triangle_areas / 3.0, 3)
+        # One node per edge midpoint, weighing |T| / 3 per triangle T on it.
+        self._qab = mesh.edges.T.ravel()
+        self._qa, self._qb = np.split(self._qab, 2)
+        self._qw = np.bincount(mesh.triangle_edges.ravel(),
+                               weights=np.repeat(mesh.triangle_areas / 3.0, 3),
+                               minlength=len(mesh.edges))
+        self._a_beta = (None, None)
 
     @classmethod
     def for_mesh(cls, mesh):
@@ -138,7 +141,7 @@ class EnergyFunctional:
     # -- exponential quadrature --------------------------------------------
 
     def _exp_vals(self, u):
-        """Shift s and the shifted quadrature values exp(u_q - s) |T| / 3."""
+        """Shift s and the shifted quadrature values exp(u_q - s) w_q."""
         s = float(u.max(initial=0.0))
         return s, np.exp(0.5 * (u[self._qa] + u[self._qb]) - s) * self._qw
 
@@ -146,7 +149,7 @@ class EnergyFunctional:
         """Shift s, shifted quad values, shifted vertex vector w, shifted total W.
 
         w_i = exp(-s) * int e^u phi_i and W = exp(-s) * int e^u under the
-        3-point rule, so any ratio of them is shift-free.
+        edge-midpoint rule, so any ratio of them is shift-free.
         """
         s, vals = self._exp_vals(u)
         return s, vals, self._exp_weights(vals, len(u)), float(vals.sum())
@@ -172,26 +175,35 @@ class EnergyFunctional:
     # -- functional, gradient, Hessian --------------------------------------
 
     @staticmethod
-    def _energy(u, Ku, Mu, s, total, p):
-        """J(u) from K u, M u and the shifted quadrature total W."""
-        return float(0.5 * (u @ Ku + p.beta * (u @ Mu))
-                     - p.rho * (s + float(np.log(total))))
+    def _energy(u, Au, s, total, p):
+        """J(u) from A_beta u and the shifted quadrature total W."""
+        return float(0.5 * (u @ Au) - p.rho * (s + float(np.log(total))))
+
+    def _shifted_stiffness(self, beta):
+        """A_beta = K + beta M on M's pattern, which K shares; the model
+        keeps only the one of the last beta asked for."""
+        if self._a_beta[0] != beta:
+            M = self.mass
+            self._a_beta = (beta, sp.csr_matrix(
+                (self.stiffness.data + beta * M.data, M.indices, M.indptr),
+                shape=M.shape))
+        return self._a_beta[1]
 
     def evaluate(self, u, p):
-        """The `Evaluation` of u: one exponential quadrature, one K @ u and
-        one M @ u serve all four values, and one mass solve the gradient
-        and its norm; each is bit-identical to what `energy`, `residual`,
-        `gradient` and `gradient_norm` return.  For a non-finite u, or a
-        quadrature that underflows to zero, the residual, gradient and
-        gradient norm are NaN; the energy is whatever its formula gives
-        (NaN, or an infinity on underflow), without a warning.
+        """The `Evaluation` of u: one exponential quadrature and one
+        product A_beta @ u serve all four values, and one mass solve the
+        gradient and its norm; each is bit-identical to what `energy`,
+        `residual`, `gradient` and `gradient_norm` return.  For a
+        non-finite u, or a quadrature that underflows to zero, the
+        residual, gradient and gradient norm are NaN; the energy is
+        whatever its formula gives (NaN, or an infinity on underflow),
+        without a warning.
         """
         u = field_values(u)
-        Ku = self.stiffness @ u
-        Mu = self.mass @ u
+        Au = self._shifted_stiffness(p.beta) @ u
         with np.errstate(divide="ignore", invalid="ignore"):
             s, vals = self._exp_vals(u)
-            return Evaluation(self, u, p, Ku, Mu, s, vals)
+            return Evaluation(self, u, p, Au, s, vals)
 
     def energy(self, u, p):
         """The energy alone: one quadrature and the quadratic form, no
@@ -251,18 +263,17 @@ class EnergyFunctional:
         """The data of E_ab = exp(-s) int e^u phi_a phi_b on the mass
         matrix's pattern, from the shifted quadrature values.
 
-        Each value adds a quarter to the four entries of its edge's ends,
-        so an edge's two off-diagonal entries are the sum of the quarters
-        of its (one or two) values, and a vertex's diagonal the sum of the
-        quarters of the values on its edges.  The diagonal is not w / 2:
-        halving w rounds subnormal values differently.
+        Each edge's value adds a quarter to the four entries of its ends,
+        so an edge's two off-diagonal entries are its own quarter value,
+        and a vertex's diagonal the sum of the quarters of the values on its
+        edges.  The diagonal is not w / 2: halving w rounds subnormal values
+        differently.
         """
         quarter = 0.25 * quad_vals
         return np.concatenate([
             np.bincount(self._qab, weights=np.concatenate([quarter, quarter]),
                         minlength=self.mesh.num_vertices),
-            np.bincount(self.mesh.triangle_edges.ravel(), weights=quarter,
-                        minlength=len(self.mesh.edges))])[self._exp_entries]
+            quarter])[self._exp_entries]
 
     def hessian_operator(self, u, p):
         """Sparse part A0 and rank-one data (c, w) with J''(u) = A0 + c w w^T.
@@ -273,7 +284,7 @@ class EnergyFunctional:
         u = field_values(u)
         _, quad_vals, w, total = self._exp_quad(u)
         M = self.mass
-        data = (self.stiffness.data + p.beta * M.data
+        data = (self._shifted_stiffness(p.beta).data
                 - (p.rho / total) * self._exp_mass(quad_vals))
         # A0 gets its own index arrays, so that no caller can alter M's.
         A0 = sp.csr_matrix((data, M.indices.copy(), M.indptr.copy()),

@@ -9,7 +9,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ksbench import mesh as meshmod, solver, spectrum
-from ksbench.energy import EnergyFunctional, Parameters, project_pi
+from ksbench.energy import (EnergyFunctional, Evaluation, Parameters,
+                            field_values, project_pi)
 from test_mesh import ORACLE_MESHES, _graded_square
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -125,60 +126,152 @@ def test_project_pi_is_orthogonal_projection(square64, square64_basis):
     assert np.allclose(c, expected, atol=1e-10)
 
 
-def _exp_quad_add_at(model, u):
-    """The former `_exp_quad`: w scattered by two np.add.at calls."""
+def _triangle_rule(mesh):
+    """The former quadrature, from the mesh's triangles alone: a node at
+    each triangle's three edge midpoints, as the ends (a, b) of each node's
+    side and its weight |T| / 3."""
+    t = mesh.triangles
+    return (t.ravel(), t[:, [1, 2, 0]].ravel(),
+            np.repeat(mesh.triangle_areas / 3.0, 3))
+
+
+def _edge_rule(mesh):
+    """The edge-midpoint rule by np.add.at: a node at each mesh edge's
+    midpoint, weighing |T| / 3 for each triangle T on that edge."""
+    qw = np.zeros(len(mesh.edges))
+    np.add.at(qw, mesh.triangle_edges.ravel(),
+              np.repeat(mesh.triangle_areas / 3.0, 3))
+    return mesh.edges[:, 0], mesh.edges[:, 1], qw
+
+
+def _exp_quad_add_at(u, rule):
+    """`_exp_quad` under a rule (a, b, weights): w scattered by two
+    np.add.at calls."""
+    a, b, qw = rule
     s = float(u.max(initial=0.0))
-    vals = np.exp(0.5 * (u[model._qa] + u[model._qb]) - s) * model._qw
+    vals = np.exp(0.5 * (u[a] + u[b]) - s) * qw
     w = np.zeros(len(u))
-    np.add.at(w, model._qa, 0.5 * vals)
-    np.add.at(w, model._qb, 0.5 * vals)
+    np.add.at(w, a, 0.5 * vals)
+    np.add.at(w, b, 0.5 * vals)
     return s, vals, w, float(vals.sum())
 
 
-def _energy_oracle(model, u, p):
-    """The former `energy`."""
-    quad = 0.5 * (u @ (model.stiffness @ u) + p.beta * (u @ (model.mass @ u)))
-    s, _, _, total = _exp_quad_add_at(model, u)
+def _shifted_product(model, u, p, one_product):
+    """K u + beta M u and the quadratic part of the energy: from one
+    product with A_beta = K + beta M on M's pattern, as `evaluate` takes
+    them, or from K @ u and M @ u, as the former `energy` and `residual`
+    took them."""
+    K, M = model.stiffness, model.mass
+    if one_product:
+        Au = sp.csr_matrix((K.data + p.beta * M.data, M.indices, M.indptr),
+                           shape=M.shape) @ u
+        return Au, 0.5 * (u @ Au)
+    Ku, Mu = K @ u, M @ u
+    return Ku + p.beta * Mu, 0.5 * (u @ Ku + p.beta * (u @ Mu))
+
+
+def _energy_oracle(model, u, p, rule, one_product):
+    """The former `energy` under a quadrature rule."""
+    _, quad = _shifted_product(model, u, p, one_product)
+    s, _, _, total = _exp_quad_add_at(u, rule)
     return float(quad - p.rho * (s + float(np.log(total))))
 
 
-def _residual_oracle(model, u, p):
-    """The former `residual`."""
-    if not np.all(np.isfinite(u)):
-        return np.full_like(u, np.nan)
-    _, _, w, total = _exp_quad_add_at(model, u)
-    if total <= 0.0:
-        return np.full_like(u, np.nan)
-    return (model.stiffness @ u + p.beta * (model.mass @ u)
-            - p.rho * (w / total - model.lumped / model.area))
+def _evaluation_oracle(model, u, p, rule, one_product):
+    """The former `energy`, `residual`, `gradient` (as vertex values) and
+    `gradient_norm` under a quadrature rule."""
+    Au, _ = _shifted_product(model, u, p, one_product)
+    _, _, w, total = _exp_quad_add_at(u, rule)
+    if not np.all(np.isfinite(u)) or total <= 0.0:
+        r = np.full_like(u, np.nan)
+    else:
+        r = Au - p.rho * (w / total - model.lumped / model.area)
+    g = model._mass_solve(r)
+    return (_energy_oracle(model, u, p, rule, one_product), r,
+            model.project_zero_mean(g), float(np.sqrt(max(r @ g, 0.0))))
 
 
-def _gradient_oracle(model, u, p):
-    """The former `gradient`, as vertex values."""
-    g = model._mass_solve(_residual_oracle(model, u, p))
-    return model.project_zero_mean(g)
+def _assert_matches_triangle_rule(model, u, p, got):
+    """`got`, the energy of u or all four values of its evaluation, against
+    the per-triangle oracle.
+
+    Non-finite values lie at the same places.  For a finite u NaN lies at
+    the same places and the infinities are equal; for a non-finite u the
+    order in which infinities meet in the quadratic form decides between
+    NaN and an infinity, and regrouping may change it.  Regrouping the rule
+    by edges moves each node value by a few ulps, so the finite values
+    agree to 1e-12 of a scale: the energy's is the size of its terms
+    |u^T A u / 2| + |rho| (1 + |s| + |log W|), each vector's its own
+    max-norm.  Where either rule's shifted total W is below the smallest
+    normal float, its node values are subnormal and round by absolute
+    amounts, so that a node may round to zero under one rule only (W = 0
+    against W = 5e-324 happens); there nothing is compared."""
+    rule = _triangle_rule(model.mesh)
+    with np.errstate(all="ignore"):
+        s, _, _, total = _exp_quad_add_at(u, rule)
+        edge_total = _exp_quad_add_at(u, _edge_rule(model.mesh))[3]
+        if len(got) == 1:
+            want = (_energy_oracle(model, u, p, rule, one_product=False),)
+        else:
+            want = _evaluation_oracle(model, u, p, rule, one_product=False)
+        quad = _shifted_product(model, u, p, one_product=False)[1]
+    if not min(total, edge_total) >= np.finfo(float).tiny:
+        return
+    scales = [abs(quad) + abs(p.rho) * (1.0 + abs(s) + abs(np.log(total)))]
+    for g, w in zip(got, want):
+        g, w = np.asarray(g), np.asarray(w)
+        finite = np.isfinite(w)
+        assert np.array_equal(np.isfinite(g), finite)
+        if np.all(np.isfinite(u)):
+            assert np.array_equal(g[~finite], w[~finite], equal_nan=True)
+        scale = scales[0] if w.ndim == 0 else np.abs(w[finite]).max(initial=0)
+        assert np.all(np.abs(g[finite] - w[finite]) <= 1e-12 * scale)
 
 
-def _gradient_norm_oracle(model, u, p):
-    """The former `gradient_norm`."""
-    r = _residual_oracle(model, u, p)
-    return float(np.sqrt(max(r @ model._mass_solve(r), 0.0)))
+class TriangleRuleModel(EnergyFunctional):
+    """The model under the former quadrature and products: three nodes per
+    triangle (`_triangle_rule`), E's off-diagonal entry on an edge summed
+    from the values of its one or two sides, and K u + beta M u from
+    K @ u and M @ u."""
+
+    def __init__(self, mesh):
+        super().__init__(mesh)
+        self._qa, self._qb, self._qw = _triangle_rule(mesh)
+        self._qab = np.concatenate([self._qa, self._qb])
+
+    def evaluate(self, u, p):
+        u = field_values(u)
+        Au = self.stiffness @ u + p.beta * (self.mass @ u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s, vals = self._exp_vals(u)
+            return Evaluation(self, u, p, Au, s, vals)
+
+    def _exp_mass(self, quad_vals):
+        quarter = 0.25 * quad_vals
+        return np.concatenate([
+            np.bincount(self._qab, weights=np.concatenate([quarter, quarter]),
+                        minlength=self.mesh.num_vertices),
+            np.bincount(self.mesh.triangle_edges.ravel(), weights=quarter,
+                        minlength=len(self.mesh.edges))])[self._exp_entries]
 
 
 def _exp_mass_matrix(model, u, quad_vals):
-    """The former per-step COO build of E_ab = exp(-s) int e^u phi_a phi_b."""
+    """The former per-step COO build of E_ab = exp(-s) int e^u phi_a phi_b
+    from the per-triangle quadrature values."""
     n = len(u)
     q = 0.25 * quad_vals
-    rows = np.concatenate([model._qa, model._qa, model._qb, model._qb])
-    cols = np.concatenate([model._qa, model._qb, model._qa, model._qb])
+    qa, qb, _ = _triangle_rule(model.mesh)
+    rows = np.concatenate([qa, qa, qb, qb])
+    cols = np.concatenate([qa, qb, qa, qb])
     data = np.concatenate([q, q, q, q])
     return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def _bordered_oracle(model, u, p, sigma):
-    """The former Hessian assembly: A0 from `_exp_mass_matrix` and sparse
-    sums, then [[A0 - sigma M, m], [m^T, 0]] by sp.bmat."""
-    _, quad_vals, _, total = _exp_quad_add_at(model, u)
+    """The former Hessian assembly under the per-triangle rule: A0 from
+    `_exp_mass_matrix` and sparse sums, then [[A0 - sigma M, m], [m^T, 0]]
+    by sp.bmat."""
+    _, quad_vals, _, total = _exp_quad_add_at(u, _triangle_rule(model.mesh))
     E = _exp_mass_matrix(model, u, quad_vals)
     A0 = (model.stiffness + p.beta * model.mass - (p.rho / total) * E).tocsr()
     m = model.lumped
@@ -225,11 +318,11 @@ def test_evaluate_matches_oracles(name, kind, seed, log_amp, beta, rho):
         warnings.simplefilter("error")
         ev = model.evaluate(u, p)
     with np.errstate(all="ignore"):
-        expected = (_energy_oracle(model, u, p), _residual_oracle(model, u, p),
-                    _gradient_oracle(model, u, p),
-                    _gradient_norm_oracle(model, u, p))
-    for got, want in zip(ev, expected):
+        edges = _evaluation_oracle(model, u, p, _edge_rule(model.mesh),
+                                   one_product=True)
+    for got, want in zip(ev, edges):
         assert np.array_equal(got, want, equal_nan=True)
+    _assert_matches_triangle_rule(model, u, p, tuple(ev))
     # The public methods are views of the same pass.
     assert np.array_equal(model.energy(u, p), ev.energy, equal_nan=True)
     assert np.array_equal(model.residual(u, p), ev.residual, equal_nan=True)
@@ -240,12 +333,71 @@ def test_evaluate_matches_oracles(name, kind, seed, log_amp, beta, rho):
 
 
 def test_exp_quad_matches_add_at(square64_model):
+    mesh = square64_model.mesh
     rng = np.random.default_rng(9)
+    tiny = np.nextafter(0.0, 1.0)
     for amp in (1e-3, 1.0, 30.0, 1e3):
-        u = amp * rng.standard_normal(square64_model.mesh.num_vertices)
-        for got, want in zip(square64_model._exp_quad(u),
-                             _exp_quad_add_at(square64_model, u)):
-            assert np.array_equal(got, want)
+        u = amp * rng.standard_normal(mesh.num_vertices)
+        got = square64_model._exp_quad(u)
+        for g, want in zip(got, _exp_quad_add_at(u, _edge_rule(mesh))):
+            assert np.array_equal(g, want)
+        # Against the per-triangle rule, with each triangle's side values
+        # summed into its edge's: a node value moves by a few ulps, or by a
+        # few units of the smallest subnormal where it is subnormal, and so
+        # do the sums over nodes.
+        s, vals, w, total = _exp_quad_add_at(u, _triangle_rule(mesh))
+        assert got[0] == s
+        per_edge = np.bincount(mesh.triangle_edges.ravel(), weights=vals,
+                               minlength=len(mesh.edges))
+        assert np.all(np.abs(got[1] - per_edge)
+                      <= 1e-15 * np.abs(per_edge) + 3 * tiny)
+        slack = len(vals) * 3 * tiny
+        assert np.all(np.abs(got[2] - w) <= 1e-13 * np.abs(w).max() + slack)
+        assert abs(got[3] - total) <= 1e-13 * total + slack
+
+
+@pytest.mark.parametrize("name", ["unit_square", "disk", "annulus"])
+@pytest.mark.parametrize("res", [8, 45, 128])
+def test_edge_nodes_carry_the_triangle_rule_weights(name, res):
+    mesh = meshmod.build_builtin(name, res)
+    model = EnergyFunctional(mesh)
+    assert abs(model._qw.sum() - mesh.area) <= 1e-14 * mesh.area
+    # An edge's triangles are those holding both of its ends: one for a
+    # boundary edge, two for an interior one.
+    n, t = mesh.num_vertices, len(mesh.triangles)
+    holds = sp.csr_matrix((np.ones(3 * t), mesh.triangles.ravel(),
+                           np.arange(0, 3 * t + 1, 3)), shape=(t, n)).T.tocsr()
+    a, b = mesh.edges.T
+    both = holds[a].multiply(holds[b]).tocsr()
+    bnd = np.sort(mesh.boundary_edges, axis=1)
+    on_boundary = np.isin(a * n + b, bnd[:, 0] * n + bnd[:, 1])
+    assert np.array_equal(np.diff(both.indptr), np.where(on_boundary, 1, 2))
+    assert np.array_equal(model._qw, both @ (mesh.triangle_areas / 3.0))
+    # The rule integrates a constant exactly.
+    for c in (-2.0, 0.0, 3.5):
+        s, vals = model._exp_vals(np.full(n, c))
+        assert np.exp(s) * vals.sum() == pytest.approx(np.exp(c) * mesh.area,
+                                                       rel=1e-14)
+
+
+def test_one_shifted_stiffness_for_the_last_beta():
+    mesh = meshmod.build_builtin("disk", 16)
+    model = EnergyFunctional(mesh)
+    K, M = model.stiffness, model.mass
+    # A_beta lives on M's pattern, which K shares.
+    assert np.array_equal(K.indptr, M.indptr)
+    assert np.array_equal(K.indices, M.indices)
+    u = model.project_zero_mean(np.random.default_rng(6).standard_normal(
+        mesh.num_vertices))
+    held = {}
+    for beta in (-5.0, 2.0, 2.0, -5.0):
+        model.evaluate(u, Parameters(beta=beta, rho=1.0))
+        A = model._a_beta[1]
+        assert model._a_beta[0] == beta
+        assert np.array_equal(A.data, K.data + beta * M.data)
+        held.setdefault(beta, []).append(A)
+    assert held[2.0][0] is held[2.0][1]
+    assert held[-5.0][0] is not held[-5.0][1]
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
@@ -286,7 +438,10 @@ def test_energy_alone_matches_oracle(name, kind, seed, log_amp, beta, rho):
         warnings.simplefilter("error")
         e = model.energy(u, p)
     with np.errstate(all="ignore"):
-        assert np.array_equal(e, _energy_oracle(model, u, p), equal_nan=True)
+        edges = _energy_oracle(model, u, p, _edge_rule(model.mesh),
+                               one_product=True)
+    assert np.array_equal(e, edges, equal_nan=True)
+    _assert_matches_triangle_rule(model, u, p, (e,))
 
 
 def _hessian_cases(name, sigma):
@@ -349,7 +504,8 @@ def _bordered_pattern_oracle(model):
     """The former `_bordered_pattern`: the CSC pattern of [[A, m], [m^T, 0]]
     for A on the mass matrix's pattern, the data positions of A's entries
     and of the border, and the entry of A that each quadrature term of E
-    adds to, by a search of the pattern's row-major keys."""
+    adds to, by a search of the pattern's row-major keys.  The quadrature
+    nodes are the mesh's edges."""
     M = model.mass
     n, nnz = M.shape[0], M.nnz
     cols = np.arange(n)
@@ -362,8 +518,9 @@ def _bordered_pattern_oracle(model):
     indices[nnz + n:] = cols
     indptr = np.append(M.indptr + np.arange(n + 1), nnz + 2 * n)
     keys = row_of * n + M.indices
-    rows = np.concatenate([model._qa, model._qa, model._qb, model._qb])
-    cols_q = np.concatenate([model._qa, model._qb, model._qa, model._qb])
+    qa, qb = model.mesh.edges.T
+    rows = np.concatenate([qa, qa, qb, qb])
+    cols_q = np.concatenate([qa, qb, qa, qb])
     return (indptr, indices, block, border,
             np.searchsorted(keys, rows * n + cols_q))
 

@@ -9,6 +9,7 @@ from scipy.linalg import eigh
 from scipy.spatial import cKDTree
 
 import test_mesh
+from test_energy import TriangleRuleModel
 from ksbench import bubbles, mesh as meshmod, solver, spectrum, topology
 from ksbench.barycenter import JoinPoint
 from ksbench.energy import EnergyFunctional, Field, Parameters, field_values
@@ -388,6 +389,44 @@ def test_flow_matches_oracle_and_newton_is_quiet(name, kind):
         assert (got.energy, got.residual, got.iterations, got.classification) \
             == (want.energy, want.residual, want.iterations,
                 want.classification)
+
+
+def test_flow_and_newton_decide_as_under_the_triangle_rule():
+    # The edge rule regroups the per-triangle rule's sums, so flow and
+    # Newton take the same decisions at the same energies to rounding.
+    # The smooth seed at rho = -20 nears the flow tolerance where a step
+    # lowers the energy by less than its rounding, and the flow's test
+    # e_trial <= e then decides on the last ulp: 565 steps under the edge
+    # rule and 527 under the triangle rule end at the same state, so the
+    # smooth seeds' step counts are not compared.
+    mesh = ORACLE_MESHES["disk"]
+    models = EnergyFunctional.for_mesh(mesh), TriangleRuleModel(mesh)
+    x, y = mesh.vertices.T
+    for seed, p in enumerate(FLOW_PARAMS):
+        for kind in ("noise", "bubble", "smooth"):
+            u0 = (0.5 * np.cos(np.pi * x) * np.cos(np.pi * y)
+                  if kind == "smooth" else _oracle_field(mesh, kind, seed))
+            runs = []
+            for model in models:
+                flowed = solver.flow(model, model.field(u0), p, 600)
+                try:
+                    res = solver.newton(model, flowed.u, p, damped=True,
+                                        max_iter=60)
+                    newton = res.classification, res.iterations, res.energy
+                except ConvergenceError as exc:
+                    newton = str(exc), None, None
+                runs.append((flowed.iterations,
+                             (flowed.classification, newton[:2]),
+                             (flowed.energy, newton[2])))
+            (steps, decisions, energies), (old_steps, old_decisions,
+                                           old_energies) = runs
+            assert decisions == old_decisions
+            if kind != "smooth":
+                assert steps == old_steps
+            for e, e_old in zip(energies, old_energies):
+                assert (e is None) == (e_old is None)
+                if e is not None:
+                    assert abs(e - e_old) <= 1e-12 * abs(e_old)
 
 
 @pytest.mark.parametrize("p", FLOW_PARAMS)
