@@ -149,18 +149,17 @@ def boundary_atom(mesh):
     fixture vertex maximizes the distance to the nearest corner; on smooth
     discrete boundaries (no corners) the first boundary vertex is used.
     """
-    edges = mesh.boundary_edges
-    succ = {int(a): int(b) for a, b in edges}
-    nodes = np.array(sorted(succ))
-    prev = {b: a for a, b in succ.items()}
+    a, b = mesh.boundary_edges.T
     pts = mesh.vertices
-    turn = np.empty(len(nodes))
-    for i, v in enumerate(nodes):
-        e_in = pts[v] - pts[prev[v]]
-        e_out = pts[succ[v]] - pts[v]
-        cosang = (e_in @ e_out) / (np.linalg.norm(e_in) * np.linalg.norm(e_out))
-        turn[i] = np.arccos(np.clip(cosang, -1.0, 1.0))
-    corners = nodes[turn > 0.2]
+    # Boundary vertex nodes[i] is entered by edge into[i] and left by
+    # edge out[i]: each is the head of one edge and the tail of another.
+    out, into = np.argsort(a), np.argsort(b)
+    nodes = a[out]
+    e_in = pts[b[into]] - pts[a[into]]
+    e_out = pts[b[out]] - pts[a[out]]
+    cosang = (np.einsum("ij,ij->i", e_in, e_out)
+              / (np.linalg.norm(e_in, axis=1) * np.linalg.norm(e_out, axis=1)))
+    corners = nodes[np.arccos(np.clip(cosang, -1.0, 1.0)) > 0.2]
     if len(corners) == 0:
         return pts[nodes[0]].copy()
     d2 = ((pts[nodes][:, None, :] - pts[corners][None, :, :]) ** 2).sum(axis=2)

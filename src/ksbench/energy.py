@@ -68,7 +68,7 @@ class Evaluation:
         if not self._defined:
             return np.full_like(self._u, np.nan)
         model, p = self._model, self._p
-        w = model._exp_weights(self._vals, len(self._u))
+        w = model._at_ends(0.5 * self._vals)
         return self._Au - p.rho * (
             w / self._total - model.lumped / model.area)
 
@@ -92,8 +92,9 @@ class EnergyFunctional:
         self.mesh = mesh
         ops = spectrum.operators(mesh)
         self.stiffness, self.mass = ops.stiffness, ops.mass
+        self._source = ops.source
         self.area = mesh.area
-        self.lumped = np.asarray(self.mass.sum(axis=1)).ravel()  # int of hats
+        self.lumped = mesh.lumped_masses()
         # One node per edge midpoint, weighing |T| / 3 per triangle T on it.
         self._qab = mesh.edges.T.ravel()
         self._qa, self._qb = np.split(self._qab, 2)
@@ -152,14 +153,15 @@ class EnergyFunctional:
         edge-midpoint rule, so any ratio of them is shift-free.
         """
         s, vals = self._exp_vals(u)
-        return s, vals, self._exp_weights(vals, len(u)), float(vals.sum())
+        return s, vals, self._at_ends(0.5 * vals), float(vals.sum())
 
-    def _exp_weights(self, vals, n):
-        """The vertex vector w of `_exp_quad` from the quadrature values:
-        each value is split between the two ends of its edge."""
-        half = 0.5 * vals
-        return np.bincount(self._qab, weights=np.concatenate([half, half]),
-                           minlength=n)
+    def _at_ends(self, node_vals):
+        """Each quadrature node's value added to both ends of its edge: from
+        half the quadrature values w of `_exp_quad`, from a quarter E's
+        diagonal."""
+        return np.bincount(self._qab,
+                           weights=np.concatenate([node_vals, node_vals]),
+                           minlength=self.mesh.num_vertices)
 
     def log_int_exp(self, u):
         u = field_values(u)
@@ -221,47 +223,28 @@ class EnergyFunctional:
         return self.evaluate(u, p).gradient_norm
 
     @cached_property
-    def _exp_entries(self):
-        """Which value of concat([E's diagonal, E's edge values]) each entry
-        of the mass matrix's pattern holds: vertex i's diagonal holds value
-        i, and both off-diagonal entries of the mesh's edge k value n + k.
-        The edges are sorted by the key lo n + hi, so a search finds them."""
-        M = self.mass
-        n = M.shape[0]
-        row = np.repeat(np.arange(n), np.diff(M.indptr))
-        lo, hi = np.minimum(row, M.indices), np.maximum(row, M.indices)
-        edges = self.mesh.edges
-        edge = np.searchsorted(edges[:, 0] * n + edges[:, 1], lo * n + hi)
-        return np.where(lo == hi, row, n + edge)
-
-    @cached_property
     def _ordered_pattern(self):
         """The order and CSC pattern of B[order][:, order] for B = [[A, m],
         [m^T, 0]] and A on the mass matrix's pattern, built on first use;
         the order is the mesh's, then the border index.  The pattern's data
-        are each entry's position in concat([A's data, m]).
-
-        Row i of B holds M's row i, then m_i in column n; row n holds m.
-        Its rows are taken in the order and its columns renumbered, and the
-        CSR to CSC conversion, one counting pass over the rows in that
-        order, leaves each column's rows sorted.
-        """
+        are each entry's position in concat([A's data, m])."""
         M = self.mass
         n, nnz = M.shape[0], M.nnz
         order = np.append(spectrum.operators(self.mesh).order, n)
-        rank = np.empty(n + 1, dtype=np.intp)
-        rank[order] = np.arange(n + 1)
-        border = nnz + np.arange(n)
-        indices = np.append(np.insert(M.indices, M.indptr[1:], n), np.arange(n))
-        src = np.append(np.insert(np.arange(nnz), M.indptr[1:], border), border)
-        indptr = np.append(M.indptr + np.arange(n + 1), nnz + 2 * n)
-        B = sp.csr_matrix((src, indices, indptr), shape=(n + 1, n + 1))[order]
-        B.indices = rank[B.indices]
-        return order, B.tocsc()
+        vertices, border = np.arange(n), np.full(n, n)
+        indptr, indices, entry = spectrum.ordered_pattern(
+            np.concatenate([np.repeat(vertices, np.diff(M.indptr)), vertices,
+                            border]),
+            np.concatenate([M.indices, border, vertices]), order)
+        m = nnz + vertices
+        source = np.concatenate([np.arange(nnz), m, m])[entry]
+        return order, sp.csc_matrix((source, indices, indptr),
+                                    shape=(n + 1, n + 1))
 
     def _exp_mass(self, quad_vals):
         """The data of E_ab = exp(-s) int e^u phi_a phi_b on the mass
-        matrix's pattern, from the shifted quadrature values.
+        matrix's pattern, from the shifted quadrature values, gathered
+        through the pattern's source map (`spectrum.assemble`).
 
         Each edge's value adds a quarter to the four entries of its ends,
         so an edge's two off-diagonal entries are its own quarter value,
@@ -270,10 +253,7 @@ class EnergyFunctional:
         differently.
         """
         quarter = 0.25 * quad_vals
-        return np.concatenate([
-            np.bincount(self._qab, weights=np.concatenate([quarter, quarter]),
-                        minlength=self.mesh.num_vertices),
-            quarter])[self._exp_entries]
+        return np.concatenate([self._at_ends(quarter), quarter])[self._source]
 
     def hessian_operator(self, u, p):
         """Sparse part A0 and rank-one data (c, w) with J''(u) = A0 + c w w^T.

@@ -15,6 +15,7 @@ from scipy.spatial import Delaunay, cKDTree
 from .errors import MeshError
 
 BUILTIN_NAMES = ("unit_square", "disk", "annulus")
+CONTAINS_TOL = 1e-12        # width of the boundary band that `contains` admits
 
 
 @dataclass(eq=False)
@@ -35,10 +36,9 @@ class Mesh:
 
     def lumped_masses(self):
         """Vertex weights of the lumped mass matrix: integral of each hat function."""
-        w = np.zeros(self.num_vertices)
-        np.add.at(w, self.triangles.ravel(),
-                  np.repeat(self.triangle_areas / 3.0, 3))
-        return w
+        return np.bincount(self.triangles.ravel(),
+                           weights=np.repeat(self.triangle_areas / 3.0, 3),
+                           minlength=self.num_vertices)
 
 
 def _signed_areas(vertices, triangles):
@@ -312,13 +312,13 @@ def boundary_distance(mesh, p):
     return d
 
 
-def contains(mesh, points, tol=1e-12):
-    """Boolean mask: inside the closed domain (boundary band of width tol)."""
+def contains(mesh, points):
+    """Boolean mask: inside the closed domain (boundary band CONTAINS_TOL)."""
     inside = winding_numbers(mesh, points) != 0
     if not inside.all():
         idx = np.flatnonzero(~inside)
-        near = boundary_distances(mesh, np.atleast_2d(points)[idx]) <= tol
-        inside[idx[near]] = True
+        d = boundary_distances(mesh, np.atleast_2d(points)[idx])
+        inside[idx[d <= CONTAINS_TOL]] = True
     return inside
 
 

@@ -18,6 +18,9 @@ from .errors import ConvergenceError, ResonanceError
 NEWTON_TOL = 1e-10
 FLOW_TOL = 1e-6
 BLOWUP_NORM_CAP = 1e3
+EIG_GUARD = 1e-8            # below it a Hessian eigenvalue counts as zero
+SEED_LAMBDAS = (30.0, 100.0)    # overall scales of the seed family
+DEDUP_TOL = 1e-3            # H1 distance below which two solutions are one
 # Iterative refinement of a Newton step against a held factorization.
 REFINE_TOL = 1e-12
 REFINE_SWEEPS = 8
@@ -73,19 +76,19 @@ def _classify(model, u, gnorm, p, tol_res):
     return CLASS_DIVERGED
 
 
-def flow(model, seed, p, step_budget, flow_tol=FLOW_TOL):
+def flow(model, seed, p, step_budget):
     """Explicit gradient descent with adaptive steps.
 
     Steps are halved on energy increase and grown by 1.2 on decrease; the
     energy is non-increasing across accepted steps.  Terminates at residual
-    below flow_tol or when the budget runs out.
+    below FLOW_TOL or when the budget runs out.
     """
     u = model.project_zero_mean(field_values(seed))
     ev = model.evaluate(u, p)
     e, g, gnorm = ev.energy, ev.gradient, ev.gradient_norm
     dt = 0.1
     it = 0
-    while it < step_budget and gnorm > flow_tol:
+    while it < step_budget and gnorm > FLOW_TOL:
         trial = model.project_zero_mean(u - dt * g)
         ev = model.evaluate(trial, p)
         it += 1
@@ -100,7 +103,7 @@ def flow(model, seed, p, step_budget, flow_tol=FLOW_TOL):
             return SolveResult(u=Field(model.mesh, u), residual=gnorm,
                                energy=e, classification=CLASS_DIVERGED,
                                morse_index=None, iterations=it)
-    cls = _classify(model, u, gnorm, p, flow_tol)
+    cls = _classify(model, u, gnorm, p, FLOW_TOL)
     return SolveResult(u=Field(model.mesh, u), residual=gnorm, energy=e,
                        classification=cls, morse_index=None, iterations=it)
 
@@ -206,8 +209,7 @@ class _ZeroMeanHessianSolver:
         return self.solve(rhs)
 
 
-def newton(model, u0, p, tol=NEWTON_TOL, max_iter=30, damped=False,
-           seed_descriptor="zero"):
+def newton(model, u0, p, max_iter=30, damped=False, seed_descriptor="zero"):
     """Newton iteration on the mass-represented gradient.
 
     Converges quadratically near nondegenerate critical points (saddles
@@ -224,7 +226,7 @@ def newton(model, u0, p, tol=NEWTON_TOL, max_iter=30, damped=False,
     u = model.project_zero_mean(field_values(u0))
     ev = model.evaluate(u, p)
     gnorm = ev.gradient_norm
-    tol_abs = tol * max(1.0, gnorm)
+    tol_abs = NEWTON_TOL * max(1.0, gnorm)
     it = 0
     hess = _ZeroMeanHessianSolver(model)
     while gnorm > tol_abs and it < max_iter:
@@ -267,7 +269,9 @@ def _lowest_eigenvalues(model, u, p, count):
 
     Shift-invert Lanczos through the bordered factorization of H - sigma M,
     with sigma below the whole spectrum, so that the eigenvalues nearest
-    sigma are the lowest.
+    sigma are the lowest.  The Ritz values are only accurate to about
+    eps |lambda - sigma|, and sigma may lie thousands below, so the
+    Rayleigh quotients of the Ritz vectors are returned instead.
     """
     n = len(u)
     # H = K + beta M - (rho/W) E + (rho/W^2) w w^T with K >= 0, W = sum(w),
@@ -284,25 +288,25 @@ def _lowest_eigenvalues(model, u, p, count):
     # bordered solve maps the constant mode to zero, so it must be avoided.
     v0 = model.project_zero_mean(np.random.default_rng(0).standard_normal(n))
     try:
-        vals = spla.eigsh(H, k=min(count, n - 2), M=model.mass, sigma=sigma,
-                          OPinv=OPinv, which="LM", v0=v0,
-                          return_eigenvectors=False)
+        _, vecs = spla.eigsh(H, k=min(count, n - 2), M=model.mass,
+                             sigma=sigma, OPinv=OPinv, which="LM", v0=v0)
     except spla.ArpackError as exc:
         raise ConvergenceError(f"Morse eigensolve failed: {exc}") from exc
-    return np.sort(vals)
+    return np.sort([(v @ hess.apply(v)) / (v @ (model.mass @ v))
+                    for v in vecs.T])
 
 
-def morse_index_at(model, u, p, count, eig_guard=1e-8):
+def morse_index_at(model, u, p, count):
     """Negative Hessian directions at a critical point, among the lowest `count`.
 
     The eigenvalues come from shift-invert Lanczos on the zero-mean space
     with the shift sigma = beta - |rho| max(e^u / int e^u) - 1, below the
     spectrum (see `_lowest_eigenvalues`).  Errors out when the
-    smallest-magnitude eigenvalue is below the guard (non-Morse point).
+    smallest-magnitude eigenvalue is below EIG_GUARD (non-Morse point).
     """
     u = field_values(u)
     vals = _lowest_eigenvalues(model, u, p, count)
-    if np.abs(vals).min() < eig_guard:
+    if np.abs(vals).min() < EIG_GUARD:
         raise ConvergenceError(
             "near-zero Hessian eigenvalue: critical point is not Morse")
     return int(np.sum(vals < 0.0))
@@ -356,8 +360,7 @@ def local_mass(model, u, p, radius):
                             interpretation=interpretation)
 
 
-def continuation(model, basis, p_start, p_end, steps, u0=None,
-                 tol=NEWTON_TOL):
+def continuation(model, basis, p_start, p_end, steps, u0=None):
     """Warm-started Newton along a straight parameter path.
 
     Stops early on resonance, Newton failure, or a sup-norm above the
@@ -376,7 +379,7 @@ def continuation(model, basis, p_start, p_end, steps, u0=None,
         except ResonanceError as exc:
             return results, f"resonance on path: {exc}"
         try:
-            res = newton(model, u, p, tol=tol, damped=True,
+            res = newton(model, u, p, damped=True,
                          seed_descriptor="continuation")
         except ConvergenceError as exc:
             return results, f"step rejected: {exc}"
@@ -388,9 +391,9 @@ def continuation(model, basis, p_start, p_end, steps, u0=None,
     return results, None
 
 
-def _seed_configs(mesh, basis, K, I, lambdas=(30.0, 100.0)):
+def _seed_configs(mesh, basis, K, I):
     """Join points enumerating atom families with 2l + m <= K, sphere
-    directions +-e_i, and t in {0, 1/2, 1}."""
+    directions +-e_i, t in {0, 1/2, 1} and the scales SEED_LAMBDAS."""
     b_atom = boundary_atom(mesh)
     i_atom = interior_atom(mesh)
     measures = []
@@ -412,7 +415,7 @@ def _seed_configs(mesh, basis, K, I, lambdas=(30.0, 100.0)):
         sigmas.extend([e, -e])
     configs = []
     ts = [0.0, 0.5, 1.0]
-    for lam in lambdas:
+    for lam in SEED_LAMBDAS:
         for t in ts:
             if t < 1.0 and not measures:
                 continue
@@ -427,8 +430,7 @@ def _seed_configs(mesh, basis, K, I, lambdas=(30.0, 100.0)):
     return configs
 
 
-def find_critical_point(mesh, basis, p, flow_budget=300,
-                        extra_seeds=(), dedup_tol=1e-3):
+def find_critical_point(mesh, basis, p, flow_budget=300):
     """Multi-seed search for a nontrivial critical point.
 
     Seeds enumerate the concentration test family plus scaled eigenmodes;
@@ -450,7 +452,6 @@ def find_critical_point(mesh, basis, p, flow_budget=300,
         for s in (2.0, -2.0, 4.0):
             seeds.append((f"mode({i},{s:g})",
                           s * basis.eigenvectors[:, i]))
-    seeds.extend(extra_seeds)
 
     found = []
     for name, seed in seeds:
@@ -464,7 +465,7 @@ def find_critical_point(mesh, basis, p, flow_budget=300,
             continue
         if res.classification == CLASS_DIVERGED:
             continue
-        if any(model.h1_norm(res.u.values - r.u.values) < dedup_tol
+        if any(model.h1_norm(res.u.values - r.u.values) < DEDUP_TOL
                for r in found):
             continue
         found.append(res)

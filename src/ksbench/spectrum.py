@@ -22,32 +22,55 @@ class SpectralBasis:
         return len(self.eigenvalues)
 
 
+def ordered_pattern(rows, cols, order):
+    """The CSC pattern (indptr, indices) of A[order][:, order], for A with
+    distinct entries at (rows, cols), and which entry each of its entries
+    is: one sort of the keys (rank[col], rank[row]), rank the inverse of
+    `order`.  A symmetric pattern's CSC arrays are also its CSR ones."""
+    n = len(order)
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    r, c = rank[rows], rank[cols]
+    entry = np.argsort(c * n + r)
+    return np.searchsorted(c[entry], np.arange(n + 1)), r[entry], entry
+
+
 def assemble(mesh):
-    """Stiffness (Dirichlet form) and consistent mass matrix for P1 elements."""
-    v = mesh.vertices
-    t = mesh.triangles
-    areas = mesh.triangle_areas
+    """Stiffness (Dirichlet form) and consistent mass matrix for P1 elements
+    as a `MeshOperators`.
+
+    The P1 pattern holds each vertex's diagonal and both entries of each
+    census edge; its source map names the value each entry holds, i for
+    vertex i's diagonal and n + k for edge k's.  Side s_k = p_{k+1} - p_{k+2}
+    of T, turned by a right angle over 2|T|, is hat gradient k, so
+    K_T[j, k] = s_j . s_k / (4|T|); M_T = |T| / 12 (1 + delta_jk).
+    """
+    t, areas = mesh.triangles, mesh.triangle_areas
     if np.any(areas <= 0):
         raise MeshError("degenerate triangle")
+    n, lo, hi = mesh.num_vertices, *mesh.edges.T
+    vertices, edges = np.arange(n), n + np.arange(len(lo))
+    indptr, indices, entry = ordered_pattern(
+        np.concatenate([vertices, lo, hi]), np.concatenate([vertices, hi, lo]),
+        vertices)
+    source = np.concatenate([vertices, edges, edges])[entry]
 
-    p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-    # Gradients of the three hat functions on each triangle.
-    g = np.empty((len(t), 3, 2))
-    g[:, 0] = (p1 - p2)[:, ::-1]
-    g[:, 1] = (p2 - p0)[:, ::-1]
-    g[:, 2] = (p0 - p1)[:, ::-1]
-    g[:, :, 0] *= -1.0
-    g /= (2.0 * areas)[:, None, None]
+    p = mesh.vertices[t]
+    s = p[:, [1, 2, 0]] - p[:, [2, 0, 1]]
+    four_areas = 4.0 * areas[:, None]
+    twelfth = np.repeat(areas / 12.0, 3)
 
-    ke = np.einsum("tif,tjf->tij", g, g) * areas[:, None, None]
-    me = (areas[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))
+    def gathered(on_vertices, on_edges):
+        values = np.concatenate([
+            np.bincount(t.ravel(), weights=on_vertices.ravel(), minlength=n),
+            np.bincount(mesh.triangle_edges.ravel(), weights=on_edges.ravel(),
+                        minlength=len(lo))])
+        return sp.csr_matrix((values[source], indices, indptr), shape=(n, n))
 
-    rows = np.repeat(t, 3, axis=1).ravel()
-    cols = np.tile(t, (1, 3)).ravel()
-    n = mesh.num_vertices
-    K = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    M = sp.coo_matrix((me.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    return K, M
+    K = gathered(np.einsum("tkf,tkf->tk", s, s) / four_areas,
+                 np.einsum("tkf,tkf->tk", s, s[:, [1, 2, 0]]) / four_areas)
+    M = gathered(2.0 * twelfth, twelfth)
+    return MeshOperators(K, M, source)
 
 
 # SuperLU's supernode relaxation for every factorization on the mesh.  The
@@ -58,19 +81,20 @@ def assemble(mesh):
 SUPERNODE_RELAX = 1
 
 
+@dataclass(eq=False)
 class MeshOperators:
-    """What every sparse computation on one mesh shares: K and M, and the
-    LU of M with the fill-reducing vertex order that it chose.
+    """What every sparse computation on one mesh shares: K and M, the
+    source map of their P1 pattern (see `assemble`), and the LU of M with
+    the fill-reducing vertex order that it chose.
 
     K and M are assembled at once; M is factored on the first read of
     `mass_lu` or `order`, so a mesh that never solves with M or with a
     matrix on its pattern pays no factorization.  Unpacks as
     (stiffness, mass, mass_lu, order).
     """
-
-    def __init__(self, stiffness, mass):
-        self.stiffness = stiffness
-        self.mass = mass
+    stiffness: sp.csr_matrix
+    mass: sp.csr_matrix
+    source: np.ndarray
 
     def __iter__(self):
         return iter((self.stiffness, self.mass, self.mass_lu, self.order))
@@ -101,8 +125,7 @@ def operators(mesh):
     """
     ops = getattr(mesh, "_operators", None)
     if ops is None:
-        ops = MeshOperators(*assemble(mesh))
-        mesh._operators = ops
+        ops = mesh._operators = assemble(mesh)
     return ops
 
 
@@ -140,8 +163,11 @@ def eigenpairs(mesh, count):
                         f"below {n - 1}")
     K, M, _, q = operators(mesh)
 
-    lu = spla.splu((K + M)[q][:, q].tocsc(), permc_spec="NATURAL",
-                   relax=SUPERNODE_RELAX)
+    rows = np.repeat(np.arange(n), np.diff(M.indptr))
+    indptr, indices, entry = ordered_pattern(rows, M.indices, q)
+    lu = spla.splu(sp.csc_matrix(((K.data + M.data)[entry], indices, indptr),
+                                 shape=(n, n)),
+                   permc_spec="NATURAL", relax=SUPERNODE_RELAX)
     OPinv = spla.LinearOperator((n, n), matvec=ordered_solve(lu, q),
                                 dtype=float)
     v0 = np.random.default_rng(0).standard_normal(n)
@@ -159,8 +185,7 @@ def eigenpairs(mesh, count):
 
     # Deflate the constant and re-orthonormalize in the mass inner product
     # (modified Gram-Schmidt keeps degenerate clusters clean).
-    m = np.asarray(M.sum(axis=1)).ravel()
-    vecs = vecs - np.outer(np.ones(n), (m @ vecs) / mesh.area)
+    vecs = vecs - (mesh.lumped_masses() @ vecs) / mesh.area
     for j in range(vecs.shape[1]):
         w = M @ vecs[:, j]
         for i in range(j):
@@ -172,11 +197,7 @@ def eigenpairs(mesh, count):
                          eigenvectors=vecs)
 
 
-def resonance_tolerance(threshold):
-    return 1e-6 * (1.0 + abs(threshold))
-
-
-def bracket_index(eigenvalues, threshold, resonance_tol=None):
+def bracket_index(eigenvalues, threshold):
     """Number of eigenvalues strictly below -threshold.
 
     With the convention lambda_0 = 0 this is the unique n with
@@ -185,8 +206,7 @@ def bracket_index(eigenvalues, threshold, resonance_tol=None):
     some -lambda_i.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    tol = resonance_tolerance(threshold) if resonance_tol is None else resonance_tol
-    if np.any(np.abs(threshold + lam) < tol):
+    if np.any(np.abs(threshold + lam) < 1e-6 * (1.0 + abs(threshold))):
         raise ResonanceError(
             f"threshold {threshold} resonates with an eigenvalue", which="beta")
     return int(np.sum(lam < -threshold))

@@ -40,10 +40,9 @@ class ConditionReport:
         return cls(**json.loads(text))
 
 
-def concentration_index(rho, tol=None):
+def concentration_index(rho):
     """K with 4*K*pi < rho < 4*(K+1)*pi; degenerate at multiples of 4*pi."""
-    if tol is None:
-        tol = 1e-6 * (1.0 + abs(rho))
+    tol = 1e-6 * (1.0 + abs(rho))
     if rho <= tol:
         raise ResonanceError("rho must be positive and away from 0", which="rho")
     nearest = round(rho / FOUR_PI) * FOUR_PI

@@ -29,6 +29,45 @@ def test_boundary_atom_avoids_corners(square64):
     assert np.linalg.norm(corners - p, axis=1).min() > 0.25
 
 
+def _boundary_atom_oracle(mesh):
+    """The former `boundary_atom`: the turn angle of each boundary vertex
+    by a Python loop over the vertices."""
+    succ = {int(a): int(b) for a, b in mesh.boundary_edges}
+    nodes = np.array(sorted(succ))
+    prev = {b: a for a, b in succ.items()}
+    pts = mesh.vertices
+    turn = np.empty(len(nodes))
+    for i, v in enumerate(nodes):
+        e_in = pts[v] - pts[prev[v]]
+        e_out = pts[succ[v]] - pts[v]
+        cosang = (e_in @ e_out) / (np.linalg.norm(e_in) * np.linalg.norm(e_out))
+        turn[i] = np.arccos(np.clip(cosang, -1.0, 1.0))
+    corners = nodes[turn > 0.2]
+    if len(corners) == 0:
+        return pts[nodes[0]].copy()
+    d2 = ((pts[nodes][:, None, :] - pts[corners][None, :, :]) ** 2).sum(axis=2)
+    return pts[nodes[int(np.argmax(d2.min(axis=1)))]].copy()
+
+
+@pytest.mark.parametrize("name", meshmod.BUILTIN_NAMES)
+@pytest.mark.parametrize("res", [4, 7, 30, 64, 256])
+def test_boundary_atom_matches_loop_on_builtin_meshes(name, res):
+    mesh = meshmod.build_builtin(name, res)
+    assert np.array_equal(bubbles.boundary_atom(mesh),
+                          _boundary_atom_oracle(mesh))
+
+
+@hypothesis.settings(max_examples=20, deadline=None)
+@hypothesis.given(st.floats(1.0, 100.0), st.integers(2, 14),
+                  st.integers(0, 40), st.integers(0, 2 ** 32 - 1))
+@hypothesis.example(60.0, 12, 30, 5)        # `_graded_square`'s defaults
+def test_boundary_atom_matches_loop_on_graded_squares(ratio, steps, inner,
+                                                      seed):
+    mesh = _graded_square(ratio, steps, inner, seed)
+    assert np.array_equal(bubbles.boundary_atom(mesh),
+                          _boundary_atom_oracle(mesh))
+
+
 def test_interior_atom_far_from_boundary(disk128):
     p = bubbles.interior_atom(disk128)
     assert np.linalg.norm(p) < 0.05

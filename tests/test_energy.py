@@ -12,6 +12,7 @@ from ksbench import mesh as meshmod, solver, spectrum
 from ksbench.energy import (EnergyFunctional, Evaluation, Parameters,
                             field_values, project_pi)
 from test_mesh import ORACLE_MESHES, _graded_square
+from test_spectrum import source_oracle
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -232,12 +233,14 @@ class TriangleRuleModel(EnergyFunctional):
     """The model under the former quadrature and products: three nodes per
     triangle (`_triangle_rule`), E's off-diagonal entry on an edge summed
     from the values of its one or two sides, and K u + beta M u from
-    K @ u and M @ u."""
+    K @ u and M @ u.  E is gathered through `source_oracle`'s map, not the
+    model's."""
 
     def __init__(self, mesh):
         super().__init__(mesh)
         self._qa, self._qb, self._qw = _triangle_rule(mesh)
         self._qab = np.concatenate([self._qa, self._qb])
+        self._source = source_oracle(mesh, self.mass)
 
     def evaluate(self, u, p):
         u = field_values(u)
@@ -252,7 +255,7 @@ class TriangleRuleModel(EnergyFunctional):
             np.bincount(self._qab, weights=np.concatenate([quarter, quarter]),
                         minlength=self.mesh.num_vertices),
             np.bincount(self.mesh.triangle_edges.ravel(), weights=quarter,
-                        minlength=len(self.mesh.edges))])[self._exp_entries]
+                        minlength=len(self.mesh.edges))])[self._source]
 
 
 def _exp_mass_matrix(model, u, quad_vals):
@@ -354,6 +357,22 @@ def test_exp_quad_matches_add_at(square64_model):
         slack = len(vals) * 3 * tiny
         assert np.all(np.abs(got[2] - w) <= 1e-13 * np.abs(w).max() + slack)
         assert abs(got[3] - total) <= 1e-13 * total + slack
+
+
+@pytest.mark.parametrize("name", ["unit_square", "disk", "annulus"])
+@pytest.mark.parametrize("res", [8, 45, 128])
+def test_edge_weights_are_four_times_the_mass_edge_entries(name, res):
+    # M's entries above the diagonal, in CSR order, are the edges in census
+    # order (both are sorted by lo V + hi), and each holds the sum of
+    # |T| / 12 over the edge's triangles: a quarter of the node's weight,
+    # bit for bit, since scaling by 4 is exact.
+    mesh = meshmod.build_builtin(name, res)
+    model = EnergyFunctional(mesh)
+    M = model.mass
+    upper = M.indices > np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    assert np.array_equal(model._source[upper],
+                          mesh.num_vertices + np.arange(len(mesh.edges)))
+    assert np.array_equal(model._qw, 4.0 * M.data[upper])
 
 
 @pytest.mark.parametrize("name", ["unit_square", "disk", "annulus"])

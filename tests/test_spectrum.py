@@ -3,13 +3,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
 from ksbench import mesh as meshmod, solver, spectrum
 from ksbench.energy import EnergyFunctional, Parameters
 from ksbench.errors import ResonanceError
-from test_mesh import ORACLE_MESHES
+from test_mesh import ORACLE_MESHES, _graded_square
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
 
 SQUARE_MODES = np.pi ** 2 * np.array([1.0, 1.0, 2.0, 4.0, 4.0, 5.0])
 CLUSTER_TOL = 1e-5      # relative gap below which eigenvalues form a cluster
@@ -18,8 +22,123 @@ CLUSTER_TOL = 1e-5      # relative gap below which eigenvalues form a cluster
 def _dense_eigenpairs(mesh, count):
     """The former dense path of `eigenpairs`: generalized eigh on the full
     K and M, the lowest count + 1 pairs with the constant mode first."""
-    K, M = spectrum.assemble(mesh)
-    return eigh(K.toarray(), M.toarray(), subset_by_index=[0, count])
+    ops = spectrum.assemble(mesh)
+    return eigh(ops.stiffness.toarray(), ops.mass.toarray(),
+                subset_by_index=[0, count])
+
+
+def _assemble_oracle(mesh):
+    """The former `assemble`: the hat gradients of each triangle, its
+    element matrices as COO triplets, and duplicates summed by scipy."""
+    v, t, areas = mesh.vertices, mesh.triangles, mesh.triangle_areas
+    p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
+    g = np.empty((len(t), 3, 2))
+    g[:, 0] = (p1 - p2)[:, ::-1]
+    g[:, 1] = (p2 - p0)[:, ::-1]
+    g[:, 2] = (p0 - p1)[:, ::-1]
+    g[:, :, 0] *= -1.0
+    g /= (2.0 * areas)[:, None, None]
+    ke = np.einsum("tif,tjf->tij", g, g) * areas[:, None, None]
+    me = (areas[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))
+    rows = np.repeat(t, 3, axis=1).ravel()
+    cols = np.tile(t, (1, 3)).ravel()
+    n = mesh.num_vertices
+    return tuple(sp.coo_matrix((e.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+                 for e in (ke, me))
+
+
+def source_oracle(mesh, M):
+    """The former `EnergyFunctional._exp_entries`: which value of
+    concat([vertex values, edge values]) each entry of M's pattern holds,
+    by a search of the edges' keys lo n + hi: vertex i's diagonal holds
+    value i, both entries of edge k value n + k."""
+    n = M.shape[0]
+    row = np.repeat(np.arange(n), np.diff(M.indptr))
+    lo, hi = np.minimum(row, M.indices), np.maximum(row, M.indices)
+    edge = np.searchsorted(mesh.edges[:, 0] * n + mesh.edges[:, 1],
+                           lo * n + hi)
+    return np.where(lo == hi, row, n + edge)
+
+
+def _lumped_masses_oracle(mesh):
+    """The former `Mesh.lumped_masses`, by np.add.at."""
+    w = np.zeros(mesh.num_vertices)
+    np.add.at(w, mesh.triangles.ravel(),
+              np.repeat(mesh.triangle_areas / 3.0, 3))
+    return w
+
+
+# Builtin meshes on which the assembly is checked against the COO oracle.
+# On the dyadic unit squares every K term is exact and every M entry sums
+# equal terms, so the two agree bit for bit whatever their summation order.
+EXACT_MESHES = [("unit_square", 8), ("unit_square", 64), ("unit_square", 256)]
+ASSEMBLY_MESHES = EXACT_MESHES + [("unit_square", 48), ("disk", 40),
+                                  ("disk", 128), ("annulus", 64),
+                                  ("annulus", 128)]
+
+
+def _key_id(key):
+    return key if isinstance(key, str) else f"{key[0]}{key[1]}"
+
+
+def _assembly_mesh(key):
+    return ORACLE_MESHES[key] if key in ORACLE_MESHES \
+        else meshmod.build_builtin(*key)
+
+
+def _check_assembly(mesh, exact=False):
+    """K and M against the COO oracle: the same CSR pattern, and data equal,
+    or within 1e-15 of each row's largest |entry|; the source map against
+    the search of the former `_exp_entries`."""
+    ops = spectrum.assemble(mesh)
+    assert np.array_equal(ops.source, source_oracle(mesh, ops.mass))
+    for got, want in zip((ops.stiffness, ops.mass), _assemble_oracle(mesh)):
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        if exact:
+            assert np.array_equal(got.data, want.data)
+        else:
+            row_max = abs(want).max(axis=1).toarray().ravel()
+            scale = np.repeat(row_max, np.diff(want.indptr))
+            assert np.all(np.abs(got.data - want.data) <= 1e-15 * scale)
+
+
+@pytest.mark.parametrize("key", ASSEMBLY_MESHES + sorted(ORACLE_MESHES),
+                         ids=_key_id)
+def test_assembly_matches_coo_oracle(key):
+    _check_assembly(_assembly_mesh(key), exact=key in EXACT_MESHES)
+
+
+@pytest.mark.parametrize("key", ASSEMBLY_MESHES + sorted(ORACLE_MESHES),
+                         ids=_key_id)
+def test_lumped_masses_match_add_at(key):
+    mesh = _assembly_mesh(key)
+    assert np.array_equal(mesh.lumped_masses(), _lumped_masses_oracle(mesh))
+
+
+@hypothesis.settings(max_examples=20, deadline=None)
+@hypothesis.given(st.floats(1.0, 100.0), st.integers(2, 14),
+                  st.integers(0, 40), st.integers(0, 2 ** 32 - 1))
+def test_assembly_matches_oracles_on_graded_squares(ratio, steps, inner,
+                                                    seed):
+    _check_assembly(_graded_square(ratio, steps, inner, seed))
+
+
+@pytest.mark.parametrize("key", sorted(ORACLE_MESHES) + [("disk", 128),
+                                                          ("unit_square", 64)],
+                         ids=_key_id)
+def test_eigenpairs_factors_the_permuted_sum(key, monkeypatch):
+    # The ordered K + M gathered through `ordered_pattern` is, entry for
+    # entry, the former (K + M)[q][:, q].tocsc().
+    mesh = _assembly_mesh(key)
+    K, M, _, q = spectrum.operators(mesh)
+    factored = _count_splu(monkeypatch)
+    spectrum.eigenpairs(mesh, 4)
+    (A,) = factored
+    want = (K + M)[q][:, q].tocsc()
+    assert np.array_equal(A.indptr, want.indptr)
+    assert np.array_equal(A.indices, want.indices)
+    assert np.array_equal(A.data, want.data)
 
 
 def _clusters(vals):
