@@ -320,7 +320,7 @@ class _Cover:
     with their eps-balls.  Every density on the mesh at this eps shares it.
 
     It holds the mesh's vertex array but not the mesh, so a mesh that keeps
-    its cover is still freed by reference counting.
+    its covers is still freed by reference counting.
     """
 
     def __init__(self, mesh, eps):
@@ -348,11 +348,15 @@ class _Cover:
 
 
 def _cover(mesh, eps):
-    """The `_Cover` of `mesh` at `eps`.  The mesh keeps one cover, for the
-    last eps asked for, and a new eps replaces it."""
-    cover = getattr(mesh, "_cover", None)
-    if cover is None or cover.eps != eps:
-        cover = mesh._cover = _Cover(mesh, eps)
+    """The `_Cover` of `mesh` at `eps`.  The mesh keeps the covers of the
+    two eps it was last asked for, oldest first, since a projection at eps
+    covers at eps / 3 beside spreads at eps; a third eps evicts the least
+    recently used."""
+    covers = mesh.__dict__.setdefault("_covers", {})
+    cover = covers.pop(eps, None) or _Cover(mesh, eps)
+    covers[eps] = cover
+    if len(covers) > 2:
+        del covers[next(iter(covers))]
     return cover
 
 
@@ -364,24 +368,26 @@ def _far_apart(cand, order, gap):
     KD-tree pair query, padded against rounding, proposes every pair; the
     norm decides (`vecdot` takes the same dot product per row as `norm` of
     one vector), so lattice points exactly `gap` apart resolve the same way
-    as in a direct comparison against every kept point.  The blocking pairs
-    form a symmetric neighbour matrix, and the visit only indexes it.
+    as in a direct comparison against every kept point.  Each blocking
+    pair, in both directions, becomes a one-entry row; `tocsc` groups them
+    by their first point in one O(pairs) counting pass, as in
+    `_ball_incidence`, and the visit only indexes the neighbour lists.
     """
     pairs = cKDTree(cand).query_pairs(gap * (1.0 + 1e-9),
                                       output_type="ndarray")
     diff = cand[pairs[:, 1]] - cand[pairs[:, 0]]
     a, b = pairs[np.sqrt(np.vecdot(diff, diff)) < gap].T
-    n = len(cand)
-    near = sp.csr_matrix((np.ones(2 * len(a)), (np.concatenate([a, b]),
-                                                 np.concatenate([b, a]))),
-                         shape=(n, n))
-    blocked = np.zeros(n, dtype=bool)
+    m = 2 * len(a)
+    by_point = sp.csr_matrix((np.ones(m, bool), np.concatenate([a, b]),
+                              np.arange(m + 1)), shape=(m, len(cand))).tocsc()
+    near, start = np.concatenate([b, a])[by_point.indices], by_point.indptr
+    blocked = np.zeros(len(cand), dtype=bool)
     kept = []
     for idx in order:
         if blocked[idx]:
             continue
         kept.append(idx)
-        blocked[near.indices[near.indptr[idx]:near.indptr[idx + 1]]] = True
+        blocked[near[start[idx]:start[idx + 1]]] = True
     return cand[kept] if kept else np.zeros((0, 2))
 
 

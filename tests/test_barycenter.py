@@ -431,6 +431,19 @@ def test_bl_distance_metric_axioms(a, b, c):
     assert bc.bl_distance(mu, xi) <= dmn + bc.bl_distance(nu, xi) + 1e-9
 
 
+@pytest.mark.parametrize("cand", [
+    np.zeros((0, 2)),                                 # no candidate
+    np.array([[0.3, 0.4]]),                           # one candidate
+    np.array([[0.0, 0.0], [0.3, 0.0], [0.0, 0.3], [0.3, 0.3]]),  # none near
+], ids=["empty", "single", "no-pair"])
+def test_far_apart_matches_loop_on_edge_cases(cand):
+    # gap 0.3 puts the last set's sides exactly on it, so no pair blocks.
+    order = np.arange(len(cand))[::-1]
+    out = bc._far_apart(cand, order, 0.3)
+    assert out.shape == (len(cand), 2)
+    assert np.array_equal(out, _far_apart_loop(cand, order, 0.3))
+
+
 def test_far_apart_matches_loop_on_lattice_ties():
     # A square lattice of step 1 with gap 2 puts many pairs exactly at the
     # gap; shuffled orders exercise which of the tied points is kept.
@@ -756,21 +769,26 @@ def _cover_densities(mesh, rng, count):
 @pytest.mark.parametrize("domain, res", [("unit_square", 48),
                                          ("annulus", 64)])
 def test_cover_matches_uncached_path(domain, res):
-    # A sequence of densities on one mesh, switching eps so the cover is
-    # kept, replaced and rebuilt; the mesh is the test's own.
+    # A sequence of densities on one mesh, switching eps so that covers
+    # are kept, added beside the other and evicted; the mesh is the test's
+    # own.
     mesh = meshmod.build_builtin(domain, res)
     rng = np.random.default_rng(5)
     densities = list(_cover_densities(mesh, rng, 4))
     # Each density meets a different budget at each step, and K = 0 comes
     # first at some eps, before the greedy's candidates are built.
+    # Each step keeps the covers of the two most recently used eps, the
+    # latest last.
+    kept = ([0.2], [0.2], [0.2, 0.2 / 3.0], [0.2 / 3.0, 0.2])
     for step, eps in enumerate((0.2, 0.2, 0.2 / 3.0, 0.2)):
         for k, values in enumerate(densities):
             K = (0, 2, 4)[(k + step) % 3]
             out = bc.spread_points(mesh, values, eps, K)
-            assert mesh._cover.eps == eps
             _assert_same_outcome(out, _uncached(bc.spread_points, mesh,
                                                 values, eps, K))
-    # The projection covers at eps / 3; psi_map goes through it.
+        assert list(mesh._covers) == kept[step]
+    # The projection covers at eps / 3, which evicts the cover at 0.2 / 3;
+    # psi_map goes through it.
     for values in densities[1:]:
         try:
             ref = _uncached(bc.project_to_barycenters, mesh, values, 0.3, 4)
@@ -782,6 +800,8 @@ def test_cover_matches_uncached_path(domain, res):
         assert np.array_equal(out.points, ref.points)
         assert np.array_equal(out.weights, ref.weights)
         assert np.array_equal(out.interior, ref.interior)
+    assert list(mesh._covers) == [0.2, 0.3 / 3.0]
+    assert all(cover.eps == eps for eps, cover in mesh._covers.items())
 
 
 def test_cover_is_built_once_per_eps(monkeypatch):
@@ -799,22 +819,60 @@ def test_cover_is_built_once_per_eps(monkeypatch):
         monkeypatch.setattr(bc, name, counting(name))
     flat = np.ones(mesh.num_vertices)
     seen = []
-    for eps in (0.3, 0.3, 0.15, 0.15, 0.3):
+    # The mesh keeps two covers.  Back at 0.3, the cover at 0.15 becomes
+    # the least recently used, so 0.2 evicts it and 0.3 is still kept.
+    for eps in (0.3, 0.3, 0.15, 0.15, 0.3, 0.2, 0.3, 0.15):
         for name in counts:
             counts[name] = 0
         # K = 2 on the flat density reads both ball matrices: the greedy
         # captures too little, and the far-apart points are taken.
         assert isinstance(bc.spread_points(mesh, flat, eps, 2), bc.Spread)
         seen.append((counts["_hex_net"], counts["_ball_incidence"]))
-    assert seen == [(1, 2), (0, 0), (1, 2), (0, 0), (1, 2)]
+    assert seen == [(1, 2), (0, 0), (1, 2), (0, 0), (0, 0), (1, 2), (0, 0),
+                    (1, 2)]
+    assert list(mesh._covers) == [0.3, 0.15]
+
+
+def test_spread_then_project_builds_two_covers(monkeypatch):
+    # The `concentration` workload's order on one mesh: a flat spread at
+    # eps / 3, spreads at eps, then a projection at eps, which covers at
+    # eps / 3 again.
+    mesh = meshmod.build_builtin("unit_square", 48)
+    built = []
+
+    class Counted(bc._Cover):
+        def __init__(self, mesh, eps):
+            built.append(eps)
+            super().__init__(mesh, eps)
+    monkeypatch.setattr(bc, "_Cover", Counted)
+    eps = 0.2
+    flat = np.ones(mesh.num_vertices)
+    _assert_same_outcome(bc.spread_points(mesh, flat, eps / 3.0, 2),
+                         _uncached(bc.spread_points, mesh, flat, eps / 3.0, 2))
+    rng = np.random.default_rng(7)
+    for k, values in enumerate(_cover_densities(mesh, rng, 4)):
+        _assert_same_outcome(bc.spread_points(mesh, values, eps, k % 5),
+                             _uncached(bc.spread_points, mesh, values, eps,
+                                       k % 5))
+    two = _bubble_density(mesh, [(0.3, 0.35), (0.7, 0.65)], [True, True],
+                          200.0)
+    out = bc.project_to_barycenters(mesh, two, eps, 4)
+    ref = _uncached(bc.project_to_barycenters, mesh, two, eps, 4)
+    assert np.array_equal(out.points, ref.points)
+    assert np.array_equal(out.weights, ref.weights)
+    assert np.array_equal(out.interior, ref.interior)
+    assert built == [eps / 3.0, eps]
+    assert list(mesh._covers) == [eps, eps / 3.0]
 
 
 def test_mesh_keeping_a_cover_is_freed_without_the_collector():
     mesh = meshmod.build_builtin("unit_square", 16)
     values = np.ones(mesh.num_vertices)
     bc.spread_points(mesh, values, 0.3, 2)
-    assert mesh._cover.eps == 0.3
-    refs = weakref.ref(mesh), weakref.ref(mesh._cover)
+    bc.spread_points(mesh, values, 0.15, 2)
+    assert list(mesh._covers) == [0.3, 0.15]
+    refs = [weakref.ref(mesh)] + list(map(weakref.ref,
+                                          mesh._covers.values()))
     gc.disable()
     try:
         del mesh
@@ -827,6 +885,6 @@ def test_oracle_leaves_no_cover(square48):
     # The oracle rebuilds the geometry per call, so it can neither read a
     # cover built by the library path nor leave one for it.
     values = np.ones(square48.num_vertices)
-    before = getattr(square48, "_cover", None)
+    before = dict(getattr(square48, "_covers", {}))
     _spread_points_oracle(square48, values, 0.3, 0)
-    assert getattr(square48, "_cover", None) is before
+    assert getattr(square48, "_covers", {}) == before
