@@ -58,11 +58,6 @@ class BarycenterMeasure:
                    weights=np.array([a["w"] for a in atoms]),
                    interior=np.array([a["tag"] == TAG_INTERIOR for a in atoms]))
 
-    @classmethod
-    def single(cls, point, interior):
-        return cls(points=np.array([point]), weights=np.array([1.0]),
-                   interior=np.array([bool(interior)]))
-
 
 @dataclass(eq=False)
 class JoinPoint:

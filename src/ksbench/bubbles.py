@@ -25,9 +25,7 @@ class TestConfig:
 
 def log_plus(s):
     """max(0, log s), with log+(s) = 0 for s <= 1."""
-    s = np.asarray(s, dtype=float)
-    out = np.log(np.maximum(s, 1.0))
-    return float(out) if out.ndim == 0 else out
+    return float(np.log(max(s, 1.0)))
 
 
 def bubble_values(mu, scale, mesh):
@@ -56,9 +54,6 @@ def eigen_tail(sigma, t_scale, basis):
     I = len(sigma)
     if I > len(basis):
         raise ValueError("sigma has more entries than available eigenpairs")
-    n = basis.eigenvectors.shape[0]
-    if I == 0:
-        return np.zeros(n)
     return np.sqrt(log_plus(t_scale)) * (basis.eigenvectors[:, :I] @ sigma)
 
 

@@ -16,7 +16,8 @@ and an exit code: 3 from `solve` whatever the error, and otherwise the code
 ERROR_EXITS gives its type (2 unusable input, 4 failed computation).  A bad
 option value exits 2 from every subcommand, as argparse does for a flag
 value of the wrong type: a --config key that names no option of the
-subcommand, a --config value that does not convert to its option's type, a
+subcommand, a --config value that does not convert to its option's type or
+is not one of its choices (even where a flag overrides that entry), a
 non-finite --beta or --rho, and a --lambda-grid that is not a list of
 finite positive scales (3 distinct for dirichlet_slope).
 """
@@ -61,7 +62,6 @@ ERROR_EXITS = {
 # calibrated statistic constants/bounds (resolution-64 calibration run).
 PROBE_SLOPES = {
     "boundary": (16.0 * np.pi, 0.03),
-    "interior": (32.0 * np.pi, 0.03),
 }
 EXP_LOWER_CONSTANT = 1.0
 EXP_LOWER_BOUND = -4.5
@@ -132,12 +132,6 @@ def cmd_solve(args):
     return 0 if result.classification == solver.CLASS_NONTRIVIAL else 1
 
 
-def _probe_fixture(mesh, kind):
-    if kind == "interior":
-        return bubbles.make_measure([bubbles.interior_atom(mesh)], [True])
-    return bubbles.make_measure([bubbles.boundary_atom(mesh)], [False])
-
-
 def _lambda_grid(args):
     """The scales of --lambda-grid: finite, positive, and at least 3
     distinct ones for the least-squares slope of dirichlet_slope."""
@@ -167,15 +161,16 @@ def cmd_probe(args):
     basis = spectrum.eigenpairs(mesh, args.eigs) if t > 0 else None
     p = Parameters(beta=args.beta, rho=args.rho)
 
-    mu = _probe_fixture(mesh, "boundary")
+    mu = bubbles.make_measure([bubbles.boundary_atom(mesh)], [False])
     sigma = np.ones(1)
+    cfgs = [TestConfig(lam=lam, zeta=JoinPoint(measure=mu, sphere=sigma, t=t))
+            for lam in grid]
     rows = ["lambda,dirichlet,mean,logint,energy"]
-    for lam in grid:
-        cfg = TestConfig(lam=lam, zeta=JoinPoint(measure=mu, sphere=sigma, t=t))
+    for cfg in cfgs:
         u = bubbles.phi_lambda(cfg, mesh, basis)
-        scale = lam * (1.0 - t)
+        scale = cfg.lam * (1.0 - t)
         rows.append(",".join(_fmt(x) for x in (
-            lam,
+            cfg.lam,
             bubbles.dirichlet_energy(mesh, bubbles.bubble_values(mu, scale, mesh)),
             bubbles.bubble_mean(mu, scale, mesh),
             model.log_int_exp(u.values),
@@ -199,15 +194,13 @@ def cmd_probe(args):
               f"{stats[0] + MT_BOUND_MARGIN:.4g} {'PASS' if ok else 'FAIL'}")
     elif args.probe == "exp_lower":
         vals = [bubbles.exp_lower_statistic(
-            TestConfig(lam=lam, zeta=JoinPoint(measure=mu, sphere=sigma, t=t)),
-            mesh, basis, EXP_LOWER_CONSTANT) for lam in grid]
+            cfg, mesh, basis, EXP_LOWER_CONSTANT) for cfg in cfgs]
         ok = min(vals) >= EXP_LOWER_BOUND
         print(f"exp_lower min {min(vals):.4g} bound {EXP_LOWER_BOUND:.4g} "
               f"{'PASS' if ok else 'FAIL'}")
     elif args.probe == "l2_upper":
         vals = [bubbles.l2_upper_statistic(
-            TestConfig(lam=lam, zeta=JoinPoint(measure=mu, sphere=sigma, t=t)),
-            mesh, basis, L2_UPPER_CONSTANT) for lam in grid]
+            cfg, mesh, basis, L2_UPPER_CONSTANT) for cfg in cfgs]
         ok = min(vals) >= L2_UPPER_BOUND
         print(f"l2_upper min {min(vals):.4g} bound {L2_UPPER_BOUND:.4g} "
               f"{'PASS' if ok else 'FAIL'}")
@@ -259,51 +252,39 @@ def build_parser():
 
 
 class _OptionError(ValueError):
-    """A bad option value that argparse does not reject: a --config value
-    that does not convert to its option's type, or a value of the right
-    type that cannot be used."""
+    """A bad option value that argparse does not reject: a --config entry
+    that names no option, does not convert to its option's type or is not
+    one of its choices, or a value of the right type that cannot be used."""
 
 
-def _subcommand_actions(parser):
-    """The option actions of each subcommand of `parser`, by name."""
+def _apply_config(parser, args, argv):
+    """The command line parsed again with the --config file's entries as
+    the subcommand's defaults, so that every flag form wins over them.  A
+    key must name an option of the subcommand (with dashes or underscores),
+    other than --config and --help, and its value is converted by the
+    option's type and checked against its choices, as a flag value is."""
     subs = next(a for a in parser._actions
                 if isinstance(a, argparse._SubParsersAction))
-    return {name: sub._actions for name, sub in subs.choices.items()}
-
-
-def _given_options(argv):
-    """Destinations of the options set on the command line, as argparse
-    reads them (so `--bet` counts as `--beta`): the command line parsed
-    again with every default suppressed."""
-    parser = build_parser()
-    for actions in _subcommand_actions(parser).values():
-        for action in actions:
-            action.default = argparse.SUPPRESS
-    return set(vars(parser.parse_args(argv)))
-
-
-def _apply_config(args, argv):
-    """Set each option from the --config file unless the command line
-    gives it.  A key must name an option of the subcommand (with dashes
-    or underscores), other than --config and --help."""
-    options = {action.dest for action
-               in _subcommand_actions(build_parser())[args.command]}
-    options -= {"config", "help"}
-    given = _given_options(argv)
+    sub = subs.choices[args.command]
+    actions = {action.dest: action for action in sub._actions
+               if action.dest not in ("config", "help")}
+    defaults = {}
     for key, value in _read_config_file(args.config).items():
-        attr = key.replace("-", "_")
-        if attr not in options:
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise _OptionError(f"{args.config}: {key!r} is not an option of "
                                f"{args.command}")
-        if attr not in given:
-            cur = getattr(args, attr)
-            cast = type(cur) if cur is not None else str
-            try:
-                setattr(args, attr, cast(value))
-            except ValueError:
-                raise _OptionError(
-                    f"{args.config}: {key} = {value!r} is not a valid "
-                    f"{cast.__name__}") from None
+        cast = action.type or str
+        try:
+            defaults[action.dest] = cast(value)
+        except ValueError:
+            raise _OptionError(f"{args.config}: {key} = {value!r} is not a "
+                               f"valid {cast.__name__}") from None
+        if action.choices and defaults[action.dest] not in action.choices:
+            raise _OptionError(f"{args.config}: {key} = {value!r} is not one "
+                               f"of {', '.join(map(str, action.choices))}")
+    sub.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def _check_parameters(args):
@@ -316,10 +297,11 @@ def _check_parameters(args):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         if args.config:
-            _apply_config(args, argv)
+            args = _apply_config(parser, args, argv)
         _check_parameters(args)
         return args.fn(args)
     except _OptionError as exc:

@@ -18,8 +18,6 @@ import scipy.sparse as sp
 
 from . import spectrum
 
-ZERO_MEAN_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class Parameters:
@@ -32,9 +30,6 @@ class Field:
     """Zero-mean scalar P1 function given by its vertex values."""
     mesh: object
     values: np.ndarray
-
-    def copy(self):
-        return Field(self.mesh, self.values.copy())
 
 
 def field_values(u):
@@ -286,6 +281,4 @@ def project_pi(u, basis, I):
     """First I mass inner products of u with the eigenbasis."""
     if I > len(basis):
         raise ValueError("projection order exceeds available eigenpairs")
-    if I == 0:
-        return np.zeros(0)
     return basis.eigenvectors[:, :I].T @ (basis.mass @ field_values(u))

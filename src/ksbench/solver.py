@@ -40,8 +40,8 @@ class SolveResult:
     iterations: int
     seed_descriptor: str = "zero"
 
-    def to_json_dict(self, p=None):
-        out = {
+    def to_json_dict(self, p):
+        return {
             "residual": self.residual,
             "energy": self.energy,
             "classification": self.classification,
@@ -49,11 +49,9 @@ class SolveResult:
             "iterations": self.iterations,
             "seed": self.seed_descriptor,
             "field": [float(x) for x in self.u.values],
+            "beta": p.beta,
+            "rho": p.rho,
         }
-        if p is not None:
-            out["beta"] = p.beta
-            out["rho"] = p.rho
-        return out
 
 
 @dataclass(eq=False)
@@ -391,7 +389,7 @@ def continuation(model, basis, p_start, p_end, steps, u0=None):
     return results, None
 
 
-def _seed_configs(mesh, basis, K, I):
+def _seed_configs(mesh, K, I):
     """Join points enumerating atom families with 2l + m <= K, sphere
     directions +-e_i, t in {0, 1/2, 1} and the scales SEED_LAMBDAS."""
     b_atom = boundary_atom(mesh)
@@ -445,7 +443,7 @@ def find_critical_point(mesh, basis, p, flow_budget=300):
         K, I = 0, 0
 
     seeds = [("zero", np.zeros(mesh.num_vertices))]
-    for cfg in _seed_configs(mesh, basis, K, I):
+    for cfg in _seed_configs(mesh, K, I):
         name = f"family(lam={cfg.lam:g}, t={cfg.zeta.t:g})"
         seeds.append((name, phi_lambda(cfg, mesh, basis).values))
     for i in range(min(len(basis), max(I, 2))):

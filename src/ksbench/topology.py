@@ -55,10 +55,7 @@ def concentration_index(rho):
 def indices(p, area, eigenvalues):
     """(K, I, J) of the bracketing conditions; ResonanceError when degenerate."""
     K = concentration_index(p.rho)
-    try:
-        I = bracket_index(eigenvalues, p.beta)
-    except ResonanceError as exc:
-        raise ResonanceError(str(exc), which="beta") from exc
+    I = bracket_index(eigenvalues, p.beta)
     return K, I, trivial_morse_index(p, area, eigenvalues)
 
 
@@ -115,25 +112,22 @@ def trivial_morse_index(p, area, eigenvalues):
 
 def condition_report(p, area, eigenvalues, genus):
     """Full report; resonances produce a degenerate verdict instead of raising."""
-    flags = {"rho": False, "beta": False, "shifted": False}
-    K = I = J = -1
+    resonance = None
+    K = I = J = degree = rank = 0
     try:
         K, I, J = indices(p, area, eigenvalues)
     except ResonanceError as exc:
-        flags[exc.which or "rho"] = True
-        return ConditionReport(beta=p.beta, rho=p.rho, K=max(K, 0), I=max(I, 0),
-                               J=max(J, 0), genus=genus,
-                               resonant_rho=flags["rho"],
-                               resonant_beta=flags["beta"],
-                               resonant_shifted=flags["shifted"],
-                               verdict=VERDICT_DEGENERATE,
-                               homology_rank=0, homology_degree=0)
-    verdict = existence_verdict(K, I, J, genus)
-    try:
-        degree, rank = homology_rank(K, I, genus)
-    except EmptySpaceError:
-        degree, rank = -1, 0
+        resonance = exc.which or "rho"
+        verdict = VERDICT_DEGENERATE
+    else:
+        verdict = existence_verdict(K, I, J, genus)
+        try:
+            degree, rank = homology_rank(K, I, genus)
+        except EmptySpaceError:
+            degree, rank = -1, 0
     return ConditionReport(beta=p.beta, rho=p.rho, K=K, I=I, J=J, genus=genus,
-                           resonant_rho=False, resonant_beta=False,
-                           resonant_shifted=False, verdict=verdict,
+                           resonant_rho=resonance == "rho",
+                           resonant_beta=resonance == "beta",
+                           resonant_shifted=resonance == "shifted",
+                           verdict=verdict,
                            homology_rank=rank, homology_degree=degree)

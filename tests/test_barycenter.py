@@ -655,6 +655,28 @@ def test_spread_ties_in_ball_mass_follow_position(square48):
                          _spread_points_oracle(square48, values, 0.2, 0))
 
 
+def test_spread_far_apart_witnesses_match_oracle(square48):
+    # Two boundary bubbles 0.42 apart: two eps-balls capture only half the
+    # mass, so the witnesses come from the far-apart construction, each
+    # moved onto the boundary.
+    eps, K = 0.2, 2
+    mu = bubbles.make_measure([[0.29, 0.0], [0.71, 0.0]], [False, False])
+    values = np.exp(bubbles.bubble_values(mu, 160.0, square48))
+    pts, w = bc.density_atoms(square48, values)
+    _, _, captured = bc._cover(square48, eps).greedy_capture(square48, w, K)
+    assert captured < 1.0 - eps
+    out = bc.spread_points(square48, values, eps, K)
+    _assert_same_outcome(out, _spread_points_oracle(square48, values, eps, K))
+    assert isinstance(out, bc.Concentrated)
+    assert not out.interior.any() and out.weighted_count <= K
+    assert np.allclose(out.points, [[0.2833, 0.0], [0.7167, 0.0]], atol=1e-4)
+    for point in out.points:
+        assert meshmod.boundary_distance(square48, point) < 1e-9
+    d = np.linalg.norm(pts[:, None, :] - out.points[None, :, :],
+                       axis=2).min(axis=1)
+    assert w[d <= eps].sum() >= 1.0 - eps
+
+
 def _bubble_density(mesh, centers, interior, scale):
     """Bubbles at `centers`; boundary-tagged ones are moved to y = 0."""
     centers = np.array(centers, dtype=float)

@@ -11,7 +11,9 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import ksbench
-from ksbench import cli, errors, spectrum
+from ksbench import cli, errors, spectrum, topology
+from ksbench import mesh as meshmod
+from ksbench.energy import Parameters
 
 
 def test_analyze_guaranteed_exit_0(capsys, tmp_path):
@@ -41,6 +43,28 @@ def test_analyze_resonant_exit_2(tmp_path):
     report = json.loads((tmp_path / "r.json").read_text())
     assert report["verdict"] == "degenerate"
     assert report["resonant_rho"]
+
+
+@pytest.mark.parametrize("which", ["beta", "shifted"])
+def test_resonant_beta_and_shifted_are_degenerate(which, tmp_path):
+    # beta = -lambda_1, or beta - rho/|Omega| = -lambda_1, on square16.
+    mesh = meshmod.build_builtin("unit_square", 16)
+    eigenvalues = spectrum.eigenpairs(mesh, 8).eigenvalues
+    rho = 5.0
+    beta = float(-eigenvalues[0] + (rho / mesh.area if which == "shifted"
+                                    else 0.0))
+    report = topology.condition_report(Parameters(beta=beta, rho=rho),
+                                       mesh.area, eigenvalues, mesh.genus)
+    flags = (report.resonant_rho, report.resonant_beta,
+             report.resonant_shifted)
+    assert flags == (False, which == "beta", which == "shifted")
+    assert (report.K, report.I, report.J) == (0, 0, 0)
+    assert report.verdict == topology.VERDICT_DEGENERATE
+    out = tmp_path / "r.json"
+    rc = cli.main(["analyze", "--res", "16", f"--beta={beta!r}",
+                   f"--rho={rho!r}", "--out", str(out)])
+    assert rc == 2
+    assert json.loads(out.read_text()) == json.loads(report.to_json())
 
 
 def test_analyze_csv_format(tmp_path):
@@ -75,6 +99,15 @@ def test_solve_coercive_exit_1(tmp_path):
     assert rc == 1
     sol = json.loads(out.read_text())
     assert sol["classification"] == "trivial"
+
+
+def test_solve_at_resonant_rho_writes_json(tmp_path):
+    out = tmp_path / "sol.json"
+    rc = cli.main(["solve", "--res", "24", "--beta", "1",
+                   f"--rho={4.0 * np.pi!r}", "--out", str(out)])
+    assert rc in (0, 1)
+    sol = json.loads(out.read_text())
+    assert sol["classification"] == ("nontrivial" if rc == 0 else "trivial")
 
 
 def test_solve_bad_mesh_exit_3(tmp_path, capsys):
@@ -314,6 +347,26 @@ def test_config_format_takes_effect_in_analyze(tmp_path):
     rc = cli.main(["analyze", "--config", str(cfg), "--out", str(out)])
     assert rc in (0, 1)
     assert out.read_text().splitlines()[0] == "field,value"
+
+
+# A value outside the option's choices, also where a flag overrides it.
+@pytest.mark.parametrize("command, key, value, flags", [
+    ("analyze", "format", "xml", []), ("probe", "probe", "nonsense", []),
+    ("solve", "domain", "hexagon", []),
+    ("analyze", "format", "xml", ["--format=csv"]),
+    ("solve", "domain", "hexagon", ["--domain=disk"])])
+def test_config_value_outside_choices_exits_2(command, key, value, flags,
+                                              capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    out = tmp_path / "out"
+    rc = cli.main([command, "--res", "8", "--eigs", "2", *flags, "--config",
+                   str(cfg), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{key} = {value!r}" in err
+    assert not out.exists()
 
 
 def test_config_dashed_key_sets_its_option(tmp_path):

@@ -164,6 +164,17 @@ def test_find_critical_point_coercive_is_trivial(square48, square48_basis):
     assert all(r.classification == solver.CLASS_TRIVIAL for r in found)
 
 
+def test_find_critical_point_at_resonant_rho_seeds_no_family(square24):
+    # rho = 4 pi has no concentration index: the search falls back to
+    # K = I = 0, so only the zero seed and the scaled eigenmodes remain.
+    basis = spectrum.eigenpairs(square24, 8)
+    p = Parameters(beta=1.0, rho=4.0 * np.pi)
+    pick, found = solver.find_critical_point(square24, basis, p)
+    assert pick is not None and found
+    assert all(r.seed_descriptor == "zero"
+               or r.seed_descriptor.startswith("mode(") for r in found)
+
+
 def test_find_critical_point_nontrivial_disk(disk128, disk128_basis):
     p = Parameters(beta=-5.0, rho=13.8)
     pick, _ = solver.find_critical_point(disk128, disk128_basis, p)
@@ -610,7 +621,7 @@ def test_refined_newton_matches_direct_on_disk_seeds(disk128, disk128_basis,
     p = Parameters(beta=-5.0, rho=rho)
     K, I, _ = topology.indices(p, model.area, disk128_basis.eigenvalues)
     seeds = [bubbles.phi_lambda(cfg, disk128, disk128_basis).values
-             for cfg in solver._seed_configs(disk128, disk128_basis, K, I)]
+             for cfg in solver._seed_configs(disk128, K, I)]
     seeds += [s * disk128_basis.eigenvectors[:, i]
               for i in range(max(I, 2)) for s in (2.0, -2.0, 4.0)]
     outcomes = set()
