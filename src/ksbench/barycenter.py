@@ -245,6 +245,32 @@ def _ball_incidence(centers, points, radius):
                          shape=(len(centers), len(points))).tocsr()
 
 
+def _net_geometry(mesh, points, d0, half, eps):
+    """Which capture candidates the net `points` give, from the midpoint
+    bound `d0 - half <= d <= d0` of `mesh._midpoint_bounds` (a d0 of inf
+    stands for any point farther than eps / 2 + half from every midpoint).
+
+    A point inside the domain gives an interior candidate, itself, and a
+    point within eps / 2 of the boundary a boundary candidate, its nearest
+    boundary point.  Returns (inner, edge, the edge points' projections).
+    """
+    # Only a point within eps / 2 of the boundary needs its exact distance:
+    # by the midpoint bound d >= d0 - L/2, the others are interior
+    # candidates and not boundary ones.
+    close = np.flatnonzero(d0 - half <= eps / 2.0 * (1.0 + 1e-9) + 1e-12)
+    bdist = np.full(len(points), np.inf)
+    bdist[close] = meshmod.boundary_distances(mesh, points[close])
+    inner, edge = bdist > 0.0, bdist < eps / 2.0
+    # `_hex_net` keeps a point outside the domain only within 1.001
+    # spacings (eps / 6 in `spread_points`) of a vertex, hence of the
+    # boundary, so only such points need the winding test.
+    near = np.flatnonzero(inner & (bdist <= 1.001 * eps / 6.0 * (1.0 + 1e-9)))
+    inner[near] = meshmod.winding_numbers(mesh, points[near]) != 0
+    foot = (meshmod.nearest_boundary_point(mesh, points[edge]) if edge.any()
+            else np.zeros((0, 2)))
+    return inner, edge, foot
+
+
 def _capture_candidates(mesh, points, net, eps):
     """The greedy capture's candidates, their costs and their eps-balls.
 
@@ -253,23 +279,50 @@ def _capture_candidates(mesh, points, net, eps):
     net points within eps / 2 of the boundary and cost 1.  Returns
     (candidates, costs, candidates x points ball incidence).
     """
-    # Only a point within eps / 2 of the boundary needs its exact distance:
-    # by the midpoint bound d >= d0 - L/2, the others are interior
-    # candidates and not boundary ones.
     _, d0, half = meshmod._midpoint_bounds(mesh, net)
-    close = np.flatnonzero(d0 - half <= eps / 2.0 * (1.0 + 1e-9) + 1e-12)
-    bdist = np.full(len(net), np.inf)
-    bdist[close] = meshmod.boundary_distances(mesh, net[close])
-    inner, edge = bdist > 0.0, bdist < eps / 2.0
-    # `_hex_net` keeps a point outside the domain only within 1.001
-    # spacings (eps / 6 in `spread_points`) of a vertex, hence of the
-    # boundary, so only such points need the winding test.
-    near = np.flatnonzero(inner & (bdist <= 1.001 * eps / 6.0 * (1.0 + 1e-9)))
-    inner[near] = meshmod.winding_numbers(mesh, net[near]) != 0
-    cand = np.concatenate([net[inner],
-                           meshmod.nearest_boundary_point(mesh, net[edge])])
+    inner, edge, foot = _net_geometry(mesh, net, d0, half, eps)
+    cand = np.concatenate([net[inner], foot])
     cost = np.repeat([2, 1], [inner.sum(), edge.sum()])
     return cand, cost, _ball_incidence(cand, points, eps)
+
+
+def _grid_cells(points, origin, side, nx):
+    """The flat index of the cell holding each point in a grid of square
+    cells of the given side, `nx` to a row, whose first cell starts at
+    `origin`."""
+    x, y = np.floor((points - origin) / side).astype(np.intp).T
+    return y * nx + x
+
+
+def _box_sums(mass, r):
+    """The sum of the 2-D array `mass` over the (2r + 1) x (2r + 1) box of
+    cells around each cell, the cells beyond its edges holding 0.  With
+    nonnegative masses each sum is accurate to far better than the 1e-9
+    that the capture bounds are padded by."""
+    ny, nx = mass.shape
+    pad = np.zeros((ny + 2 * r, nx + 2 * r))
+    pad[r:r + ny, r:r + nx] = mass
+    rows = pad[:ny].copy()
+    for k in range(1, 2 * r + 1):
+        rows += pad[k:k + ny]
+    box = rows[:, :nx].copy()
+    for k in range(1, 2 * r + 1):
+        box += rows[:, k:k + nx]
+    return box
+
+
+def _capture_bound(vertices, weights, eps):
+    """An upper bound, padded against rounding, on the mass of `weights` in
+    any capture candidate's eps-ball: the largest 5 x 5 block of eps-cells.
+    The ball lies within 3 eps / 2 of the candidate's net point (see
+    `_Cover`), so in the block around the net point's eps-cell; a block
+    centred off the vertices' grid holds no more than the block at the
+    nearest cell on it."""
+    x, y = np.floor(vertices / eps).astype(np.intp).T
+    x, y = x - x.min(), y - y.min()
+    nx, ny = x.max() + 1, y.max() + 1
+    mass = np.bincount(y * nx + x, weights=weights, minlength=nx * ny)
+    return _box_sums(mass.reshape(ny, nx), 2).max() * (1.0 + 1e-9)
 
 
 def _greedy_select(cand, cost, balls, weights, K):
@@ -300,9 +353,9 @@ def _greedy_select(cand, cost, balls, weights, K):
 
 def _greedy_capture(mesh, points, weights, net, eps, K):
     """Best-effort admissible family capturing mass within eps-balls, from
-    candidates built for this call: `_greedy_select` over
-    `_capture_candidates`.  `spread_points` takes the same candidates from
-    the mesh's cover instead.
+    every candidate, built for this call: `_greedy_select` over
+    `_capture_candidates`.  `spread_points` takes the same picks from the
+    mesh's cover, which builds only the candidates that can still win.
     """
     return _greedy_select(*_capture_candidates(mesh, points, net, eps),
                           weights, K)
@@ -311,8 +364,23 @@ def _greedy_capture(mesh, points, weights, net, eps, K):
 class _Cover:
     """What `spread_points` computes from the mesh and eps alone: the hex
     net of spacing eps / 6, whose size gives the mass floor, and, each on
-    first use, the net's eps / 6-balls and the greedy capture's candidates
-    with their eps-balls.  Every density on the mesh at this eps shares it.
+    first use, the net's eps / 6-balls, a grid of cells of side eps / 4
+    and the greedy capture's candidates with their eps-balls.  Every
+    density on the mesh at this eps shares it.
+
+    The greedy capture builds a candidate only where it can still win.  An
+    interior candidate is its net point and a boundary candidate lies
+    within eps / 2 of it, so the candidate's eps-ball lies within 5 cells
+    (interior) or 7 cells (boundary) of the net point's cell each way, one
+    cell of that for the point's place in its cell and for rounding.  The
+    mass in that box of cells bounds the candidate's gain from above; the
+    ball holds the net point's own cell, whose mass bounds the gain from
+    below.  Each pick builds, in one batch, the candidates whose upper
+    bound reaches the best gain known, exact for the candidates already
+    built and the best lower bound otherwise: their geometry (the midpoint
+    bound, from one midpoint tree per cover, the exact boundary distance,
+    the winding test and the boundary projection) and their eps-ball rows,
+    kept for later picks and densities, one per net point and kind.
 
     It holds the mesh's vertex array but not the mesh, so a mesh that keeps
     its covers is still freed by reference counting.
@@ -324,7 +392,21 @@ class _Cover:
         self.net = _hex_net(mesh, self.radius)
         self.mass_floor = eps / len(self.net)
         self._vertices = mesh.vertices
-        self._candidates = None
+        n = len(self.net)
+        # Per net point: the midpoint bound's d0 (NaN until queried), and
+        # once its geometry is known, its candidates.
+        self._midpoints = None
+        self._d0 = np.full(n, np.nan)
+        self._known = np.zeros(n, bool)
+        self._inner = np.zeros(n, bool)
+        self._edge = np.zeros(n, bool)
+        self._foot = np.zeros((n, 2))
+        # The eps-ball rows built so far, in blocks, with each row's net
+        # point and kind; which net points have a row of each kind.
+        self._rows = []
+        self._row_net = np.zeros(0, np.intp)
+        self._row_edge = np.zeros(0, bool)
+        self._has_row = np.zeros((2, n), bool)       # interior, boundary
 
     @cached_property
     def _net_balls(self):
@@ -334,12 +416,138 @@ class _Cover:
         """The mass of each net point's ball of the net's spacing."""
         return self._net_balls @ weights
 
+    @cached_property
+    def _cells(self):
+        """The capture grid, cells of side eps / 4 from one eps below the
+        vertices' least coordinates to one eps beyond their greatest, so
+        that it holds every net point: its shape and the cell of each
+        vertex and of each net point."""
+        side = self.eps / 4.0
+        origin = self._vertices.min(axis=0) - self.eps
+        nx, ny = ((self._vertices.max(axis=0) + self.eps - origin)
+                  // side).astype(int) + 2
+        return ((ny, nx), _grid_cells(self._vertices, origin, side, nx),
+                _grid_cells(self.net, origin, side, nx))
+
+    def _bounds(self, weights):
+        """For each net point, bounds on the mass of `weights` in its
+        candidates' eps-balls: above, padded up against rounding, its boxes
+        of 11 x 11 cells (interior) and 15 x 15 cells (boundary); below,
+        padded down, its own cell."""
+        (ny, nx), vert, net = self._cells
+        mass = np.bincount(vert, weights=weights,
+                           minlength=ny * nx).reshape(ny, nx)
+        inner, edge = (_box_sums(mass, r).ravel()[net] * (1.0 + 1e-9)
+                       for r in (5, 7))
+        return inner, edge, mass.ravel()[net] * (1.0 - 1e-9)
+
+    def _midpoint_distances(self, mesh, idx):
+        """The midpoint bound's d0 of the net points `idx`, queried once
+        each.  Beyond eps + L, far past the eps / 2 + L / 2 within which
+        a point needs its exact boundary distance, it reads inf."""
+        if self._midpoints is None:
+            # The midpoints' tree and L / 2, for no point yet.
+            tree, _, half = meshmod._midpoint_bounds(mesh, self.net[:0])
+            self._midpoints = tree, half
+        tree, half = self._midpoints
+        todo = idx[np.isnan(self._d0[idx])]
+        if len(todo):
+            self._d0[todo], _ = tree.query(
+                self.net[todo], distance_upper_bound=self.eps + 2.0 * half)
+        return self._d0[idx]
+
+    def _build(self, mesh, inner, edge):
+        """The interior candidates of the net points in mask `inner` and
+        the boundary candidates of those in mask `edge`: their geometry and
+        eps-ball rows where not built yet, each in one batch.  Where either
+        mask holds more than a quarter of the net, every candidate of the
+        net is built, as in `_capture_candidates`: bounds that prune that
+        little leave most of the rest to the next picks and densities at
+        this eps, and one batch costs less than many."""
+        if 4 * max(np.count_nonzero(inner), np.count_nonzero(edge)) > len(
+                self.net):
+            inner = edge = np.ones(len(self.net), bool)
+        new = np.flatnonzero((inner | edge) & ~self._known)
+        if len(new):
+            d0 = self._midpoint_distances(mesh, new)
+            self._known[new] = True
+            self._inner[new], self._edge[new], foot = _net_geometry(
+                mesh, self.net[new], d0, self._midpoints[1], self.eps)
+            self._foot[new[self._edge[new]]] = foot
+        ii = np.flatnonzero(inner & self._inner & ~self._has_row[0])
+        ee = np.flatnonzero(edge & self._edge & ~self._has_row[1])
+        if len(ii) + len(ee) == 0:
+            return
+        self._rows.append(_ball_incidence(
+            np.concatenate([self.net[ii], self._foot[ee]]), self._vertices,
+            self.eps))
+        self._row_net = np.concatenate([self._row_net, ii, ee])
+        self._row_edge = np.concatenate([self._row_edge,
+                                         np.repeat([False, True],
+                                                   [len(ii), len(ee)])])
+        self._has_row[0, ii] = True
+        self._has_row[1, ee] = True
+
+    def _gains(self, mesh, weights, budget):
+        """The mass of `weights` in each built candidate's eps-ball, 0 for
+        a candidate the budget cannot afford, after building every
+        candidate whose gain can reach the largest within 1e-12."""
+        inner, edge, low = self._bounds(weights)
+        gains = [rows @ weights for rows in self._rows]
+        built = len(gains)
+        afford = self._row_edge | (budget >= 2)
+        best = (np.concatenate(gains)[afford].max(initial=0.0) if gains
+                else 0.0)
+        if budget >= 2:
+            # Every net point gives a candidate: a point that `_hex_net`
+            # keeps outside the domain lies within a spacing of a vertex,
+            # so within eps / 2 of the boundary.
+            cut = max(best, low.max()) * (1.0 - 1e-12)
+            self._build(mesh, inner >= cut, edge >= cut)
+        else:
+            # Only boundary candidates are affordable.  A net point gives
+            # one for sure where d0 < eps / 2; only the net points within
+            # reach of the best gain known need their d0.
+            idx = np.flatnonzero(edge >= best * (1.0 - 1e-12))
+            sure = self._edge[idx] | (self._midpoint_distances(mesh, idx)
+                                      < self.eps / 2.0 * (1.0 - 1e-9))
+            cut = max(best, low[idx[sure]].max(initial=0.0)) * (1.0 - 1e-12)
+            self._build(mesh, np.zeros(len(self.net), bool), edge >= cut)
+        gains += [rows @ weights for rows in self._rows[built:]]
+        gains = np.concatenate(gains) if gains else np.zeros(0)
+        return np.where(self._row_edge | (budget >= 2), gains, 0.0)
+
+    def _row(self, k):
+        """The vertices in the eps-ball of built candidate `k`."""
+        for rows in self._rows:
+            if k < rows.shape[0]:
+                return rows.indices[rows.indptr[k]:rows.indptr[k + 1]]
+            k -= rows.shape[0]
+        raise IndexError(k)
+
     def greedy_capture(self, mesh, weights, K):
-        """`_greedy_capture` of the vertex weights on the net."""
-        if self._candidates is None:
-            self._candidates = _capture_candidates(mesh, self._vertices,
-                                                   self.net, self.eps)
-        return _greedy_select(*self._candidates, weights, K)
+        """`_greedy_capture` of the vertex weights on the net, with its
+        picks, gains and order, from the candidates that can still win."""
+        family, flags = [], []
+        covered = np.zeros(len(weights), bool)
+        budget = K
+        while budget > 0:
+            gains = self._gains(mesh, np.where(covered, 0.0, weights), budget)
+            top = gains.max(initial=0.0)
+            if top <= 0.0:
+                break
+            near = np.flatnonzero(gains >= top * (1.0 - 1e-12))
+            # Among equals the boundary candidate wins, then the earlier
+            # net point, as in `_capture_candidates`' order.
+            best = near[np.lexsort((self._row_net[near],
+                                    ~self._row_edge[near]))[0]]
+            covered[self._row(best)] = True
+            i, edge = self._row_net[best], bool(self._row_edge[best])
+            family.append((self._foot[i] if edge else self.net[i]).copy())
+            flags.append(not edge)
+            budget -= 1 if edge else 2
+        captured = weights[covered].sum()
+        return family, flags, captured
 
 
 def _cover(mesh, eps):
@@ -359,30 +567,25 @@ def _far_apart(cand, order, gap):
     """Greedy far-apart subset: visit `cand` in `order`, keep a point unless
     a kept one lies closer than `gap`.
 
-    Each kept point q blocks the points p with `norm(p - q) < gap`.  One
-    KD-tree pair query, padded against rounding, proposes every pair; the
-    norm decides (`vecdot` takes the same dot product per row as `norm` of
-    one vector), so lattice points exactly `gap` apart resolve the same way
-    as in a direct comparison against every kept point.  Each blocking
-    pair, in both directions, becomes a one-entry row; `tocsc` groups them
-    by their first point in one O(pairs) counting pass, as in
-    `_ball_incidence`, and the visit only indexes the neighbour lists.
+    Each kept point q blocks the points p with `norm(p - q) < gap`.  A
+    KD-tree ball around each point as it is kept, padded against rounding,
+    proposes them; the norm decides (`vecdot` takes the same dot product
+    per row as `norm` of one vector), so lattice points exactly `gap` apart
+    resolve the same way as in a direct comparison against every kept
+    point.  Only the kept points are queried: packing bounds them by the
+    area over gap^2, far fewer than the candidates.
     """
-    pairs = cKDTree(cand).query_pairs(gap * (1.0 + 1e-9),
-                                      output_type="ndarray")
-    diff = cand[pairs[:, 1]] - cand[pairs[:, 0]]
-    a, b = pairs[np.sqrt(np.vecdot(diff, diff)) < gap].T
-    m = 2 * len(a)
-    by_point = sp.csr_matrix((np.ones(m, bool), np.concatenate([a, b]),
-                              np.arange(m + 1)), shape=(m, len(cand))).tocsc()
-    near, start = np.concatenate([b, a])[by_point.indices], by_point.indptr
+    tree = cKDTree(cand)
     blocked = np.zeros(len(cand), dtype=bool)
     kept = []
     for idx in order:
         if blocked[idx]:
             continue
         kept.append(idx)
-        blocked[near[start[idx]:start[idx + 1]]] = True
+        near = np.array(tree.query_ball_point(cand[idx], gap * (1.0 + 1e-9)),
+                        dtype=np.intp)
+        diff = cand[near] - cand[idx]
+        blocked[near[np.sqrt(np.vecdot(diff, diff)) < gap]] = True
     return cand[kept] if kept else np.zeros((0, 2))
 
 
@@ -393,12 +596,19 @@ def spread_points(mesh, f_values, eps, K):
     family of weighted count at most K captures 1 - eps of the mass within
     eps-balls, and Spread (points far apart, each holding definite mass,
     with weighted count at least K + 1) otherwise.
+
+    The family is the greedy capture's, from the mesh's cover at eps.  It
+    holds at most K eps-balls, each holding at most the mass of the
+    heaviest 5 x 5 block of eps-cells (`_capture_bound`); where K times
+    that is below 1 - eps, the density is spread and no capture candidate
+    is built.
     """
     _, weights = density_atoms(mesh, f_values)
     cover = _cover(mesh, eps)
     radius = cover.radius
 
-    if K > 0:
+    if K > 0 and K * _capture_bound(mesh.vertices, weights,
+                                    eps) >= 1.0 - eps:
         family, flags, captured = cover.greedy_capture(mesh, weights, K)
         if captured >= 1.0 - eps:
             return Concentrated(points=np.array(family),

@@ -253,16 +253,18 @@ def build_parser():
 
 class _OptionError(ValueError):
     """A bad option value that argparse does not reject: a --config entry
-    that names no option, does not convert to its option's type or is not
-    one of its choices, or a value of the right type that cannot be used."""
+    that names no option, has no value, does not convert to its option's
+    type or is not one of its choices, an empty path, or a value of the
+    right type that cannot be used."""
 
 
 def _apply_config(parser, args, argv):
     """The command line parsed again with the --config file's entries as
     the subcommand's defaults, so that every flag form wins over them.  A
     key must name an option of the subcommand (with dashes or underscores),
-    other than --config and --help, and its value is converted by the
-    option's type and checked against its choices, as a flag value is."""
+    other than --config and --help; its value, which a line without `=`
+    or with nothing after it lacks, is converted by the option's type and
+    checked against its choices, as a flag value is."""
     subs = next(a for a in parser._actions
                 if isinstance(a, argparse._SubParsersAction))
     sub = subs.choices[args.command]
@@ -274,6 +276,8 @@ def _apply_config(parser, args, argv):
         if action is None:
             raise _OptionError(f"{args.config}: {key!r} is not an option of "
                                f"{args.command}")
+        if not value:
+            raise _OptionError(f"{args.config}: {key!r} has no value")
         cast = action.type or str
         try:
             defaults[action.dest] = cast(value)
@@ -285,6 +289,14 @@ def _apply_config(parser, args, argv):
                                f"of {', '.join(map(str, action.choices))}")
     sub.set_defaults(**defaults)
     return parser.parse_args(argv)
+
+
+def _check_paths(args):
+    """--mesh, --out and --config, where given, must name a file: an empty
+    path would be read as not given."""
+    for name in ("mesh", "out", "config"):
+        if getattr(args, name) == "":
+            raise _OptionError(f"--{name} must not be empty")
 
 
 def _check_parameters(args):
@@ -300,6 +312,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_paths(args)
         if args.config:
             args = _apply_config(parser, args, argv)
         _check_parameters(args)

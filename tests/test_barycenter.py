@@ -910,3 +910,168 @@ def test_oracle_leaves_no_cover(square48):
     before = dict(getattr(square48, "_covers", {}))
     _spread_points_oracle(square48, values, 0.3, 0)
     assert getattr(square48, "_covers", {}) == before
+
+
+# The bound-first greedy capture of `_Cover` against the loop oracle.
+_CAPTURE_MESHES = {"square48": meshmod.build_builtin("unit_square", 48),
+                   "disk": ORACLE_MESHES["disk"]}
+_CAPTURE_EPS = [0.2 / 3.0, 0.2, 0.25 / 3.0]
+
+
+def _bumps(mesh, atoms):
+    """Gaussian bumps at the vertices `atoms` names, (index, width) each."""
+    v = mesh.vertices
+    values = np.full(len(v), 1e-9)
+    for k, width in atoms:
+        d2 = ((v - v[k % len(v)]) ** 2).sum(axis=1)
+        values += np.exp(-d2 / width ** 2)
+    return values
+
+
+def _with_capture_bound(mesh, bumps, eps, K, target):
+    """`bumps` plus the flat density scaled so that K times the capture
+    bound of the normalized sum is `target`, or None where no scale
+    reaches it."""
+    def excess(c):
+        _, w = bc.density_atoms(mesh, bumps + c)
+        return K * bc._capture_bound(mesh.vertices, w, eps) - target
+    lo, hi = -30.0, 30.0                 # log10 of the flat density's scale
+    if excess(10.0 ** lo) < 0.0 or excess(10.0 ** hi) > 0.0:
+        return None
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if excess(10.0 ** mid) > 0.0 else (lo, mid)
+    values = bumps + 10.0 ** hi
+    return values if abs(excess(10.0 ** hi)) <= 1e-6 else None
+
+
+@st.composite
+def _capture_case(draw):
+    name = draw(st.sampled_from(sorted(_CAPTURE_MESHES)))
+    mesh = _CAPTURE_MESHES[name]
+    eps = draw(st.sampled_from(_CAPTURE_EPS))
+    K = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["atoms", "flat", "at the bound"]))
+    if kind == "flat":
+        return name, eps, K, np.ones(mesh.num_vertices)
+    atoms = draw(st.lists(st.tuples(st.integers(0, 10 ** 6),
+                                    st.floats(0.002, 0.3)),
+                          min_size=1, max_size=3))
+    values = _bumps(mesh, atoms)
+    if kind == "at the bound":
+        # K times the bound within 1e-6 of 1 - eps, on either side.
+        offset = draw(st.floats(-1e-6, 1e-6))
+        values = _with_capture_bound(mesh, values, eps, K,
+                                     1.0 - eps + offset)
+        hypothesis.assume(values is not None)
+    return name, eps, K, values
+
+
+@hypothesis.settings(max_examples=25, deadline=None,
+                     suppress_health_check=[
+                         hypothesis.HealthCheck.filter_too_much,
+                         hypothesis.HealthCheck.too_slow])
+@hypothesis.given(_capture_case())
+@hypothesis.example(("square48", 0.2 / 3.0, 2, np.ones(2401)))
+def test_cover_greedy_capture_matches_loop(case):
+    # Each case builds its own cover, from nothing.
+    name, eps, K, values = case
+    mesh = _CAPTURE_MESHES[name]
+    points, weights = bc.density_atoms(mesh, values)
+    cover = bc._Cover(mesh, eps)
+    family, flags, captured = cover.greedy_capture(mesh, weights, K)
+    ref_family, ref_flags, ref_captured = _greedy_capture_loop(
+        mesh, points, weights, cover.net, eps, K)
+    assert np.array_equal(np.array(family), np.array(ref_family))
+    assert flags == ref_flags
+    assert captured == ref_captured
+    # No family captures more than K times the bound of `spread_points`.
+    assert ref_captured <= K * bc._capture_bound(mesh.vertices, weights, eps)
+
+
+def _full_candidates(mesh, net, eps):
+    """Every net point's geometry and the eps-ball incidence of every
+    candidate, as `_capture_candidates` builds them: interior candidates
+    by net index, then boundary ones."""
+    _, d0, half = meshmod._midpoint_bounds(mesh, net)
+    inner, edge, foot = bc._net_geometry(mesh, net, d0, half, eps)
+    cand, _, balls = bc._capture_candidates(mesh, mesh.vertices, net, eps)
+    assert np.array_equal(cand, np.concatenate([net[inner], foot]))
+    return inner, edge, foot, balls
+
+
+@pytest.mark.parametrize("name", sorted(_CAPTURE_MESHES))
+@pytest.mark.parametrize("eps", _CAPTURE_EPS)
+def test_cover_bounds_and_rows_match_full_build(name, eps):
+    # Densities at one cover build rows for a few candidates at a time;
+    # each row, and each built net point's geometry, equals that of one
+    # full build, and the bounds hold for every candidate.
+    mesh = _CAPTURE_MESHES[name]
+    cover = bc._Cover(mesh, eps)
+    inner, edge, foot, balls = _full_candidates(mesh, cover.net, eps)
+    rng = np.random.default_rng(11)
+    v = mesh.vertices
+    for k in range(6):
+        atoms = [(rng.integers(len(v)), rng.choice([0.005, 0.02, 0.1]))
+                 for _ in range(rng.integers(1, 4))]
+        _, w = bc.density_atoms(mesh, _bumps(mesh, atoms))
+        cover.greedy_capture(mesh, w, 1 + k % 4)
+        upper_in, upper_edge, lower = cover._bounds(w)
+        gain = balls @ w
+        n_in = inner.sum()
+        assert np.all(gain[:n_in] <= upper_in[inner])
+        assert np.all(gain[n_in:] <= upper_edge[edge])
+        assert np.all(gain[:n_in] >= lower[inner])
+        assert np.all(gain[n_in:] >= lower[edge])
+        assert gain.max() <= bc._capture_bound(v, w, eps)
+    known = cover._known
+    assert 0 < known.sum() and np.array_equal(cover._inner[known],
+                                              inner[known])
+    assert np.array_equal(cover._edge[known], edge[known])
+    assert np.array_equal(cover._foot[known & edge],
+                          foot[np.isin(np.flatnonzero(edge),
+                                       np.flatnonzero(known))])
+    # The full build's row of each built candidate.
+    row = np.where(cover._row_edge,
+                   inner.sum() + np.searchsorted(np.flatnonzero(edge),
+                                                 cover._row_net),
+                   np.searchsorted(np.flatnonzero(inner), cover._row_net))
+    built = sp.vstack(cover._rows, format="csr")
+    want = balls[row]
+    assert np.array_equal(built.indptr, want.indptr)
+    assert np.array_equal(built.indices, want.indices)
+
+
+def test_hopeless_flat_spread_builds_no_candidate(monkeypatch):
+    # The `concentration` workload's flat spread: two eps-balls hold at
+    # most twice a 5 x 5 block of eps-cells, 22% of the mass against the
+    # 93% needed, so no candidate's geometry or eps-ball is built; the
+    # only ball matrix is the net's, and the only boundary distances are
+    # those of the far-apart points.  The hex net, built first, is not
+    # counted.
+    mesh = meshmod.build_builtin("unit_square", 48)
+    cover = bc._cover(mesh, 0.2 / 3.0)
+    counts = {"_ball_incidence": 0, "_net_geometry": 0}
+
+    def counting(name):
+        fn = getattr(bc, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+        return counted
+    for name in counts:
+        monkeypatch.setattr(bc, name, counting(name))
+    sizes = []
+    distances = meshmod.boundary_distances
+
+    def counted_distances(mesh, points):
+        sizes.append(len(points))
+        return distances(mesh, points)
+    monkeypatch.setattr(meshmod, "boundary_distances", counted_distances)
+    out = bc.spread_points(mesh, np.ones(mesh.num_vertices), 0.2 / 3.0, 2)
+    assert isinstance(out, bc.Spread)
+    assert counts == {"_ball_incidence": 1, "_net_geometry": 0}
+    assert sizes == [len(out.points)]
+    assert mesh._covers[0.2 / 3.0] is cover
+    assert not cover._known.any() and not cover._rows

@@ -462,3 +462,30 @@ def test_two_scales_are_enough_outside_dirichlet_slope(capsys, tmp_path):
                    "--lambda-grid", "10,20", "--out", str(tmp_path / "out")])
     assert rc == 0
     assert "PASS" in capsys.readouterr().out
+
+
+# An entry without a value, a line without `=` or with nothing after it,
+# once read as not given: `mesh` alone printed the unit-square result.
+@pytest.mark.parametrize("command", ["analyze", "solve", "probe", "spectrum"])
+@pytest.mark.parametrize("line", ["mesh", "mesh =", "out =", "out"])
+def test_config_entry_without_value_exits_2(command, line, capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"res = 8\n{line}\n")
+    rc = cli.main([command, "--eigs", "2", "--config", str(cfg)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert f"'{line.split()[0]}' has no value" in captured.err
+
+
+@pytest.mark.parametrize("command", ["analyze", "solve", "probe", "spectrum"])
+@pytest.mark.parametrize("flags", [["--mesh="], ["--mesh", ""], ["--out="],
+                                   ["--config="]])
+def test_empty_path_flag_exits_2(command, flags, capsys):
+    rc = cli.main([command, "--res", "8", "--eigs", "2", *flags])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flags[0].rstrip('=')} must not be empty\n"
