@@ -252,7 +252,8 @@ def _net_geometry(mesh, points, d0, half, eps):
 
     A point inside the domain gives an interior candidate, itself, and a
     point within eps / 2 of the boundary a boundary candidate, its nearest
-    boundary point.  Returns (inner, edge, the edge points' projections).
+    boundary point.  Returns (inner, edge, the edge points' projections in
+    the order of `points`).
     """
     # Only a point within eps / 2 of the boundary needs its exact distance:
     # by the midpoint bound d >= d0 - L/2, the others are interior
@@ -271,21 +272,6 @@ def _net_geometry(mesh, points, d0, half, eps):
     return inner, edge, foot
 
 
-def _capture_candidates(mesh, points, net, eps):
-    """The greedy capture's candidates, their costs and their eps-balls.
-
-    Interior candidates are the net points inside the domain and cost 2 of
-    the budget; boundary candidates are the nearest boundary points of the
-    net points within eps / 2 of the boundary and cost 1.  Returns
-    (candidates, costs, candidates x points ball incidence).
-    """
-    _, d0, half = meshmod._midpoint_bounds(mesh, net)
-    inner, edge, foot = _net_geometry(mesh, net, d0, half, eps)
-    cand = np.concatenate([net[inner], foot])
-    cost = np.repeat([2, 1], [inner.sum(), edge.sum()])
-    return cand, cost, _ball_incidence(cand, points, eps)
-
-
 def _grid_cells(points, origin, side, nx):
     """The flat index of the cell holding each point in a grid of square
     cells of the given side, `nx` to a row, whose first cell starts at
@@ -298,7 +284,7 @@ def _box_sums(mass, r):
     """The sum of the 2-D array `mass` over the (2r + 1) x (2r + 1) box of
     cells around each cell, the cells beyond its edges holding 0.  With
     nonnegative masses each sum is accurate to far better than the 1e-9
-    that the capture bounds are padded by."""
+    that `_Cover`'s bounds are padded by."""
     ny, nx = mass.shape
     pad = np.zeros((ny + 2 * r, nx + 2 * r))
     pad[r:r + ny, r:r + nx] = mass
@@ -309,56 +295,6 @@ def _box_sums(mass, r):
     for k in range(1, 2 * r + 1):
         box += rows[:, k:k + nx]
     return box
-
-
-def _capture_bound(vertices, weights, eps):
-    """An upper bound, padded against rounding, on the mass of `weights` in
-    any capture candidate's eps-ball: the largest 5 x 5 block of eps-cells.
-    The ball lies within 3 eps / 2 of the candidate's net point (see
-    `_Cover`), so in the block around the net point's eps-cell; a block
-    centred off the vertices' grid holds no more than the block at the
-    nearest cell on it."""
-    x, y = np.floor(vertices / eps).astype(np.intp).T
-    x, y = x - x.min(), y - y.min()
-    nx, ny = x.max() + 1, y.max() + 1
-    mass = np.bincount(y * nx + x, weights=weights, minlength=nx * ny)
-    return _box_sums(mass.reshape(ny, nx), 2).max() * (1.0 + 1e-9)
-
-
-def _greedy_select(cand, cost, balls, weights, K):
-    """Greedy marginal-gain selection among the capture candidates: each
-    pick is the affordable candidate of largest uncovered ball mass, where
-    a gain within a 1e-12 relative tolerance of the largest counts as equal
-    and, among equals, the cheaper boundary option wins, then the earlier
-    candidate.  Returns (family, interior flags, captured mass fraction).
-    """
-    family, flags = [], []
-    covered = np.zeros(len(weights), bool)
-    budget = K
-    while budget > 0:
-        uncovered = np.where(covered, 0.0, weights)
-        gains = np.where(cost <= budget, balls @ uncovered, 0.0)
-        top = gains.max(initial=0.0)
-        if top <= 0.0:
-            break
-        near = np.flatnonzero(gains >= top * (1.0 - 1e-12))
-        best = near[np.argmin(cost[near])]
-        covered[balls[best].indices] = True
-        family.append(cand[best])
-        flags.append(bool(cost[best] == 2))
-        budget -= cost[best]
-    captured = weights[covered].sum()
-    return family, flags, captured
-
-
-def _greedy_capture(mesh, points, weights, net, eps, K):
-    """Best-effort admissible family capturing mass within eps-balls, from
-    every candidate, built for this call: `_greedy_select` over
-    `_capture_candidates`.  `spread_points` takes the same picks from the
-    mesh's cover, which builds only the candidates that can still win.
-    """
-    return _greedy_select(*_capture_candidates(mesh, points, net, eps),
-                          weights, K)
 
 
 class _Cover:
@@ -441,6 +377,11 @@ class _Cover:
                        for r in (5, 7))
         return inner, edge, mass.ravel()[net] * (1.0 - 1e-9)
 
+    def capture_bound(self, weights):
+        """An upper bound, padded against rounding, on the mass of
+        `weights` in any candidate's eps-ball: the largest boundary box."""
+        return self._bounds(weights)[1].max()
+
     def _midpoint_distances(self, mesh, idx):
         """The midpoint bound's d0 of the net points `idx`, queried once
         each.  Beyond eps + L, far past the eps / 2 + L / 2 within which
@@ -461,9 +402,9 @@ class _Cover:
         the boundary candidates of those in mask `edge`: their geometry and
         eps-ball rows where not built yet, each in one batch.  Where either
         mask holds more than a quarter of the net, every candidate of the
-        net is built, as in `_capture_candidates`: bounds that prune that
-        little leave most of the rest to the next picks and densities at
-        this eps, and one batch costs less than many."""
+        net is built at once: bounds that prune that little leave most of
+        the rest to the next picks and densities at this eps, and one batch
+        costs less than many."""
         if 4 * max(np.count_nonzero(inner), np.count_nonzero(edge)) > len(
                 self.net):
             inner = edge = np.ones(len(self.net), bool)
@@ -526,8 +467,11 @@ class _Cover:
         raise IndexError(k)
 
     def greedy_capture(self, mesh, weights, K):
-        """`_greedy_capture` of the vertex weights on the net, with its
-        picks, gains and order, from the candidates that can still win."""
+        """Greedy capture of the vertex weights within budget K: each pick
+        is the affordable candidate (interior 2, boundary 1) of largest
+        uncovered eps-ball mass; gains within 1e-12 relative tie, and the
+        boundary candidate, then the earlier net point, wins a tie.
+        Returns (family, interior flags, captured mass fraction)."""
         family, flags = [], []
         covered = np.zeros(len(weights), bool)
         budget = K
@@ -537,8 +481,6 @@ class _Cover:
             if top <= 0.0:
                 break
             near = np.flatnonzero(gains >= top * (1.0 - 1e-12))
-            # Among equals the boundary candidate wins, then the earlier
-            # net point, as in `_capture_candidates`' order.
             best = near[np.lexsort((self._row_net[near],
                                     ~self._row_edge[near]))[0]]
             covered[self._row(best)] = True
@@ -546,8 +488,7 @@ class _Cover:
             family.append((self._foot[i] if edge else self.net[i]).copy())
             flags.append(not edge)
             budget -= 1 if edge else 2
-        captured = weights[covered].sum()
-        return family, flags, captured
+        return family, flags, weights[covered].sum()
 
 
 def _cover(mesh, eps):
@@ -598,17 +539,16 @@ def spread_points(mesh, f_values, eps, K):
     with weighted count at least K + 1) otherwise.
 
     The family is the greedy capture's, from the mesh's cover at eps.  It
-    holds at most K eps-balls, each holding at most the mass of the
-    heaviest 5 x 5 block of eps-cells (`_capture_bound`); where K times
-    that is below 1 - eps, the density is spread and no capture candidate
-    is built.
+    holds at most K eps-balls, each holding at most the cover's capture
+    bound, the heaviest box of 15 x 15 eps/4-cells around a net point;
+    where K times that is below 1 - eps, the density is spread and no
+    capture candidate is built.
     """
     _, weights = density_atoms(mesh, f_values)
     cover = _cover(mesh, eps)
     radius = cover.radius
 
-    if K > 0 and K * _capture_bound(mesh.vertices, weights,
-                                    eps) >= 1.0 - eps:
+    if K > 0 and K * cover.capture_bound(weights) >= 1.0 - eps:
         family, flags, captured = cover.greedy_capture(mesh, weights, K)
         if captured >= 1.0 - eps:
             return Concentrated(points=np.array(family),
@@ -654,10 +594,9 @@ def project_to_barycenters(mesh, f_values, eps, K):
 
     points, weights = density_atoms(mesh, f_values)
     ball = eps / 3.0
-    assigned = np.full(len(points), -1)
-    for k, p in enumerate(family):          # first ball wins: disjointified
-        hit = (np.linalg.norm(points - p, axis=1) <= ball) & (assigned < 0)
-        assigned[hit] = k
+    # First ball wins: disjointified.
+    hit = np.linalg.norm(points[:, None] - family, axis=2) <= ball
+    assigned = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
     t = np.bincount(np.where(assigned < 0, 0, assigned),
                     weights=np.where(assigned < 0, 0.0, weights),
                     minlength=len(family))

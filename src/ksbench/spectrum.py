@@ -25,14 +25,14 @@ class SpectralBasis:
 def ordered_pattern(rows, cols, order):
     """The CSC pattern (indptr, indices) of A[order][:, order], for A with
     distinct entries at (rows, cols), and which entry each of its entries
-    is: one sort of the keys (rank[col], rank[row]), rank the inverse of
-    `order`.  A symmetric pattern's CSC arrays are also its CSR ones."""
+    is, from scipy's COO to CSC conversion (rank inverts `order`).  A
+    symmetric pattern's CSC arrays are also its CSR ones."""
     n = len(order)
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)
-    r, c = rank[rows], rank[cols]
-    entry = np.argsort(c * n + r)
-    return np.searchsorted(c[entry], np.arange(n + 1)), r[entry], entry
+    P = sp.csc_matrix((np.arange(len(rows)), (rank[rows], rank[cols])),
+                      shape=(n, n))
+    return P.indptr, P.indices, P.data
 
 
 def assemble(mesh):

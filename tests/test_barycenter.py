@@ -280,6 +280,57 @@ def _ball_incidence_lists(centers, points, radius):
                          shape=(len(centers), len(points)))
 
 
+def _capture_candidates(mesh, points, net, eps):
+    """The greedy capture's candidates, their costs and their eps-balls.
+
+    Interior candidates are the net points inside the domain and cost 2 of
+    the budget; boundary candidates are the nearest boundary points of the
+    net points within eps / 2 of the boundary and cost 1.  Returns
+    (candidates, costs, candidates x points ball incidence).
+    """
+    _, d0, half = meshmod._midpoint_bounds(mesh, net)
+    inner, edge, foot = bc._net_geometry(mesh, net, d0, half, eps)
+    cand = np.concatenate([net[inner], foot])
+    cost = np.repeat([2, 1], [inner.sum(), edge.sum()])
+    return cand, cost, bc._ball_incidence(cand, points, eps)
+
+
+def _greedy_select(cand, cost, balls, weights, K):
+    """Greedy marginal-gain selection among the capture candidates: each
+    pick is the affordable candidate of largest uncovered ball mass, where
+    a gain within a 1e-12 relative tolerance of the largest counts as equal
+    and, among equals, the cheaper boundary option wins, then the earlier
+    candidate.  Returns (family, interior flags, captured mass fraction).
+    """
+    family, flags = [], []
+    covered = np.zeros(len(weights), bool)
+    budget = K
+    while budget > 0:
+        uncovered = np.where(covered, 0.0, weights)
+        gains = np.where(cost <= budget, balls @ uncovered, 0.0)
+        top = gains.max(initial=0.0)
+        if top <= 0.0:
+            break
+        near = np.flatnonzero(gains >= top * (1.0 - 1e-12))
+        best = near[np.argmin(cost[near])]
+        covered[balls[best].indices] = True
+        family.append(cand[best])
+        flags.append(bool(cost[best] == 2))
+        budget -= cost[best]
+    captured = weights[covered].sum()
+    return family, flags, captured
+
+
+def _greedy_capture(mesh, points, weights, net, eps, K):
+    """Best-effort admissible family capturing mass within eps-balls, from
+    every candidate, built for this call: `_greedy_select` over
+    `_capture_candidates`.  `spread_points` takes the same picks from the
+    mesh's cover, which builds only the candidates that can still win.
+    """
+    return _greedy_select(*_capture_candidates(mesh, points, net, eps),
+                          weights, K)
+
+
 def _greedy_capture_loop(mesh, points, weights, net, eps, K):
     bdist = meshmod.boundary_distances(mesh, net)
     candidates = [(p.copy(), True) for p, d in zip(net, bdist) if d > 0.0]
@@ -327,10 +378,11 @@ class _BallLists:
         return np.array([weights[idx].sum() for idx in self.balls])
 
 
-class _UncachedCover:
+class _UncachedCover(bc._Cover):
     """Stands in for `bc._cover`: the former per-call geometry of
     `spread_points`, rebuilt on every call through the module's functions
-    and kept on no mesh."""
+    and kept on no mesh, with the full-build greedy capture.  Its capture
+    bound is the cover's, from a grid built for the call."""
 
     def __init__(self, mesh, eps):
         self.eps = eps
@@ -344,8 +396,8 @@ class _UncachedCover:
                                   self.radius) @ weights
 
     def greedy_capture(self, mesh, weights, K):
-        return bc._greedy_capture(mesh, self._vertices, weights, self.net,
-                                  self.eps, K)
+        return _greedy_capture(mesh, self._vertices, weights, self.net,
+                               self.eps, K)
 
 
 def _oracle(fn, *args):
@@ -354,7 +406,7 @@ def _oracle(fn, *args):
     cover on the mesh."""
     with mock.patch.object(bc, "_cover", _UncachedCover), \
             mock.patch.object(bc, "_far_apart", _far_apart_loop), \
-            mock.patch.object(bc, "_greedy_capture", _greedy_capture_loop), \
+            mock.patch.dict(globals(), _greedy_capture=_greedy_capture_loop), \
             mock.patch.object(bc, "_ball_incidence", _BallLists), \
             mock.patch.object(meshmod, "nearest_boundary_point",
                               _nearest_boundary_point_brute):
@@ -697,8 +749,8 @@ def test_greedy_capture_matches_oracle(square48, atoms, scale, eps, K):
                              [a[2] for a in atoms], scale)
     points, weights = bc.density_atoms(square48, values)
     net = bc._hex_net(square48, eps / 6.0)
-    family, flags, captured = bc._greedy_capture(square48, points, weights,
-                                                 net, eps, K)
+    family, flags, captured = _greedy_capture(square48, points, weights,
+                                              net, eps, K)
     ref_family, ref_flags, ref_captured = _greedy_capture_loop(
         square48, points, weights, net, eps, K)
     assert np.array_equal(np.array(family), np.array(ref_family))
@@ -717,6 +769,58 @@ def test_project_to_barycenters_matches_oracle(square48, atoms, scale, eps,
                              [a[2] for a in atoms], scale)
     try:
         ref = _oracle(bc.project_to_barycenters, square48, values, eps, K)
+    except NotConcentratedError:
+        with pytest.raises(NotConcentratedError):
+            bc.project_to_barycenters(square48, values, eps, K)
+        return
+    out = bc.project_to_barycenters(square48, values, eps, K)
+    assert np.array_equal(out.points, ref.points)
+    assert np.array_equal(out.weights, ref.weights)
+    assert np.array_equal(out.interior, ref.interior)
+
+
+def _project_to_barycenters_loop(mesh, f_values, eps, K):
+    """The former `project_to_barycenters`, whose first-ball-wins
+    assignment visits the family one member at a time."""
+    outcome = bc.spread_points(mesh, f_values, eps / 3.0, K)
+    if isinstance(outcome, bc.Spread) or len(outcome.points) == 0:
+        raise NotConcentratedError("not captured")
+    family, interior = outcome.points, outcome.interior
+    points, weights = bc.density_atoms(mesh, f_values)
+    ball = eps / 3.0
+    assigned = np.full(len(points), -1)
+    for k, p in enumerate(family):
+        hit = (np.linalg.norm(points - p, axis=1) <= ball) & (assigned < 0)
+        assigned[hit] = k
+    t = np.bincount(np.where(assigned < 0, 0, assigned),
+                    weights=np.where(assigned < 0, 0.0, weights),
+                    minlength=len(family))
+    t = t + weights[assigned < 0].sum() / len(family)
+    t /= t.sum()
+    atoms = family.copy()
+    moved = np.zeros(len(family), bool)
+    for k in range(len(family)):
+        sel = assigned == k
+        mass = weights[sel].sum()
+        if mass > 0:
+            atoms[k] = (weights[sel] @ points[sel]) / mass
+            moved[k] = True
+    onto = moved & ~interior
+    atoms[onto] = meshmod.nearest_boundary_point(mesh, atoms[onto])
+    return bc.BarycenterMeasure(points=atoms, weights=t, interior=interior)
+
+
+# The draws of `test_project_to_barycenters_matches_oracle`, and two close
+# bubbles whose family's balls overlap, where the first ball must win.
+@hypothesis.settings(max_examples=4, deadline=None)
+@hypothesis.given(_bubbles, st.floats(5.0, 300.0), st.sampled_from([0.3, 0.4]),
+                  st.integers(1, 4))
+@hypothesis.example([(0.3, 0.35, True), (0.38, 0.35, True)], 60.0, 0.4, 4)
+def test_project_to_barycenters_matches_loop(square48, atoms, scale, eps, K):
+    values = _bubble_density(square48, [a[:2] for a in atoms],
+                             [a[2] for a in atoms], scale)
+    try:
+        ref = _project_to_barycenters_loop(square48, values, eps, K)
     except NotConcentratedError:
         with pytest.raises(NotConcentratedError):
             bc.project_to_barycenters(square48, values, eps, K)
@@ -746,7 +850,10 @@ def test_boundary_projections_do_not_grow_with_the_net(monkeypatch):
     # Each boundary projection is one call on an array, so halving eps,
     # which grows the net about fourfold, leaves the call counts unchanged.
     # Each call below is at a new eps, so each builds its own cover; the
-    # mesh is this test's own, so no other test's cover is read.
+    # mesh is this test's own, so no other test's cover is read.  K = 4
+    # keeps the flat density's capture running at both eps: at 0.15, 4
+    # times its capture bound, 1.27, reaches 1 - eps, where 2 times would
+    # not.
     square48 = meshmod.build_builtin("unit_square", 48)
     calls = []
     nearest = meshmod.nearest_boundary_point
@@ -760,7 +867,7 @@ def test_boundary_projections_do_not_grow_with_the_net(monkeypatch):
     counts = []
     for eps in (0.3, 0.15):
         calls.clear()
-        assert isinstance(bc.spread_points(square48, flat, eps, 2), bc.Spread)
+        assert isinstance(bc.spread_points(square48, flat, eps, 4), bc.Spread)
         spread = len(calls)
         calls.clear()
         bc.project_to_barycenters(square48, half, eps, 1)
@@ -826,9 +933,10 @@ def test_cover_matches_uncached_path(domain, res):
     assert all(cover.eps == eps for eps, cover in mesh._covers.items())
 
 
-def test_cover_is_built_once_per_eps(monkeypatch):
-    mesh = meshmod.build_builtin("unit_square", 24)
-    counts = {"_hex_net": 0, "_ball_incidence": 0}
+def _count_calls(monkeypatch, *names):
+    """The number of calls to each of the named `bc` functions from now
+    on, kept up to date in the returned dict."""
+    counts = dict.fromkeys(names, 0)
 
     def counting(name):
         fn = getattr(bc, name)
@@ -837,8 +945,14 @@ def test_cover_is_built_once_per_eps(monkeypatch):
             counts[name] += 1
             return fn(*args)
         return counted
-    for name in counts:
+    for name in names:
         monkeypatch.setattr(bc, name, counting(name))
+    return counts
+
+
+def test_cover_is_built_once_per_eps(monkeypatch):
+    mesh = meshmod.build_builtin("unit_square", 24)
+    counts = _count_calls(monkeypatch, "_hex_net", "_ball_incidence")
     flat = np.ones(mesh.num_vertices)
     seen = []
     # The mesh keeps two covers.  Back at 0.3, the cover at 0.15 becomes
@@ -846,9 +960,10 @@ def test_cover_is_built_once_per_eps(monkeypatch):
     for eps in (0.3, 0.3, 0.15, 0.15, 0.3, 0.2, 0.3, 0.15):
         for name in counts:
             counts[name] = 0
-        # K = 2 on the flat density reads both ball matrices: the greedy
-        # captures too little, and the far-apart points are taken.
-        assert isinstance(bc.spread_points(mesh, flat, eps, 2), bc.Spread)
+        # K = 4 on the flat density reads both ball matrices: the capture
+        # bound lets the greedy run, it captures too little, and the
+        # far-apart points are taken.  (At 0.15 the bound rules K = 2 out.)
+        assert isinstance(bc.spread_points(mesh, flat, eps, 4), bc.Spread)
         seen.append((counts["_hex_net"], counts["_ball_incidence"]))
     assert seen == [(1, 2), (0, 0), (1, 2), (0, 0), (0, 0), (1, 2), (0, 0),
                     (1, 2)]
@@ -915,7 +1030,7 @@ def test_oracle_leaves_no_cover(square48):
 # The bound-first greedy capture of `_Cover` against the loop oracle.
 _CAPTURE_MESHES = {"square48": meshmod.build_builtin("unit_square", 48),
                    "disk": ORACLE_MESHES["disk"]}
-_CAPTURE_EPS = [0.2 / 3.0, 0.2, 0.25 / 3.0]
+_CAPTURE_EPS = [0.2 / 3.0, 0.2, 0.25 / 3.0, 0.15]
 
 
 def _bumps(mesh, atoms):
@@ -929,12 +1044,14 @@ def _bumps(mesh, atoms):
 
 
 def _with_capture_bound(mesh, bumps, eps, K, target):
-    """`bumps` plus the flat density scaled so that K times the capture
-    bound of the normalized sum is `target`, or None where no scale
+    """`bumps` plus the flat density scaled so that K times the cover's
+    capture bound of the normalized sum is `target`, or None where no scale
     reaches it."""
+    cover = bc._Cover(mesh, eps)
+
     def excess(c):
         _, w = bc.density_atoms(mesh, bumps + c)
-        return K * bc._capture_bound(mesh.vertices, w, eps) - target
+        return K * cover.capture_bound(w) - target
     lo, hi = -30.0, 30.0                 # log10 of the flat density's scale
     if excess(10.0 ** lo) < 0.0 or excess(10.0 ** hi) > 0.0:
         return None
@@ -973,6 +1090,10 @@ def _capture_case(draw):
                          hypothesis.HealthCheck.too_slow])
 @hypothesis.given(_capture_case())
 @hypothesis.example(("square48", 0.2 / 3.0, 2, np.ones(2401)))
+# The flat density at eps 0.15 and K 2, which the capture bound rules out.
+@hypothesis.example(("square48", 0.15, 2, np.ones(2401)))
+@hypothesis.example(("disk", 0.15, 2,
+                     np.ones(_CAPTURE_MESHES["disk"].num_vertices)))
 def test_cover_greedy_capture_matches_loop(case):
     # Each case builds its own cover, from nothing.
     name, eps, K, values = case
@@ -986,7 +1107,7 @@ def test_cover_greedy_capture_matches_loop(case):
     assert flags == ref_flags
     assert captured == ref_captured
     # No family captures more than K times the bound of `spread_points`.
-    assert ref_captured <= K * bc._capture_bound(mesh.vertices, weights, eps)
+    assert ref_captured <= K * cover.capture_bound(weights)
 
 
 def _full_candidates(mesh, net, eps):
@@ -995,7 +1116,7 @@ def _full_candidates(mesh, net, eps):
     by net index, then boundary ones."""
     _, d0, half = meshmod._midpoint_bounds(mesh, net)
     inner, edge, foot = bc._net_geometry(mesh, net, d0, half, eps)
-    cand, _, balls = bc._capture_candidates(mesh, mesh.vertices, net, eps)
+    cand, _, balls = _capture_candidates(mesh, mesh.vertices, net, eps)
     assert np.array_equal(cand, np.concatenate([net[inner], foot]))
     return inner, edge, foot, balls
 
@@ -1023,7 +1144,7 @@ def test_cover_bounds_and_rows_match_full_build(name, eps):
         assert np.all(gain[n_in:] <= upper_edge[edge])
         assert np.all(gain[:n_in] >= lower[inner])
         assert np.all(gain[n_in:] >= lower[edge])
-        assert gain.max() <= bc._capture_bound(v, w, eps)
+        assert gain.max() <= cover.capture_bound(w)
     known = cover._known
     assert 0 < known.sum() and np.array_equal(cover._inner[known],
                                               inner[known])
@@ -1044,24 +1165,14 @@ def test_cover_bounds_and_rows_match_full_build(name, eps):
 
 def test_hopeless_flat_spread_builds_no_candidate(monkeypatch):
     # The `concentration` workload's flat spread: two eps-balls hold at
-    # most twice a 5 x 5 block of eps-cells, 22% of the mass against the
-    # 93% needed, so no candidate's geometry or eps-ball is built; the
-    # only ball matrix is the net's, and the only boundary distances are
-    # those of the far-apart points.  The hex net, built first, is not
-    # counted.
+    # most twice the capture bound, a box of 15 x 15 eps/4-cells, 13% of
+    # the mass against the 93% needed, so no candidate's geometry or
+    # eps-ball is built; the only ball matrix is the net's, and the only
+    # boundary distances are those of the far-apart points.  The hex net,
+    # built first, is not counted.
     mesh = meshmod.build_builtin("unit_square", 48)
     cover = bc._cover(mesh, 0.2 / 3.0)
-    counts = {"_ball_incidence": 0, "_net_geometry": 0}
-
-    def counting(name):
-        fn = getattr(bc, name)
-
-        def counted(*args):
-            counts[name] += 1
-            return fn(*args)
-        return counted
-    for name in counts:
-        monkeypatch.setattr(bc, name, counting(name))
+    counts = _count_calls(monkeypatch, "_ball_incidence", "_net_geometry")
     sizes = []
     distances = meshmod.boundary_distances
 
@@ -1075,3 +1186,25 @@ def test_hopeless_flat_spread_builds_no_candidate(monkeypatch):
     assert sizes == [len(out.points)]
     assert mesh._covers[0.2 / 3.0] is cover
     assert not cover._known.any() and not cover._rows
+
+
+def test_capture_bound_rules_out_the_flat_capture_at_0_15(monkeypatch):
+    # On square48 the flat density's capture bound at eps 0.15 is 0.316,
+    # so two eps-balls hold at most 63% of the mass against the 85% needed:
+    # no candidate's geometry or eps-ball is built, and the only ball
+    # matrix is the net's.  The outcome is bit for bit that of the full
+    # capture, which runs where the bound is lifted, builds every
+    # candidate and captures 7%.
+    flat = np.ones(2401)
+    full = meshmod.build_builtin("unit_square", 48)
+    with mock.patch.object(bc._Cover, "capture_bound",
+                           lambda self, weights: np.inf):
+        ref = bc.spread_points(full, flat, 0.15, 2)
+    assert full._covers[0.15]._known.all()
+    mesh = meshmod.build_builtin("unit_square", 48)
+    counts = _count_calls(monkeypatch, "_ball_incidence", "_net_geometry")
+    out = bc.spread_points(mesh, flat, 0.15, 2)
+    assert isinstance(out, bc.Spread)
+    _assert_same_outcome(out, ref)
+    assert counts == {"_ball_incidence": 1, "_net_geometry": 0}
+    assert not mesh._covers[0.15]._known.any()
