@@ -377,11 +377,6 @@ class _Cover:
                        for r in (5, 7))
         return inner, edge, mass.ravel()[net] * (1.0 - 1e-9)
 
-    def capture_bound(self, weights):
-        """An upper bound, padded against rounding, on the mass of
-        `weights` in any candidate's eps-ball: the largest boundary box."""
-        return self._bounds(weights)[1].max()
-
     def _midpoint_distances(self, mesh, idx):
         """The midpoint bound's d0 of the net points `idx`, queried once
         each.  Beyond eps + L, far past the eps / 2 + L / 2 within which
@@ -429,11 +424,12 @@ class _Cover:
         self._has_row[0, ii] = True
         self._has_row[1, ee] = True
 
-    def _gains(self, mesh, weights, budget):
+    def _gains(self, mesh, weights, budget, bounds):
         """The mass of `weights` in each built candidate's eps-ball, 0 for
         a candidate the budget cannot afford, after building every
-        candidate whose gain can reach the largest within 1e-12."""
-        inner, edge, low = self._bounds(weights)
+        candidate whose gain can reach the largest within 1e-12 by
+        `bounds`, the `_bounds` of `weights`."""
+        inner, edge, low = bounds
         gains = [rows @ weights for rows in self._rows]
         built = len(gains)
         afford = self._row_edge | (budget >= 2)
@@ -471,12 +467,18 @@ class _Cover:
         is the affordable candidate (interior 2, boundary 1) of largest
         uncovered eps-ball mass; gains within 1e-12 relative tie, and the
         boundary candidate, then the earlier net point, wins a tie.
-        Returns (family, interior flags, captured mass fraction)."""
+        Returns (family, interior flags, captured mass fraction), and
+        ([], [], 0.0) before building anything where K times the heaviest
+        box of `_bounds`, which no eps-ball outweighs, is below 1 - eps."""
         family, flags = [], []
         covered = np.zeros(len(weights), bool)
         budget = K
         while budget > 0:
-            gains = self._gains(mesh, np.where(covered, 0.0, weights), budget)
+            uncovered = np.where(covered, 0.0, weights)
+            bounds = self._bounds(uncovered)
+            if budget == K and K * bounds[1].max() < 1.0 - self.eps:
+                return [], [], 0.0
+            gains = self._gains(mesh, uncovered, budget, bounds)
             top = gains.max(initial=0.0)
             if top <= 0.0:
                 break
@@ -539,16 +541,15 @@ def spread_points(mesh, f_values, eps, K):
     with weighted count at least K + 1) otherwise.
 
     The family is the greedy capture's, from the mesh's cover at eps.  It
-    holds at most K eps-balls, each holding at most the cover's capture
-    bound, the heaviest box of 15 x 15 eps/4-cells around a net point;
-    where K times that is below 1 - eps, the density is spread and no
-    capture candidate is built.
+    holds at most K eps-balls, each holding at most the heaviest box of
+    15 x 15 eps/4-cells around a net point; where K times that is below
+    1 - eps, the density is spread and no capture candidate is built.
     """
     _, weights = density_atoms(mesh, f_values)
     cover = _cover(mesh, eps)
     radius = cover.radius
 
-    if K > 0 and K * cover.capture_bound(weights) >= 1.0 - eps:
+    if K > 0:
         family, flags, captured = cover.greedy_capture(mesh, weights, K)
         if captured >= 1.0 - eps:
             return Concentrated(points=np.array(family),

@@ -24,6 +24,7 @@ finite positive scales (3 distinct for dirichlet_slope).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -111,7 +112,7 @@ def cmd_analyze(args):
         _output(report.to_json() + "\n", args.out)
     else:
         lines = ["field,value"]
-        for key, value in json.loads(report.to_json()).items():
+        for key, value in dataclasses.asdict(report).items():
             lines.append(f"{key},{value}")
         _output("\n".join(lines) + "\n", args.out)
     if report.verdict == topology.VERDICT_DEGENERATE:

@@ -17,6 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import spectrum
+from .errors import ConvergenceError
 
 
 @dataclass(frozen=True)
@@ -39,12 +40,11 @@ def field_values(u):
 
 class Evaluation:
     """Energy, dual-space residual, zero-mean gradient (mass representer of
-    the residual) and gradient norm of one field.
+    the residual), gradient norm and Hessian data of one field.
 
-    The energy is computed at once, the other three on first read from the
+    The energy is computed at once, the others on first read from the
     same K u + beta M u and quadrature values, so a caller that reads only
     the energy (a rejected flow trial) pays no residual and no mass solve.
-    Iterating yields the four in that order.
     """
 
     def __init__(self, model, u, p, Au, s, vals):
@@ -53,10 +53,6 @@ class Evaluation:
         self._total = float(vals.sum())
         self._defined = bool(np.all(np.isfinite(u))) and self._total > 0.0
         self.energy = model._energy(u, Au, s, self._total, p)
-
-    def __iter__(self):
-        return iter((self.energy, self.residual, self.gradient,
-                     self.gradient_norm))
 
     @cached_property
     def residual(self):
@@ -78,6 +74,23 @@ class Evaluation:
 
     gradient = property(lambda self: self._solved[0])
     gradient_norm = property(lambda self: self._solved[1])
+
+    @cached_property
+    def hessian(self):
+        """The (A0, c, w) of `EnergyFunctional.hessian_operator` from this
+        quadrature; a ConvergenceError where the W^2 of c = rho / W^2
+        underflows."""
+        model, p, total = self._model, self._p, self._total
+        if total ** 2 == 0.0:
+            raise ConvergenceError("Hessian undefined: the quadrature of e^u "
+                                   "underflows")
+        M = model.mass
+        data = (model._shifted_stiffness(p.beta).data
+                - (p.rho / total) * model._exp_mass(self._vals))
+        # A0 gets its own index arrays, so that no caller can alter M's.
+        A0 = sp.csr_matrix((data, M.indices.copy(), M.indptr.copy()),
+                           shape=M.shape)
+        return A0, p.rho / total ** 2, model._at_ends(0.5 * self._vals)
 
 
 class EnergyFunctional:
@@ -141,19 +154,10 @@ class EnergyFunctional:
         s = float(u.max(initial=0.0))
         return s, np.exp(0.5 * (u[self._qa] + u[self._qb]) - s) * self._qw
 
-    def _exp_quad(self, u):
-        """Shift s, shifted quad values, shifted vertex vector w, shifted total W.
-
-        w_i = exp(-s) * int e^u phi_i and W = exp(-s) * int e^u under the
-        edge-midpoint rule, so any ratio of them is shift-free.
-        """
-        s, vals = self._exp_vals(u)
-        return s, vals, self._at_ends(0.5 * vals), float(vals.sum())
-
     def _at_ends(self, node_vals):
         """Each quadrature node's value added to both ends of its edge: from
-        half the quadrature values w of `_exp_quad`, from a quarter E's
-        diagonal."""
+        half the quadrature values the vector w_i = exp(-s) int e^u phi_i,
+        from a quarter E's diagonal."""
         return np.bincount(self._qab,
                            weights=np.concatenate([node_vals, node_vals]),
                            minlength=self.mesh.num_vertices)
@@ -254,17 +258,11 @@ class EnergyFunctional:
         """Sparse part A0 and rank-one data (c, w) with J''(u) = A0 + c w w^T.
 
         A0 = K + beta M - (rho / W) E lives on the mass matrix's pattern;
-        only its data is computed here.
+        only its data is computed here.  u may be the iterate's `Evaluation`
+        at p, whose quadrature then serves (`Evaluation.hessian`).
         """
-        u = field_values(u)
-        _, quad_vals, w, total = self._exp_quad(u)
-        M = self.mass
-        data = (self._shifted_stiffness(p.beta).data
-                - (p.rho / total) * self._exp_mass(quad_vals))
-        # A0 gets its own index arrays, so that no caller can alter M's.
-        A0 = sp.csr_matrix((data, M.indices.copy(), M.indptr.copy()),
-                           shape=M.shape)
-        return A0, p.rho / total ** 2, w
+        ev = u if isinstance(u, Evaluation) else self.evaluate(u, p)
+        return ev.hessian
 
     def _ordered_bordered_hessian(self, A0, sigma=0.0):
         """The CSC matrix B[order][:, order] for B = [[A0 - sigma M, m],

@@ -106,16 +106,6 @@ def flow(model, seed, p, step_budget):
                        classification=cls, morse_index=None, iterations=it)
 
 
-def _hessian_data(model, u, p):
-    """`model.hessian_operator(u, p)`, an undefined Hessian reported as a
-    ConvergenceError."""
-    try:
-        return model.hessian_operator(u, p)
-    except ZeroDivisionError as exc:    # rho / W^2 with W^2 underflowing
-        raise ConvergenceError("Hessian undefined: the quadrature of e^u "
-                               "underflows") from exc
-
-
 class _ZeroMeanHessianSolver:
     """Factorized shifted Hessian H - sigma M on the zero-mean space.
 
@@ -125,24 +115,22 @@ class _ZeroMeanHessianSolver:
     bordered matrix is factored in the mesh's order, border last, without
     relaxed supernodes (`spectrum.SUPERNODE_RELAX`).
 
-    Without u nothing is factored until the first `refined_solve`; `newton`
-    keeps one solver across its iterates that way, and `drop`s the held
+    Nothing is factored until `factor` or the first `refined_solve`;
+    `newton` keeps one solver across its iterates, and `drop`s the held
     factorization where refining against it would not pay.
     """
 
-    def __init__(self, model, u=None, p=None, sigma=0.0):
+    def __init__(self, model, sigma=0.0):
         self._model = model
         self._sigma = sigma
         self._lu = None
-        if u is not None:
-            self._factor(_hessian_data(model, u, p))
 
     def drop(self):
         """Release the held factorization; the next `refined_solve`
         factors its Hessian directly."""
         self._lu = self._bordered_solve = None
 
-    def _factor(self, hessian):
+    def factor(self, hessian):
         """Factor `hessian`, the (A0, c, w) of `hessian_operator`, which
         becomes the current Hessian.  The held LU is dropped first, so that
         two are never alive at once."""
@@ -203,7 +191,7 @@ class _ZeroMeanHessianSolver:
                 if not size <= 0.5 * last:      # a NaN stalls too
                     break
                 last = size
-        self._factor(hessian)
+        self.factor(hessian)
         return self.solve(rhs)
 
 
@@ -229,7 +217,7 @@ def newton(model, u0, p, max_iter=30, damped=False, seed_descriptor="zero"):
     hess = _ZeroMeanHessianSolver(model)
     while gnorm > tol_abs and it < max_iter:
         try:
-            delta = hess.refined_solve(_hessian_data(model, u, p),
+            delta = hess.refined_solve(model.hessian_operator(ev, p),
                                        -ev.residual)
         except (RuntimeError, ValueError) as exc:
             raise ConvergenceError(f"Hessian solve failed: {exc}") from exc
@@ -279,7 +267,8 @@ def _lowest_eigenvalues(model, u, p, count):
     # rho this yields H >= (beta - |rho| max_q e^(u_q - s) / W) M; the
     # vertex maximum of e^(u - s) / W (exp_density) bounds the midpoint one.
     sigma = p.beta - abs(p.rho) * float(model.exp_density(u).max()) - 1.0
-    hess = _ZeroMeanHessianSolver(model, u, p, sigma=sigma)
+    hess = _ZeroMeanHessianSolver(model, sigma=sigma)
+    hess.factor(model.hessian_operator(u, p))
     H = spla.LinearOperator((n, n), matvec=hess.apply, dtype=float)
     OPinv = spla.LinearOperator((n, n), matvec=hess.solve, dtype=float)
     # A fixed zero-mean start vector makes the eigenvalues reproducible; the
@@ -406,26 +395,11 @@ def _seed_configs(mesh, K, I):
                 i_atom + 0.05 * np.arange(l)[:, None],
                 meshmod.nearest_boundary_point(mesh, b_atom + offsets)])
             measures.append(make_measure(pts, [True] * l + [False] * m))
-    sigmas = []
-    for i in range(I):
-        e = np.zeros(I)
-        e[i] = 1.0
-        sigmas.extend([e, -e])
-    configs = []
-    ts = [0.0, 0.5, 1.0]
-    for lam in SEED_LAMBDAS:
-        for t in ts:
-            if t < 1.0 and not measures:
-                continue
-            mus = measures if t < 1.0 else [None]
-            sgs = sigmas if t > 0.0 else [None]
-            if t > 0.0 and not sigmas:
-                continue
-            for mu in mus:
-                for sg in sgs:
-                    configs.append(TestConfig(
-                        lam=lam, zeta=JoinPoint(measure=mu, sphere=sg, t=t)))
-    return configs
+    sigmas = [v for e in np.eye(I) for v in (e, -e)]
+    return [TestConfig(lam=lam, zeta=JoinPoint(measure=mu, sphere=sg, t=t))
+            for lam in SEED_LAMBDAS for t in (0.0, 0.5, 1.0)
+            for mu in (measures if t < 1.0 else [None])
+            for sg in (sigmas if t > 0.0 else [None])]
 
 
 def find_critical_point(mesh, basis, p, flow_budget=300):

@@ -382,7 +382,8 @@ class _UncachedCover(bc._Cover):
     """Stands in for `bc._cover`: the former per-call geometry of
     `spread_points`, rebuilt on every call through the module's functions
     and kept on no mesh, with the full-build greedy capture.  Its capture
-    bound is the cover's, from a grid built for the call."""
+    bound is the cover's, from a grid built for the call, and rules the
+    capture out as the cover's greedy capture does."""
 
     def __init__(self, mesh, eps):
         self.eps = eps
@@ -396,8 +397,16 @@ class _UncachedCover(bc._Cover):
                                   self.radius) @ weights
 
     def greedy_capture(self, mesh, weights, K):
+        if K * _capture_bound(self, weights) < 1.0 - self.eps:
+            return [], [], 0.0
         return _greedy_capture(mesh, self._vertices, weights, self.net,
                                self.eps, K)
+
+
+def _capture_bound(cover, weights):
+    """The capture bound of `weights` at the cover: its heaviest boundary
+    box of `_bounds`, which no candidate's eps-ball outweighs."""
+    return cover._bounds(weights)[1].max()
 
 
 def _oracle(fn, *args):
@@ -1051,7 +1060,7 @@ def _with_capture_bound(mesh, bumps, eps, K, target):
 
     def excess(c):
         _, w = bc.density_atoms(mesh, bumps + c)
-        return K * cover.capture_bound(w) - target
+        return K * _capture_bound(cover, w) - target
     lo, hi = -30.0, 30.0                 # log10 of the flat density's scale
     if excess(10.0 ** lo) < 0.0 or excess(10.0 ** hi) > 0.0:
         return None
@@ -1094,8 +1103,12 @@ def _capture_case(draw):
 @hypothesis.example(("square48", 0.15, 2, np.ones(2401)))
 @hypothesis.example(("disk", 0.15, 2,
                      np.ones(_CAPTURE_MESHES["disk"].num_vertices)))
+# The flat density at eps 0.15 and K 4, which the capture bound lets run.
+@hypothesis.example(("square48", 0.15, 4, np.ones(2401)))
 def test_cover_greedy_capture_matches_loop(case):
-    # Each case builds its own cover, from nothing.
+    # Each case builds its own cover, from nothing.  Where K times the
+    # capture bound is below 1 - eps, the cover's capture stops before it
+    # builds anything, and the loop's captures less than 1 - eps.
     name, eps, K, values = case
     mesh = _CAPTURE_MESHES[name]
     points, weights = bc.density_atoms(mesh, values)
@@ -1103,11 +1116,16 @@ def test_cover_greedy_capture_matches_loop(case):
     family, flags, captured = cover.greedy_capture(mesh, weights, K)
     ref_family, ref_flags, ref_captured = _greedy_capture_loop(
         mesh, points, weights, cover.net, eps, K)
+    # No family captures more than K times the bound of `spread_points`.
+    bound = K * _capture_bound(cover, weights)
+    assert ref_captured <= bound
+    if bound < 1.0 - eps:
+        assert (family, flags, captured) == ([], [], 0.0)
+        assert not cover._known.any() and not cover._rows
+        return
     assert np.array_equal(np.array(family), np.array(ref_family))
     assert flags == ref_flags
     assert captured == ref_captured
-    # No family captures more than K times the bound of `spread_points`.
-    assert ref_captured <= K * cover.capture_bound(weights)
 
 
 def _full_candidates(mesh, net, eps):
@@ -1144,7 +1162,7 @@ def test_cover_bounds_and_rows_match_full_build(name, eps):
         assert np.all(gain[n_in:] <= upper_edge[edge])
         assert np.all(gain[:n_in] >= lower[inner])
         assert np.all(gain[n_in:] >= lower[edge])
-        assert gain.max() <= cover.capture_bound(w)
+        assert gain.max() <= _capture_bound(cover, w)
     known = cover._known
     assert 0 < known.sum() and np.array_equal(cover._inner[known],
                                               inner[known])
@@ -1197,8 +1215,12 @@ def test_capture_bound_rules_out_the_flat_capture_at_0_15(monkeypatch):
     # candidate and captures 7%.
     flat = np.ones(2401)
     full = meshmod.build_builtin("unit_square", 48)
-    with mock.patch.object(bc._Cover, "capture_bound",
-                           lambda self, weights: np.inf):
+    bounds = bc._Cover._bounds
+
+    def lifted(self, weights):
+        inner, edge, low = bounds(self, weights)
+        return inner, np.full_like(edge, np.inf), low
+    with mock.patch.object(bc._Cover, "_bounds", lifted):
         ref = bc.spread_points(full, flat, 0.15, 2)
     assert full._covers[0.15]._known.all()
     mesh = meshmod.build_builtin("unit_square", 48)
@@ -1208,3 +1230,24 @@ def test_capture_bound_rules_out_the_flat_capture_at_0_15(monkeypatch):
     _assert_same_outcome(out, ref)
     assert counts == {"_ball_incidence": 1, "_net_geometry": 0}
     assert not mesh._covers[0.15]._known.any()
+
+
+def test_capturing_spread_bounds_each_pick_once(monkeypatch):
+    # Two narrow bumps farther apart than an eps-ball's diameter, at K = 4:
+    # the greedy capture takes one interior ball on each, and each pick
+    # computes the cover's bounds once, the first pick's also serving the
+    # test that rules a hopeless capture out.
+    mesh = meshmod.build_builtin("unit_square", 48)
+    atoms = [(int(np.argmin(np.linalg.norm(mesh.vertices - c, axis=1))), 0.02)
+             for c in ([0.3, 0.3], [0.7, 0.7])]
+    calls = []
+    bounds = bc._Cover._bounds
+
+    def counted(self, weights):
+        calls.append(1)
+        return bounds(self, weights)
+    monkeypatch.setattr(bc._Cover, "_bounds", counted)
+    out = bc.spread_points(mesh, _bumps(mesh, atoms), 0.2, 4)
+    assert isinstance(out, bc.Concentrated)
+    assert len(out.points) == 2 and out.interior.all()
+    assert len(calls) == 2

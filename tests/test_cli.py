@@ -67,15 +67,32 @@ def test_resonant_beta_and_shifted_are_degenerate(which, tmp_path):
     assert json.loads(out.read_text()) == json.loads(report.to_json())
 
 
-def test_analyze_csv_format(tmp_path):
+def _analyze_csv(tmp_path, rho, code):
+    """The CSV report of `analyze` at beta 1 on square32, checked against
+    its JSON report: one row per field, each value as the JSON report,
+    parsed back, prints it.  Returns its lines."""
+    argv = ["analyze", "--domain", "unit_square", "--res", "32",
+            "--beta", "1", "--rho", rho]
     out = tmp_path / "report.csv"
-    rc = cli.main(["analyze", "--domain", "unit_square", "--res", "32",
-                   "--beta", "1", "--rho", "1", "--format", "csv",
-                   "--out", str(out)])
-    assert rc == 1
-    lines = out.read_text().splitlines()
+    assert cli.main(argv + ["--format", "csv", "--out", str(out)]) == code
+    assert cli.main(argv + ["--out", str(tmp_path / "report.json")]) == code
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert out.read_bytes() == "".join(
+        f"{key},{value}\n"
+        for key, value in [("field", "value"), *report.items()]).encode()
+    return out.read_text().splitlines()
+
+
+def test_analyze_csv_format(tmp_path):
+    lines = _analyze_csv(tmp_path, "1", 1)
     assert lines[0] == "field,value"
     assert any(line.startswith("verdict,") for line in lines)
+
+
+def test_analyze_csv_format_resonant(tmp_path):
+    lines = _analyze_csv(tmp_path, "12.566370614", 2)
+    assert "verdict,degenerate" in lines
+    assert "resonant_rho,True" in lines
 
 
 @pytest.mark.parametrize("command, fmt", [("solve", "csv"),

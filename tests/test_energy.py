@@ -11,6 +11,7 @@ import scipy.sparse.linalg as spla
 from ksbench import mesh as meshmod, solver, spectrum
 from ksbench.energy import (EnergyFunctional, Evaluation, Parameters,
                             field_values, project_pi)
+from ksbench.errors import ConvergenceError
 from test_mesh import ORACLE_MESHES, _graded_square
 from test_spectrum import source_oracle
 
@@ -91,7 +92,8 @@ def test_hessian_matches_finite_differences(square48):
         # The Riesz-represented action, the solver's Hessian action followed
         # by the mass solve and the zero-mean projection, agrees with the
         # gradient differences.
-        hess = solver._ZeroMeanHessianSolver(model, u, p)
+        hess = solver._ZeroMeanHessianSolver(model)
+        hess.factor(model.hessian_operator(u, p))
         riesz = model.project_zero_mean(model._mass_solve(hess.apply(v)))
         fd_g = (model.gradient(u + h * v, p).values
                 - model.gradient(u - h * v, p).values) / (2 * h)
@@ -143,6 +145,15 @@ def _edge_rule(mesh):
     np.add.at(qw, mesh.triangle_edges.ravel(),
               np.repeat(mesh.triangle_areas / 3.0, 3))
     return mesh.edges[:, 0], mesh.edges[:, 1], qw
+
+
+def _exp_quad(model, u):
+    """The former `EnergyFunctional._exp_quad`: the shift s, the shifted
+    quadrature values, the vertex vector w_i = exp(-s) int e^u phi_i (the
+    Hessian's w) and the total W = exp(-s) int e^u, as `Evaluation` takes
+    them."""
+    s, vals = model._exp_vals(u)
+    return s, vals, model._at_ends(0.5 * vals), float(vals.sum())
 
 
 def _exp_quad_add_at(u, rule):
@@ -323,9 +334,10 @@ def test_evaluate_matches_oracles(name, kind, seed, log_amp, beta, rho):
     with np.errstate(all="ignore"):
         edges = _evaluation_oracle(model, u, p, _edge_rule(model.mesh),
                                    one_product=True)
-    for got, want in zip(ev, edges):
+    values = (ev.energy, ev.residual, ev.gradient, ev.gradient_norm)
+    for got, want in zip(values, edges):
         assert np.array_equal(got, want, equal_nan=True)
-    _assert_matches_triangle_rule(model, u, p, tuple(ev))
+    _assert_matches_triangle_rule(model, u, p, values)
     # The public methods are views of the same pass.
     assert np.array_equal(model.energy(u, p), ev.energy, equal_nan=True)
     assert np.array_equal(model.residual(u, p), ev.residual, equal_nan=True)
@@ -341,7 +353,7 @@ def test_exp_quad_matches_add_at(square64_model):
     tiny = np.nextafter(0.0, 1.0)
     for amp in (1e-3, 1.0, 30.0, 1e3):
         u = amp * rng.standard_normal(mesh.num_vertices)
-        got = square64_model._exp_quad(u)
+        got = _exp_quad(square64_model, u)
         for g, want in zip(got, _exp_quad_add_at(u, _edge_rule(mesh))):
             assert np.array_equal(g, want)
         # Against the per-triangle rule, with each triangle's side values
@@ -496,7 +508,8 @@ def test_ordered_bordered_hessian_is_permuted_bmat(name, sigma):
 def test_ordered_solves_match_plain_splu(name, sigma):
     rng = np.random.default_rng(3)
     for model, u, p, _, B in _hessian_cases(name, sigma):
-        hess = solver._ZeroMeanHessianSolver(model, u, p, sigma=sigma)
+        hess = solver._ZeroMeanHessianSolver(model, sigma=sigma)
+        hess.factor(model.hessian_operator(u, p))
         b = rng.standard_normal(B.shape[0])
         want = spla.splu(B).solve(b)
         got = hess._bordered_solve(b)
@@ -513,7 +526,8 @@ def test_ordered_bordered_lu_halves_the_fill():
     rng = np.random.default_rng(4)
     u = model.project_zero_mean(rng.standard_normal(model.mesh.num_vertices))
     p = Parameters(beta=-5.0, rho=13.0)
-    hess = solver._ZeroMeanHessianSolver(model, u, p)
+    hess = solver._ZeroMeanHessianSolver(model)
+    hess.factor(model.hessian_operator(u, p))
     colamd = spla.splu(_bordered_oracle(model, u, p, 0.0)[1])
     fill = hess._lu.L.nnz + hess._lu.U.nnz
     assert fill <= 0.7 * (colamd.L.nnz + colamd.U.nnz)
@@ -583,21 +597,35 @@ def _ordered_pattern_oracle(model, pattern):
 
 def _check_hessian_against_oracles(model, fields):
     """E, A0 and the ordered bordered Hessian of each field, for the pairs
-    `PAIRS` and sigma in {0, -7.5}, bit for bit against the oracles.  Where
-    W^2 underflows, `hessian_operator`'s c = rho / W^2 is not defined, and
-    only E is compared."""
+    `PAIRS` and sigma in {0, -7.5}, bit for bit against the oracles, and the
+    Hessian read from the field's `Evaluation` bit for bit against the one
+    of the field.  Where W^2 underflows, `hessian_operator`'s c = rho / W^2
+    is not defined, both raise a ConvergenceError, and only E is
+    compared."""
     pattern = _bordered_pattern_oracle(model)
     order, indptr, indices, gather = _ordered_pattern_oracle(model, pattern)
     K, M = model.stiffness, model.mass
     for u in fields:
         with np.errstate(all="ignore"):
-            _, vals, _, total = model._exp_quad(u)
+            _, vals, _, total = _exp_quad(model, u)
             E = _exp_mass_oracle(pattern, vals, M.nnz)
             assert np.array_equal(model._exp_mass(vals), E, equal_nan=True)
             if total ** 2 == 0.0:
+                for arg in (u, model.evaluate(u, PAIRS[0])):
+                    with pytest.raises(ConvergenceError, match="underflows"):
+                        model.hessian_operator(arg, PAIRS[0])
                 continue
+            w_add_at = _exp_quad_add_at(u, _edge_rule(model.mesh))[2]
             for p in PAIRS:
-                A0, _, _ = model.hessian_operator(u, p)
+                A0, c, w = model.hessian_operator(u, p)
+                assert np.array_equal(w, w_add_at, equal_nan=True)
+                A0_ev, c_ev, w_ev = model.hessian_operator(
+                    model.evaluate(u, p), p)
+                for got, want in ((A0_ev.data, A0.data),
+                                  (A0_ev.indices, A0.indices),
+                                  (A0_ev.indptr, A0.indptr), (c_ev, c),
+                                  (w_ev, w)):
+                    assert np.array_equal(got, want, equal_nan=True)
                 assert np.array_equal(
                     A0.data, K.data + p.beta * M.data - (p.rho / total) * E,
                     equal_nan=True)
@@ -619,6 +647,13 @@ HESSIAN_KINDS = ["noise", "nan", "inf", "underflow", "spike", "subnormal"]
 @hypothesis.given(st.sampled_from(sorted(ORACLE_MESHES)),
                   st.sampled_from(HESSIAN_KINDS),
                   st.integers(0, 2 ** 32 - 1), st.floats(-3.0, 3.0))
+# Every kind at least once.
+@hypothesis.example("disk", "noise", 3, 0.0)
+@hypothesis.example("disk", "nan", 3, 0.0)
+@hypothesis.example("disk", "inf", 3, 0.0)
+@hypothesis.example("disk", "underflow", 3, 0.0)
+@hypothesis.example("disk", "spike", 3, 0.0)
+@hypothesis.example("disk", "subnormal", 3, 0.0)
 def test_hessian_matches_oracles_on_oracle_meshes(name, kind, seed, log_amp):
     model = EnergyFunctional.for_mesh(ORACLE_MESHES[name])
     _check_hessian_against_oracles(

@@ -12,7 +12,8 @@ import test_mesh
 from test_energy import TriangleRuleModel
 from ksbench import bubbles, mesh as meshmod, solver, spectrum, topology
 from ksbench.barycenter import JoinPoint
-from ksbench.energy import EnergyFunctional, Field, Parameters, field_values
+from ksbench.energy import (EnergyFunctional, Evaluation, Field, Parameters,
+                            field_values)
 from ksbench.errors import ConvergenceError
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -521,7 +522,7 @@ def test_newton_on_underflowing_quadrature_raises_convergence_error(damped):
     u = np.zeros(mesh.num_vertices)
     u[40] = 800.0
     u = model.project_zero_mean(u)
-    total = model._exp_quad(u)[3]
+    total = float(model._exp_vals(u)[1].sum())
     assert total > 0.0 and total ** 2 == 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -541,8 +542,9 @@ def _newton_direct(model, u0, p, tol=solver.NEWTON_TOL, max_iter=30,
     it = 0
     while gnorm > tol_abs and it < max_iter:
         try:
-            delta = solver._ZeroMeanHessianSolver(model, u, p).solve(
-                -ev.residual)
+            hess = solver._ZeroMeanHessianSolver(model)
+            hess.factor(model.hessian_operator(u, p))
+            delta = hess.solve(-ev.residual)
         except (RuntimeError, ValueError) as exc:
             raise ConvergenceError(f"Hessian solve failed: {exc}") from exc
         if not np.all(np.isfinite(delta)):
@@ -666,14 +668,16 @@ def test_newton_refactors_after_a_non_contracting_step(monkeypatch):
     p = Parameters(beta=-5.0, rho=20.0)
     mu = bubbles.make_measure([np.array([0.2, 0.1])], [True])
     log = []
-    hessian_data = solver._hessian_data
+    hessian_operator = EnergyFunctional.hessian_operator
     refined_solve = solver._ZeroMeanHessianSolver.refined_solve
     apply = solver._ZeroMeanHessianSolver.apply
     sweeps = []
 
-    def logged_hessian_data(model, u, p):
-        log.append({"gnorm": model.evaluate(u, p).gradient_norm})
-        return hessian_data(model, u, p)
+    def logged_hessian_operator(model, ev, p):
+        # Newton hands over the iterate's own Evaluation.
+        assert isinstance(ev, Evaluation)
+        log.append({"gnorm": ev.gradient_norm})
+        return hessian_operator(model, ev, p)
 
     def logged_refined_solve(self, hessian, rhs):
         log[-1]["held"] = self._lu is not None
@@ -685,7 +689,8 @@ def test_newton_refactors_after_a_non_contracting_step(monkeypatch):
     def counted_apply(self, v):
         sweeps.append(1)
         return apply(self, v)
-    monkeypatch.setattr(solver, "_hessian_data", logged_hessian_data)
+    monkeypatch.setattr(EnergyFunctional, "hessian_operator",
+                        logged_hessian_operator)
     monkeypatch.setattr(solver._ZeroMeanHessianSolver, "refined_solve",
                         logged_refined_solve)
     monkeypatch.setattr(solver._ZeroMeanHessianSolver, "apply", counted_apply)
@@ -700,3 +705,91 @@ def test_newton_refactors_after_a_non_contracting_step(monkeypatch):
             assert not step["held"] and step["sweeps"] == 0
         else:
             assert step["held"] and step["sweeps"] > 0
+
+
+def test_newton_takes_one_quadrature_per_evaluation():
+    # A model of its own, so that the patches stay on it.  Each iterate's
+    # Hessian is read from the iterate's Evaluation, so the solve takes no
+    # exponential quadrature beyond those of its evaluations.
+    mesh = test_mesh.ORACLE_MESHES["disk"]
+    model = EnergyFunctional(mesh)
+    calls = {"_exp_vals": 0, "evaluate": 0, "hessian_operator": 0}
+
+    def counted(name):
+        method = getattr(model, name)
+
+        def call(*args):
+            calls[name] += 1
+            return method(*args)
+        return call
+    for name in calls:
+        setattr(model, name, counted(name))
+    mu = bubbles.make_measure([np.array([0.2, 0.1])], [True])
+    res = solver.newton(model, bubbles.bubble_values(mu, 5.0, mesh),
+                        Parameters(beta=-5.0, rho=20.0), damped=True,
+                        max_iter=60)
+    assert res.iterations >= 3
+    assert calls["hessian_operator"] == res.iterations
+    assert calls["_exp_vals"] == calls["evaluate"] > res.iterations
+
+
+def _seed_configs_oracle(mesh, K, I):
+    """The former `_seed_configs`: the sphere directions built one by one
+    and each t skipped where its measures or directions are missing."""
+    b_atom = bubbles.boundary_atom(mesh)
+    i_atom = bubbles.interior_atom(mesh)
+    measures = []
+    for l in range(K // 2 + 1):
+        for m in range(K - 2 * l + 1):
+            if l + m == 0:
+                continue
+            ang = 2.0 * np.pi * np.arange(m) / max(m, 1)
+            offsets = 0.3 * np.arange(m)[:, None] * np.column_stack(
+                [np.cos(ang), np.sin(ang)])
+            pts = np.concatenate([
+                i_atom + 0.05 * np.arange(l)[:, None],
+                meshmod.nearest_boundary_point(mesh, b_atom + offsets)])
+            measures.append(bubbles.make_measure(pts,
+                                                 [True] * l + [False] * m))
+    sigmas = []
+    for i in range(I):
+        e = np.zeros(I)
+        e[i] = 1.0
+        sigmas.extend([e, -e])
+    configs = []
+    for lam in solver.SEED_LAMBDAS:
+        for t in [0.0, 0.5, 1.0]:
+            if t < 1.0 and not measures:
+                continue
+            mus = measures if t < 1.0 else [None]
+            sgs = sigmas if t > 0.0 else [None]
+            if t > 0.0 and not sigmas:
+                continue
+            for mu in mus:
+                for sg in sgs:
+                    configs.append(bubbles.TestConfig(
+                        lam=lam, zeta=JoinPoint(measure=mu, sphere=sg, t=t)))
+    return configs
+
+
+def _config_bytes(cfg):
+    """A seed configuration as bytes: its scale, t, measure and direction."""
+    z = cfg.zeta
+    arrays = ([] if z.measure is None else
+              [z.measure.points, z.measure.weights, z.measure.interior])
+    arrays += [] if z.sphere is None else [z.sphere]
+    return b"|".join([np.float64(cfg.lam).tobytes(), np.float64(z.t).tobytes(),
+                      repr((z.measure is None, z.sphere is None)).encode()]
+                     + [a.dtype.str.encode() + repr(a.shape).encode()
+                        + a.tobytes() for a in arrays])
+
+
+@pytest.mark.parametrize("name, res", [("disk", 40), ("unit_square", 24),
+                                       ("annulus", 48)])
+def test_seed_configs_match_the_former_enumeration(name, res):
+    mesh = meshmod.build_builtin(name, res)
+    for K, I in itertools.product(range(4), repeat=2):
+        got = [_config_bytes(c) for c in solver._seed_configs(mesh, K, I)]
+        want = [_config_bytes(c) for c in _seed_configs_oracle(mesh, K, I)]
+        assert got == want
+        assert bool(got) == (K > 0 or I > 0)

@@ -325,9 +325,10 @@ def test_bordered_hessian_lu_stores_only_nonzeros(name, shift, request):
     sigma = 0.0
     if shift == "morse":    # the shift of solver._lowest_eigenvalues
         sigma = p.beta - abs(p.rho) * float(model.exp_density(u).max()) - 1.0
-    hess = solver._ZeroMeanHessianSolver(model, u, p, sigma=sigma)
-    A0, _, _ = model.hessian_operator(u, p)
-    B, _ = model._ordered_bordered_hessian(A0, sigma)
+    hessian = model.hessian_operator(u, p)
+    hess = solver._ZeroMeanHessianSolver(model, sigma=sigma)
+    hess.factor(hessian)
+    B, _ = model._ordered_bordered_hessian(hessian[0], sigma)
     _check_unpadded(hess._lu, B, "NATURAL")
 
 
