@@ -49,7 +49,7 @@ class Evaluation:
 
     def __init__(self, model, u, p, Au, s, vals):
         self._model, self._u, self._p = model, u, p
-        self._Au, self._vals = Au, vals
+        self._Au, self._s, self._vals = Au, s, vals
         self._total = float(vals.sum())
         self._defined = bool(np.all(np.isfinite(u))) and self._total > 0.0
         self.energy = model._energy(u, Au, s, self._total, p)
@@ -74,6 +74,13 @@ class Evaluation:
 
     gradient = property(lambda self: self._solved[0])
     gradient_norm = property(lambda self: self._solved[1])
+
+    @property
+    def peak_density(self):
+        """The vertex maximum of e^u / int e^u, bit-identical to that of
+        `EnergyFunctional.exp_density`: exp and the division by the
+        quadrature total are monotone under rounding."""
+        return float(np.exp(self._u.max() - self._s)) / self._total
 
     @cached_property
     def hessian(self):
@@ -127,9 +134,9 @@ class EnergyFunctional:
 
     @cached_property
     def _mass_solve(self):
-        """The solve of M x = b by the mesh's mass LU, which is factored
-        on the mesh's first use of it."""
-        return spectrum.operators(self.mesh).mass_lu.solve
+        """The solve of M x = b shared by every model of the mesh
+        (`spectrum.MeshOperators.mass_solve`)."""
+        return spectrum.operators(self.mesh).mass_solve
 
     # -- fields -----------------------------------------------------------
 

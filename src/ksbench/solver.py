@@ -219,6 +219,8 @@ def newton(model, u0, p, max_iter=30, damped=False, seed_descriptor="zero"):
         try:
             delta = hess.refined_solve(model.hessian_operator(ev, p),
                                        -ev.residual)
+        except ConvergenceError:
+            raise           # the Hessian's own: undefined or singular
         except (RuntimeError, ValueError) as exc:
             raise ConvergenceError(f"Hessian solve failed: {exc}") from exc
         if not np.all(np.isfinite(delta)):
@@ -266,9 +268,11 @@ def _lowest_eigenvalues(model, u, p, count):
     # and Cauchy-Schwarz gives (w^T v)^2 <= W v^T E v.  For either sign of
     # rho this yields H >= (beta - |rho| max_q e^(u_q - s) / W) M; the
     # vertex maximum of e^(u - s) / W (exp_density) bounds the midpoint one.
-    sigma = p.beta - abs(p.rho) * float(model.exp_density(u).max()) - 1.0
+    # One evaluation serves the shift and the Hessian.
+    ev = model.evaluate(u, p)
+    sigma = p.beta - abs(p.rho) * ev.peak_density - 1.0
     hess = _ZeroMeanHessianSolver(model, sigma=sigma)
-    hess.factor(model.hessian_operator(u, p))
+    hess.factor(model.hessian_operator(ev, p))
     H = spla.LinearOperator((n, n), matvec=hess.apply, dtype=float)
     OPinv = spla.LinearOperator((n, n), matvec=hess.solve, dtype=float)
     # A fixed zero-mean start vector makes the eigenvalues reproducible; the

@@ -1,7 +1,7 @@
 """P1 finite-element matrices and the nonconstant Neumann eigenbasis."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -77,27 +77,47 @@ def assemble(mesh):
 # default pads relaxed supernodes with explicit zeros that every solve and
 # factorization multiplies through (disk128: +64% in M's LU, +45% in the
 # bordered Hessian's); 1 relaxes none, so a factor stores only its
-# nonzeros, with the same permutations and so the same mesh order.
+# nonzeros.  The mesh order does not depend on it: it is taken from a
+# factor that keeps no fill at all (`MeshOperators.order`).
 SUPERNODE_RELAX = 1
+
+# Mass solves without a factorization.  On every P1 triangle mesh the
+# eigenvalues of D^-1 M, D = diag(M), lie in [1/2, 2] (Wathen, "Realistic
+# eigenvalue bounds for the Galerkin mass matrix", IMA J. Numer. Anal. 7,
+# 1987).  Chebyshev iteration on that interval (Saad, Iterative Methods for
+# Sparse Linear Systems, sec. 12.3) reduces the error by 1 / T_k(5/3) =
+# 2 / (3^k + 3^-k) < 2 * 3^-k in k steps, and 2 * 3^-34 < 2^-52, so 34
+# steps solve with M to rounding, with no inner product and no test.
+CHEBYSHEV_STEPS = 34
+# A mesh rents before it buys: it factors M only once its Chebyshev solves
+# have cost about one factorization.  On square256 (V = 66049) the LU takes
+# 0.41-0.49 s, 16 Chebyshev solves at 28.7 ms each (LU solves 14.9 ms).
+# The Newton-only runs (4 mass solves on square256) never factor M; the
+# flow-heavy search (thousands of solves on disk128, V = 1409: Chebyshev
+# 0.79 ms, LU solve 0.11 ms, factorization 3.4-5.4 ms) pays about 13 ms a
+# mesh for the 16 solves before its LU.
+MASS_SOLVES_BEFORE_LU = 16
 
 
 @dataclass(eq=False)
 class MeshOperators:
     """What every sparse computation on one mesh shares: K and M, the
-    source map of their P1 pattern (see `assemble`), and the LU of M with
-    the fill-reducing vertex order that it chose.
+    source map of their P1 pattern (see `assemble`), the fill-reducing
+    vertex order and the solve with M.
 
-    K and M are assembled at once; M is factored on the first read of
-    `mass_lu` or `order`, so a mesh that never solves with M or with a
-    matrix on its pattern pays no factorization.  Unpacks as
-    (stiffness, mass, mass_lu, order).
+    K and M are assembled at once.  The order is read on first use from an
+    incomplete factor of M that keeps no fill.  The first
+    MASS_SOLVES_BEFORE_LU mass solves are Chebyshev iterations for D^-1 M,
+    D = diag(M), on [1/2, 2], which holds its spectrum on every P1 triangle
+    mesh (Wathen, IMA J. Numer. Anal. 7, 1987; see CHEBYSHEV_STEPS), so a
+    mesh that solves with M only a few times never factors it.  Later
+    solves, and all of them once `mass_lu` has been read, use the LU of M,
+    which is then kept with the mesh.
     """
     stiffness: sp.csr_matrix
     mass: sp.csr_matrix
     source: np.ndarray
-
-    def __iter__(self):
-        return iter((self.stiffness, self.mass, self.mass_lu, self.order))
+    _chebyshev_solves: int = field(default=0, init=False, repr=False)
 
     @cached_property
     def mass_lu(self):
@@ -108,20 +128,58 @@ class MeshOperators:
 
     @cached_property
     def order(self):
-        """The postordered column order of `mass_lu`: A[order][:, order] is
-        A in elimination order."""
+        """SuperLU's postordered symmetric minimum-degree column order of
+        M: A[order][:, order] is A in elimination order.
+
+        The order and its elimination-tree postorder depend on M's pattern
+        alone, so an incomplete factor that drops every fill entry chooses
+        the same one as `mass_lu`, at a fraction of its cost (square256:
+        0.1 s against 0.4-0.5 s), and is discarded at once.
+        """
         # SuperLU factors Pr A Pc with column perm_c[i] of Pc holding A's
         # column i, so A's columns in elimination order are argsort(perm_c).
-        return np.argsort(self.mass_lu.perm_c)
+        return np.argsort(spla.spilu(
+            self.mass.tocsc(), drop_tol=np.inf, fill_factor=1,
+            permc_spec="MMD_AT_PLUS_A").perm_c)
+
+    def mass_solve(self, b):
+        """The solve of M x = b: Chebyshev iteration for the first
+        MASS_SOLVES_BEFORE_LU solves while `mass_lu` is unread, then the
+        LU of M."""
+        if ("mass_lu" not in self.__dict__
+                and self._chebyshev_solves < MASS_SOLVES_BEFORE_LU):
+            self._chebyshev_solves += 1
+            return self._chebyshev_solve(b)
+        return self.mass_lu.solve(b)
+
+    def _chebyshev_solve(self, b):
+        """CHEBYSHEV_STEPS steps of Chebyshev iteration for D^-1 M x =
+        D^-1 b on [1/2, 2] from x = 0 (Saad, Algorithm 12.1)."""
+        M = self.mass
+        inv_d = 1.0 / M.diagonal()
+        theta, delta = 1.25, 0.75       # centre and half-width of [1/2, 2]
+        sigma = theta / delta
+        rho = 1.0 / sigma
+        r = np.array(b, dtype=float)
+        step = inv_d * r / theta
+        x = step.copy()
+        for _ in range(CHEBYSHEV_STEPS - 1):
+            r -= M @ step
+            rho_next = 1.0 / (2.0 * sigma - rho)
+            step = ((rho_next * rho) * step
+                    + (2.0 * rho_next / delta) * (inv_d * r))
+            rho = rho_next
+            x += step
+        return x
 
 
 def operators(mesh):
     """The `MeshOperators` of `mesh`, built once and kept on the mesh itself,
     so that they are freed with it.
 
-    The mesh's order is the one the LU of M chose: every matrix on the P1
-    pattern (K + M, each bordered Hessian) is permuted by it and factored
-    in natural order, so no later factorization orders its columns again.
+    Every matrix on the P1 pattern (K + M, each bordered Hessian) is
+    permuted by the mesh's order and factored in natural order, so no
+    later factorization orders its columns again.
     """
     ops = getattr(mesh, "_operators", None)
     if ops is None:
@@ -161,7 +219,8 @@ def eigenpairs(mesh, count):
     if not 1 <= count < n - 1:
         raise MeshError(f"eigenpair count {count} must be at least 1 and "
                         f"below {n - 1}")
-    K, M, _, q = operators(mesh)
+    ops = operators(mesh)
+    K, M, q = ops.stiffness, ops.mass, ops.order
 
     rows = np.repeat(np.arange(n), np.diff(M.indptr))
     indptr, indices, entry = ordered_pattern(rows, M.indices, q)

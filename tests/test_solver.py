@@ -396,8 +396,11 @@ FLOW_PARAMS = [Parameters(beta=-5.0, rho=13.0), COERCIVE,
 @pytest.mark.parametrize("name", sorted(FLOW_MESHES))
 @pytest.mark.parametrize("kind", ["noise", "bubble", "smooth"])
 def test_flow_matches_oracle_and_newton_is_quiet(name, kind):
-    # Smooth seeds on disk40 at rho = -20 stop at the flow tolerance.
+    # Smooth seeds on disk40 at rho = -20 stop at the flow tolerance.  The
+    # mass LU is read first, so that the flow and its oracle both solve
+    # with it, not one of them with the mesh's first Chebyshev solves.
     mesh, budget = FLOW_MESHES[name]
+    spectrum.operators(mesh).mass_lu
     model = EnergyFunctional.for_mesh(mesh)
     x, y = mesh.vertices.T
     for seed, p in enumerate(FLOW_PARAMS):
@@ -513,6 +516,28 @@ def test_lowest_eigenvalues_are_reproducible():
                               first)
 
 
+def test_morse_index_takes_one_quadrature():
+    # A model of its own, so that the patch stays on it.  One evaluation
+    # gives the shift and the Hessian; its peak density is exp_density's
+    # maximum to the bit, so the shift is unchanged.
+    mesh = ORACLE_MESHES["disk"]
+    model = EnergyFunctional(mesh)
+    p = Parameters(beta=2.0, rho=30.0)
+    for kind, seed in itertools.product(["noise", "bubble"], range(4)):
+        u = _oracle_field(mesh, kind, seed)
+        assert model.evaluate(u, p).peak_density \
+            == float(model.exp_density(u).max())
+    calls = []
+    exp_vals = model._exp_vals
+
+    def counted(u):
+        calls.append(1)
+        return exp_vals(u)
+    model._exp_vals = counted
+    solver.morse_index_at(model, _oracle_field(mesh, "noise", 3), p, 8)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("damped", [False, True])
 def test_newton_on_underflowing_quadrature_raises_convergence_error(damped):
     # The shifted quadrature total is about 6e-176, so its square, which
@@ -526,9 +551,12 @@ def test_newton_on_underflowing_quadrature_raises_convergence_error(damped):
     assert total > 0.0 and total ** 2 == 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError) as raised:
             solver.newton(model, u, Parameters(beta=-5.0, rho=13.0),
                           damped=damped)
+    # The Hessian's own error, not wrapped as a failed solve.
+    assert str(raised.value) == ("Hessian undefined: the quadrature of e^u "
+                                 "underflows")
 
 
 def _newton_direct(model, u0, p, tol=solver.NEWTON_TOL, max_iter=30,
@@ -641,7 +669,6 @@ def test_newton_factors_its_hessian_once(monkeypatch):
     # seed near the trivial state, where refinement never stalls.
     square = meshmod.build_builtin("unit_square", 64)
     model = EnergyFunctional.for_mesh(square)
-    spectrum.operators(square).mass_lu    # factor M outside the count
     mu = bubbles.make_measure([bubbles.interior_atom(square)], [True])
     seed = 0.1 * bubbles.bubble(mu, 5.0, square).values
     calls = []
