@@ -94,9 +94,9 @@ class Evaluation:
         M = model.mass
         data = (model._shifted_stiffness(p.beta).data
                 - (p.rho / total) * model._exp_mass(self._vals))
-        # A0 gets its own index arrays, so that no caller can alter M's.
-        A0 = sp.csr_matrix((data, M.indices.copy(), M.indptr.copy()),
-                           shape=M.shape)
+        # A0 shares M's index arrays, which are read-only
+        # (`spectrum.assemble`), so no caller can alter M's through it.
+        A0 = sp.csr_matrix((data, M.indices, M.indptr), shape=M.shape)
         return A0, p.rho / total ** 2, model._at_ends(0.5 * self._vals)
 
 
@@ -111,7 +111,9 @@ class EnergyFunctional:
         self.area = mesh.area
         self.lumped = mesh.lumped_masses()
         # One node per edge midpoint, weighing |T| / 3 per triangle T on it.
-        self._qab = mesh.edges.T.ravel()
+        # Its ends are in the pattern's index dtype (int32), gathered with
+        # `take`: indexing by them costs 35 us a disk128 quadrature, `take` 20.
+        self._qab = mesh.edges.T.ravel().astype(self.mass.indices.dtype)
         self._qa, self._qb = np.split(self._qab, 2)
         self._qw = np.bincount(mesh.triangle_edges.ravel(),
                                weights=np.repeat(mesh.triangle_areas / 3.0, 3),
@@ -159,7 +161,8 @@ class EnergyFunctional:
     def _exp_vals(self, u):
         """Shift s and the shifted quadrature values exp(u_q - s) w_q."""
         s = float(u.max(initial=0.0))
-        return s, np.exp(0.5 * (u[self._qa] + u[self._qb]) - s) * self._qw
+        ends = u.take(self._qa) + u.take(self._qb)
+        return s, np.exp(0.5 * ends - s) * self._qw
 
     def _at_ends(self, node_vals):
         """Each quadrature node's value added to both ends of its edge: from
@@ -233,7 +236,8 @@ class EnergyFunctional:
         """The order and CSC pattern of B[order][:, order] for B = [[A, m],
         [m^T, 0]] and A on the mass matrix's pattern, built on first use;
         the order is the mesh's, then the border index.  The pattern's data
-        are each entry's position in concat([A's data, m])."""
+        are each entry's position in concat([A's data, m]), in the
+        pattern's index dtype."""
         M = self.mass
         n, nnz = M.shape[0], M.nnz
         order = np.append(spectrum.operators(self.mesh).order, n)
@@ -243,7 +247,8 @@ class EnergyFunctional:
                             border]),
             np.concatenate([M.indices, border, vertices]), order)
         m = nnz + vertices
-        source = np.concatenate([np.arange(nnz), m, m])[entry]
+        source = np.concatenate([np.arange(nnz), m, m])[entry].astype(
+            indices.dtype)
         return order, sp.csc_matrix((source, indices, indptr),
                                     shape=(n + 1, n + 1))
 
@@ -259,14 +264,16 @@ class EnergyFunctional:
         differently.
         """
         quarter = 0.25 * quad_vals
-        return np.concatenate([self._at_ends(quarter), quarter])[self._source]
+        return np.concatenate([self._at_ends(quarter), quarter]).take(
+            self._source)
 
     def hessian_operator(self, u, p):
         """Sparse part A0 and rank-one data (c, w) with J''(u) = A0 + c w w^T.
 
-        A0 = K + beta M - (rho / W) E lives on the mass matrix's pattern;
-        only its data is computed here.  u may be the iterate's `Evaluation`
-        at p, whose quadrature then serves (`Evaluation.hessian`).
+        A0 = K + beta M - (rho / W) E lives on the mass matrix's pattern:
+        only its data is computed here, and it shares M's read-only index
+        arrays.  u may be the iterate's `Evaluation` at p, whose quadrature
+        then serves (`Evaluation.hessian`).
         """
         ev = u if isinstance(u, Evaluation) else self.evaluate(u, p)
         return ev.hessian
@@ -278,7 +285,7 @@ class EnergyFunctional:
         structure is built per call."""
         order, pattern = self._ordered_pattern
         data = np.concatenate([A0.data - sigma * self.mass.data, self.lumped])
-        return sp.csc_matrix((data[pattern.data], pattern.indices,
+        return sp.csc_matrix((data.take(pattern.data), pattern.indices,
                               pattern.indptr), shape=pattern.shape), order
 
 

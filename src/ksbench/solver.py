@@ -113,7 +113,8 @@ class _ZeroMeanHessianSolver:
     mass-weighted constant; the rank-one part of the Hessian is folded in by
     the Woodbury identity.  The solve maps the constant mode to zero.  The
     bordered matrix is factored in the mesh's order, border last, without
-    relaxed supernodes (`spectrum.SUPERNODE_RELAX`).
+    relaxed supernodes (`spectrum.SUPERNODE_RELAX`) and in narrow panels
+    (`spectrum.PANEL_SIZE`).
 
     Nothing is factored until `factor` or the first `refined_solve`;
     `newton` keeps one solver across its iterates, and `drop`s the held
@@ -139,7 +140,8 @@ class _ZeroMeanHessianSolver:
         n = A0.shape[0]
         B, order = self._model._ordered_bordered_hessian(A0, self._sigma)
         self._lu = spla.splu(B, permc_spec="NATURAL",
-                             relax=spectrum.SUPERNODE_RELAX)
+                             relax=spectrum.SUPERNODE_RELAX,
+                             panel_size=spectrum.PANEL_SIZE)
         self._bordered_solve = spectrum.ordered_solve(self._lu, order)
         self._c = c
         self._w = np.concatenate([w, [0.0]])

@@ -53,7 +53,11 @@ def assemble(mesh):
     indptr, indices, entry = ordered_pattern(
         np.concatenate([vertices, lo, hi]), np.concatenate([vertices, hi, lo]),
         vertices)
-    source = np.concatenate([vertices, edges, edges])[entry]
+    # K, M and every A0 on the pattern share its index arrays, and no
+    # caller may alter them; the source map is kept in their dtype.
+    indptr.flags.writeable = indices.flags.writeable = False
+    source = np.concatenate([vertices, edges, edges])[entry].astype(
+        indices.dtype)
 
     p = mesh.vertices[t]
     s = p[:, [1, 2, 0]] - p[:, [2, 0, 1]]
@@ -73,13 +77,24 @@ def assemble(mesh):
     return MeshOperators(K, M, source)
 
 
-# SuperLU's supernode relaxation for every factorization on the mesh.  The
-# default pads relaxed supernodes with explicit zeros that every solve and
+# SuperLU's supernode relaxation and panel width for every factorization
+# on the mesh (M, K + M and each bordered Hessian).  The default relaxation
+# pads relaxed supernodes with explicit zeros that every solve and
 # factorization multiplies through (disk128: +64% in M's LU, +45% in the
 # bordered Hessian's); 1 relaxes none, so a factor stores only its
 # nonzeros.  The mesh order does not depend on it: it is taken from a
 # factor that keeps no fill at all (`MeshOperators.order`).
 SUPERNODE_RELAX = 1
+# SuperLU's supernode-panel LU updates w columns at a time through dense
+# n x w work arrays (Demmel, Eisenstat, Gilbert, Li and Liu, SIAM J. Matrix
+# Anal. Appl. 20(3), 1999); the width changes no stored entry and no pivot.
+# Sweep of w in {1, 2, 4, 8, 20} (one BLAS thread, interleaved runs): each
+# narrower w factored M, K + M and the bordered Hessian faster on disk128,
+# annulus64 and square48 (disk128's Hessian: 2.55 ms at w = 2, 3.02 ms at
+# the default 20); on square256's Hessian w <= 4 took 0.33-0.38 s against
+# 0.36-0.41 s, w = 1 the slowest of the three in each of three runs, and
+# w <= 12 lowered the peak resident memory by 6 MiB.
+PANEL_SIZE = 2
 
 # Mass solves without a factorization.  On every P1 triangle mesh the
 # eigenvalues of D^-1 M, D = diag(M), lie in [1/2, 2] (Wathen, "Realistic
@@ -122,9 +137,10 @@ class MeshOperators:
     @cached_property
     def mass_lu(self):
         """M factored with a symmetric minimum-degree order on M + M^T,
-        unrelaxed (`SUPERNODE_RELAX`): its factors store only nonzeros."""
+        unrelaxed (`SUPERNODE_RELAX`), so its factors store only nonzeros,
+        in panels of `PANEL_SIZE` columns."""
         return spla.splu(self.mass.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                         relax=SUPERNODE_RELAX)
+                         relax=SUPERNODE_RELAX, panel_size=PANEL_SIZE)
 
     @cached_property
     def order(self):
@@ -226,7 +242,8 @@ def eigenpairs(mesh, count):
     indptr, indices, entry = ordered_pattern(rows, M.indices, q)
     lu = spla.splu(sp.csc_matrix(((K.data + M.data)[entry], indices, indptr),
                                  shape=(n, n)),
-                   permc_spec="NATURAL", relax=SUPERNODE_RELAX)
+                   permc_spec="NATURAL", relax=SUPERNODE_RELAX,
+                   panel_size=PANEL_SIZE)
     OPinv = spla.LinearOperator((n, n), matvec=ordered_solve(lu, q),
                                 dtype=float)
     v0 = np.random.default_rng(0).standard_normal(n)

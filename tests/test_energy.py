@@ -435,6 +435,25 @@ def test_one_shifted_stiffness_for_the_last_beta():
     assert held[-5.0][0] is not held[-5.0][1]
 
 
+def test_index_maps_are_narrow_and_shared():
+    # The per-mesh index maps are int32, and A0 shares M's index arrays,
+    # which no caller can alter.
+    mesh = meshmod.build_builtin("disk", 16)
+    model = EnergyFunctional.for_mesh(mesh)
+    M = model.mass
+    assert spectrum.operators(mesh).source.dtype == np.int32
+    assert model._ordered_pattern[1].data.dtype == np.int32
+    assert model._qab.dtype == np.int32
+    u = model.project_zero_mean(np.random.default_rng(6).standard_normal(
+        mesh.num_vertices))
+    A0, _, _ = model.hessian_operator(u, Parameters(beta=-5.0, rho=13.0))
+    assert np.shares_memory(A0.indices, M.indices)
+    assert np.shares_memory(A0.indptr, M.indptr)
+    for index in (M.indices, M.indptr, A0.indices, A0.indptr):
+        with pytest.raises(ValueError):
+            index[0] = 1
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
 @pytest.mark.parametrize("sigma", [0.0, -7.5])
 def test_bordered_hessian_matches_bmat(name, sigma):

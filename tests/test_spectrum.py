@@ -309,10 +309,32 @@ def _factor_mesh(name, request):
     return request.getfixturevalue(name)
 
 
+# How far a solve with the factor in `spectrum.PANEL_SIZE`-column panels
+# may lie from one with SuperLU's default width of 20, relative to the
+# solution's largest entry: the two sum the same updates in another order
+# (at most 3.4e-14 measured, on disk128's bordered Hessian).
+PANEL_SOLVE_TOL = 1e-12
+
+
+def _check_panel_width(lu, A, permc_spec):
+    """`lu`, a factorization of A in narrow panels, stores as many entries,
+    pivots as the unrelaxed factorization at SuperLU's default panel width
+    does, and solves as it does to PANEL_SOLVE_TOL."""
+    wide = spla.splu(A, permc_spec=permc_spec, relax=spectrum.SUPERNODE_RELAX)
+    assert lu.nnz == wide.nnz
+    assert np.array_equal(lu.perm_c, wide.perm_c)
+    assert np.array_equal(lu.perm_r, wide.perm_r)
+    b = np.random.default_rng(8).standard_normal(A.shape[0])
+    want = wide.solve(b)
+    assert (np.abs(lu.solve(b) - want).max()
+            <= PANEL_SOLVE_TOL * np.abs(want).max())
+
+
 def _check_unpadded(lu, A, permc_spec):
     """`lu`, a factorization of A, stores (within 1%) only its nonzeros,
     pivots as SuperLU's default factorization with relaxed supernodes does,
-    and solves as it does; that default factorization is returned."""
+    and solves as it does; that default factorization is returned.  It is
+    also checked against the default panel width (`_check_panel_width`)."""
     relaxed = spla.splu(A, permc_spec=permc_spec)
     assert lu.nnz <= 1.01 * (lu.L.nnz + lu.U.nnz)
     assert np.array_equal(lu.perm_c, relaxed.perm_c)
@@ -320,6 +342,7 @@ def _check_unpadded(lu, A, permc_spec):
     b = np.random.default_rng(7).standard_normal(A.shape[0])
     want = relaxed.solve(b)
     assert np.abs(lu.solve(b) - want).max() <= 1e-12 * np.abs(want).max()
+    _check_panel_width(lu, A, permc_spec)
     return relaxed
 
 
@@ -361,6 +384,17 @@ def test_bordered_hessian_lu_stores_only_nonzeros(name, shift, request):
     hess.factor(hessian)
     B, _ = model._ordered_bordered_hessian(hessian[0], sigma)
     _check_unpadded(hess._lu, B, "NATURAL")
+
+
+def test_square256_bordered_hessian_panel_width(square256):
+    # The largest factor of the benchmark, at V = 66049, once.
+    model = EnergyFunctional.for_mesh(square256)
+    u = model.project_zero_mean(np.random.default_rng(5).standard_normal(
+        square256.num_vertices))
+    hess = solver._ZeroMeanHessianSolver(model)
+    hess.factor(model.hessian_operator(u, Parameters(beta=-5.0, rho=13.0)))
+    B, _ = model._ordered_bordered_hessian(hess._hessian[0])
+    _check_panel_width(hess._lu, B, "NATURAL")
 
 
 def test_bracket_index_analytic():
