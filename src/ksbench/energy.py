@@ -75,13 +75,6 @@ class Evaluation:
     gradient = property(lambda self: self._solved[0])
     gradient_norm = property(lambda self: self._solved[1])
 
-    @property
-    def peak_density(self):
-        """The vertex maximum of e^u / int e^u, bit-identical to that of
-        `EnergyFunctional.exp_density`: exp and the division by the
-        quadrature total are monotone under rounding."""
-        return float(np.exp(self._u.max() - self._s)) / self._total
-
     @cached_property
     def hessian(self):
         """The (A0, c, w) of `EnergyFunctional.hessian_operator` from this
@@ -233,24 +226,32 @@ class EnergyFunctional:
 
     @cached_property
     def _ordered_pattern(self):
-        """The order and CSC pattern of B[order][:, order] for B = [[A, m],
-        [m^T, 0]] and A on the mass matrix's pattern, built on first use;
-        the order is the mesh's, then the border index.  The pattern's data
-        are each entry's position in concat([A's data, m]), in the
-        pattern's index dtype."""
+        """The order and CSC pattern of B[order][:, order] for the doubly
+        bordered B = [[A, m, v], [m^T, 0, 0], [v^T, 0, d]] and A on the mass
+        matrix's pattern, built on first use; the order is the mesh's, then
+        the m border, then the v border.  The pattern's data are each
+        entry's position in concat([A's data, m, v, [d]]), in the pattern's
+        index dtype.  The borders come last, so they are written in place
+        of a COO conversion (which kept 27 MiB more resident on square256):
+        each of A's columns ends in rows n and n + 1."""
         M = self.mass
         n, nnz = M.shape[0], M.nnz
-        order = np.append(spectrum.operators(self.mesh).order, n)
-        vertices, border = np.arange(n), np.full(n, n)
+        # The two kept arrays are allocated before the transients, which
+        # are then freed from the top of the heap.
+        rows, source = np.empty((2, nnz + 4 * n + 1), dtype=M.indices.dtype)
+        mesh_order = spectrum.operators(self.mesh).order
         indptr, indices, entry = spectrum.ordered_pattern(
-            np.concatenate([np.repeat(vertices, np.diff(M.indptr)), vertices,
-                            border]),
-            np.concatenate([M.indices, border, vertices]), order)
-        m = nnz + vertices
-        source = np.concatenate([np.arange(nnz), m, m])[entry].astype(
-            indices.dtype)
-        return order, sp.csc_matrix((source, indices, indptr),
-                                    shape=(n + 1, n + 1))
+            np.repeat(np.arange(n), np.diff(M.indptr)), M.indices, mesh_order)
+        at, vertices, tail = np.repeat(indptr[1:], 2), np.arange(n), nnz + 2 * n
+        m, v = nnz + mesh_order, tail - n + mesh_order
+        np.concatenate([np.insert(indices, at, np.tile([n, n + 1], n)),
+                        vertices, vertices, [n + 1]], out=rows)
+        np.concatenate([np.insert(entry, at, np.column_stack([m, v]).ravel()),
+                        m, v, [tail]], out=source, casting="same_kind")
+        indptr = np.append(indptr + 2 * np.arange(n + 1),
+                           [tail + n, tail + 2 * n + 1])
+        return np.append(mesh_order, [n, n + 1]), sp.csc_matrix(
+            (source, rows, indptr), shape=(n + 2, n + 2))
 
     def _exp_mass(self, quad_vals):
         """The data of E_ab = exp(-s) int e^u phi_a phi_b on the mass
@@ -278,13 +279,22 @@ class EnergyFunctional:
         ev = u if isinstance(u, Evaluation) else self.evaluate(u, p)
         return ev.hessian
 
-    def _ordered_bordered_hessian(self, A0, sigma=0.0):
-        """The CSC matrix B[order][:, order] for B = [[A0 - sigma M, m],
-        [m^T, 0]], m the lumped masses and A0 from `hessian_operator`, and
-        that order: one gather fills the per-mesh pattern, so no sparsity
-        structure is built per call."""
+    def _ordered_bordered_hessian(self, hessian, shift=0.0):
+        """The CSC matrix B(shift)[order][:, order] and that order, for
+        the (A0, c, w) of `hessian_operator` and
+
+            B(s) = [[A0 - s M, m, v], [m^T, 0, 0], [v^T, 0, -sign]],
+
+        m the lumped masses, v = sqrt|c| w and sign = 1 if c >= 0 else -1.
+        Eliminating the corner leaves [[A0 + c w w^T - s M, m], [m^T, 0]]:
+        the first V entries of B(0)'s solve with (b, 0, 0) are the zero-mean
+        Hessian solve of b.  One gather fills the per-mesh pattern, so no
+        sparsity structure is built per call."""
+        A0, c, w = hessian
         order, pattern = self._ordered_pattern
-        data = np.concatenate([A0.data - sigma * self.mass.data, self.lumped])
+        sign = 1.0 if c >= 0 else -1.0
+        data = np.concatenate([A0.data - shift * self.mass.data, self.lumped,
+                               np.sqrt(abs(c)) * w, [-sign]])
         return sp.csc_matrix((data.take(pattern.data), pattern.indices,
                               pattern.indptr), shape=pattern.shape), order
 

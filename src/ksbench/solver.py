@@ -21,6 +21,11 @@ BLOWUP_NORM_CAP = 1e3
 EIG_GUARD = 1e-8            # below it a Hessian eigenvalue counts as zero
 SEED_LAMBDAS = (30.0, 100.0)    # overall scales of the seed family
 DEDUP_TOL = 1e-3            # H1 distance below which two solutions are one
+# Newton's factor swaps rows only where the diagonal is below this share of
+# its column's largest (threshold pivoting).  On 96 disk128 search states
+# it solves to 4.2e-13 relative residual (full pivoting 2.3e-13, none
+# 1.1e-11), and stores 0.4%, not 1.1%, explicit zeros on square48.
+PIVOT_THRESHOLD = 0.1
 # Iterative refinement of a Newton step against a held factorization.
 REFINE_TOL = 1e-12
 REFINE_SWEEPS = 8
@@ -106,24 +111,30 @@ def flow(model, seed, p, step_budget):
                        classification=cls, morse_index=None, iterations=it)
 
 
-class _ZeroMeanHessianSolver:
-    """Factorized shifted Hessian H - sigma M on the zero-mean space.
+def _factor(B, **options):
+    """SuperLU's LU of B, already in the mesh's order, in natural order,
+    without relaxed supernodes (`spectrum.SUPERNODE_RELAX`) and in narrow
+    panels (`spectrum.PANEL_SIZE`)."""
+    return spla.splu(B, permc_spec="NATURAL", relax=spectrum.SUPERNODE_RELAX,
+                     panel_size=spectrum.PANEL_SIZE, **options)
 
-    The constraint is imposed by bordering A0 - sigma M with the
-    mass-weighted constant; the rank-one part of the Hessian is folded in by
-    the Woodbury identity.  The solve maps the constant mode to zero.  The
-    bordered matrix is factored in the mesh's order, border last, without
-    relaxed supernodes (`spectrum.SUPERNODE_RELAX`) and in narrow panels
-    (`spectrum.PANEL_SIZE`).
+
+class _ZeroMeanHessianSolver:
+    """Factorized Hessian H = A0 + c w w^T on the zero-mean space.
+
+    The Hessian solve is that of the doubly bordered B(0) of
+    `EnergyFunctional._ordered_bordered_hessian`, whose m border imposes the
+    constraint and whose v border carries the rank-one part; it is
+    factored with threshold partial pivoting (PIVOT_THRESHOLD) in the
+    mesh's order, borders last.  The solve maps the constant mode to zero.
 
     Nothing is factored until `factor` or the first `refined_solve`;
     `newton` keeps one solver across its iterates, and `drop`s the held
     factorization where refining against it would not pay.
     """
 
-    def __init__(self, model, sigma=0.0):
+    def __init__(self, model):
         self._model = model
-        self._sigma = sigma
         self._lu = None
 
     def drop(self):
@@ -136,39 +147,25 @@ class _ZeroMeanHessianSolver:
         becomes the current Hessian.  The held LU is dropped first, so that
         two are never alive at once."""
         self.drop()
-        A0, c, w = self._hessian = hessian
-        n = A0.shape[0]
-        B, order = self._model._ordered_bordered_hessian(A0, self._sigma)
-        self._lu = spla.splu(B, permc_spec="NATURAL",
-                             relax=spectrum.SUPERNODE_RELAX,
-                             panel_size=spectrum.PANEL_SIZE)
+        self._hessian = hessian
+        B, order = self._model._ordered_bordered_hessian(hessian)
+        self._lu = _factor(B, diag_pivot_thresh=PIVOT_THRESHOLD)
         self._bordered_solve = spectrum.ordered_solve(self._lu, order)
-        self._c = c
-        self._w = np.concatenate([w, [0.0]])
-        self._n = n
-        y = self._bordered_solve(self._w)
-        self._denom = 1.0 + c * (self._w @ y)
-        self._y = y
-        if abs(self._denom) < 1e-14:
-            raise ConvergenceError("singular Hessian (degenerate critical point)")
 
     def apply(self, v):
-        """The unshifted action A0 v + c w (w . v) of the current Hessian."""
+        """The action A0 v + c w (w . v) of the current Hessian."""
         A0, c, w = self._hessian
         return A0 @ v + c * w * (w @ v)
 
     def solve(self, rhs):
         """The solve with the held factorization, which `refined_solve` may
         have kept from an earlier Hessian."""
-        b = np.concatenate([rhs, [0.0]])
-        x = self._bordered_solve(b)
-        x = x - (self._c * (self._w @ x) / self._denom) * self._y
-        return x[:self._n]
+        return self._bordered_solve(np.concatenate([rhs, [0.0, 0.0]]))[
+            :len(rhs)]
 
     def refined_solve(self, hessian, rhs):
         """The zero-mean solve of H x = rhs, to REFINE_TOL relative, for H
-        the unshifted (sigma = 0) Hessian data `hessian`, which becomes the
-        current Hessian.
+        the Hessian data `hessian`, which becomes the current Hessian.
 
         Iterative refinement against the held factorization P, which may be
         of an earlier Hessian: x <- x + P^-1 (rhs - H x), accepted once the
@@ -222,7 +219,7 @@ def newton(model, u0, p, max_iter=30, damped=False, seed_descriptor="zero"):
             delta = hess.refined_solve(model.hessian_operator(ev, p),
                                        -ev.residual)
         except ConvergenceError:
-            raise           # the Hessian's own: undefined or singular
+            raise           # the Hessian's own: undefined
         except (RuntimeError, ValueError) as exc:
             raise ConvergenceError(f"Hessian solve failed: {exc}") from exc
         if not np.all(np.isfinite(delta)):
@@ -253,56 +250,41 @@ def newton(model, u0, p, max_iter=30, damped=False, seed_descriptor="zero"):
                        seed_descriptor=seed_descriptor)
 
 
-def _lowest_eigenvalues(model, u, p, count):
-    """The lowest `count` (at most V - 2) eigenvalues, ascending, of the
-    Hessian on the zero-mean space, H v = lambda M v with mean(v) = 0.
-
-    Shift-invert Lanczos through the bordered factorization of H - sigma M,
-    with sigma below the whole spectrum, so that the eigenvalues nearest
-    sigma are the lowest.  The Ritz values are only accurate to about
-    eps |lambda - sigma|, and sigma may lie thousands below, so the
-    Rayleigh quotients of the Ritz vectors are returned instead.
-    """
-    n = len(u)
-    # H = K + beta M - (rho/W) E + (rho/W^2) w w^T with K >= 0, W = sum(w),
-    # E the shifted exp-weighted mass matrix.  The midpoint rule is exact
-    # for squares of P1 functions, so v^T E v <= max_q e^(u_q - s) v^T M v,
-    # and Cauchy-Schwarz gives (w^T v)^2 <= W v^T E v.  For either sign of
-    # rho this yields H >= (beta - |rho| max_q e^(u_q - s) / W) M; the
-    # vertex maximum of e^(u - s) / W (exp_density) bounds the midpoint one.
-    # One evaluation serves the shift and the Hessian.
-    ev = model.evaluate(u, p)
-    sigma = p.beta - abs(p.rho) * ev.peak_density - 1.0
-    hess = _ZeroMeanHessianSolver(model, sigma=sigma)
-    hess.factor(model.hessian_operator(ev, p))
-    H = spla.LinearOperator((n, n), matvec=hess.apply, dtype=float)
-    OPinv = spla.LinearOperator((n, n), matvec=hess.solve, dtype=float)
-    # A fixed zero-mean start vector makes the eigenvalues reproducible; the
-    # bordered solve maps the constant mode to zero, so it must be avoided.
-    v0 = model.project_zero_mean(np.random.default_rng(0).standard_normal(n))
+def _negative_pivots(model, hessian, shift):
+    """The negative pivots of B(shift) (see
+    `EnergyFunctional._ordered_bordered_hessian`), factored without a row
+    pivot: its L U is then L D L^T, D the diagonal of U.  A ConvergenceError
+    where SuperLU would have to pivot (a zero pivot) or finds B singular."""
+    B, _ = model._ordered_bordered_hessian(hessian, shift)
     try:
-        _, vecs = spla.eigsh(H, k=min(count, n - 2), M=model.mass,
-                             sigma=sigma, OPinv=OPinv, which="LM", v0=v0)
-    except spla.ArpackError as exc:
-        raise ConvergenceError(f"Morse eigensolve failed: {exc}") from exc
-    return np.sort([(v @ hess.apply(v)) / (v @ (model.mass @ v))
-                    for v in vecs.T])
+        lu = _factor(B, diag_pivot_thresh=0.0,
+                     options=dict(SymmetricMode=True))
+    except RuntimeError as exc:
+        raise ConvergenceError(f"Morse factorization failed: {exc}") from exc
+    if not np.array_equal(lu.perm_r, np.arange(B.shape[0])):
+        raise ConvergenceError("Morse factorization failed: a zero pivot")
+    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
 def morse_index_at(model, u, p, count):
     """Negative Hessian directions at a critical point, among the lowest `count`.
 
-    The eigenvalues come from shift-invert Lanczos on the zero-mean space
-    with the shift sigma = beta - |rho| max(e^u / int e^u) - 1, below the
-    spectrum (see `_lowest_eigenvalues`).  Errors out when the
-    smallest-magnitude eigenvalue is below EIG_GUARD (non-Morse point).
+    By Sylvester's law of inertia (Parlett, The Symmetric Eigenvalue
+    Problem, SIAM 1998, ch. 3) `_negative_pivots` of B(s) counts each
+    eigenvalue below s of H v = lambda M v on the zero-mean space, one for
+    the m border and one more where the corner is -1 (c >= 0).  The counts
+    at s = -+EIG_GUARD, from one evaluation of u, differ exactly when an
+    eigenvalue lies within EIG_GUARD of 0: the point is not Morse, an error.
     """
-    u = field_values(u)
-    vals = _lowest_eigenvalues(model, u, p, count)
-    if np.abs(vals).min() < EIG_GUARD:
+    ev = model.evaluate(field_values(u), p)
+    hessian = model.hessian_operator(ev, p)
+    borders = 2 if hessian[1] >= 0 else 1
+    below, above = (_negative_pivots(model, hessian, s) - borders
+                    for s in (-EIG_GUARD, EIG_GUARD))
+    if below != above:
         raise ConvergenceError(
             "near-zero Hessian eigenvalue: critical point is not Morse")
-    return int(np.sum(vals < 0.0))
+    return min(below, count)
 
 
 def local_mass(model, u, p, radius):
@@ -454,7 +436,7 @@ def find_critical_point(mesh, basis, p, flow_budget=300):
     if pick is not None and pick.residual < 1e-6:
         try:
             pick.morse_index = morse_index_at(
-                model, pick.u, p, count=min(8, mesh.num_vertices - 2))
+                model, pick.u, p, count=mesh.num_vertices - 1)
         except ConvergenceError:
             pick.morse_index = None
     return pick, found

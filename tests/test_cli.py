@@ -118,6 +118,19 @@ def test_solve_coercive_exit_1(tmp_path):
     assert sol["classification"] == "trivial"
 
 
+def test_solve_reports_the_whole_morse_index(tmp_path):
+    # At beta = -150 the trivial state has 14 negative directions, more
+    # than the lowest 8 eigenvalues.
+    out = tmp_path / "sol.json"
+    rc = cli.main(["solve", "--domain", "unit_square", "--res", "24",
+                   "--beta", "-150", "--rho", "1", "--steps", "0",
+                   "--out", str(out)])
+    assert rc == 1
+    sol = json.loads(out.read_text())
+    assert sol["classification"] == "trivial"
+    assert sol["morse_index"] == 14
+
+
 def test_solve_at_resonant_rho_writes_json(tmp_path):
     out = tmp_path / "sol.json"
     rc = cli.main(["solve", "--res", "24", "--beta", "1",

@@ -281,17 +281,21 @@ def _exp_mass_matrix(model, u, quad_vals):
     return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
 
-def _bordered_oracle(model, u, p, sigma):
+def _bordered_oracle(model, u, p, shift):
     """The former Hessian assembly under the per-triangle rule: A0 from
-    `_exp_mass_matrix` and sparse sums, then [[A0 - sigma M, m], [m^T, 0]]
-    by sp.bmat."""
-    _, quad_vals, _, total = _exp_quad_add_at(u, _triangle_rule(model.mesh))
+    `_exp_mass_matrix` and sparse sums, c = rho / W^2 and w, then the doubly
+    bordered [[A0 - shift M, m, v], [m^T, 0, 0], [v^T, 0, -sign]], v =
+    sqrt|c| w and sign that of c (1 at c = 0), by sp.bmat."""
+    _, quad_vals, w, total = _exp_quad_add_at(u, _triangle_rule(model.mesh))
     E = _exp_mass_matrix(model, u, quad_vals)
     A0 = (model.stiffness + p.beta * model.mass - (p.rho / total) * E).tocsr()
-    m = model.lumped
-    shifted = A0 - sigma * model.mass if sigma else A0
-    return A0, sp.bmat([[shifted, m[:, None]], [m[None, :], None]],
-                       format="csc")
+    c = p.rho / total ** 2
+    m = model.lumped[:, None]
+    v = np.sqrt(abs(c)) * w[:, None]
+    shifted = A0 - shift * model.mass if shift else A0
+    corner = np.array([[-1.0 if c >= 0 else 1.0]])
+    return A0, sp.bmat([[shifted, m, v], [m.T, None, None],
+                        [v.T, None, corner]], format="csc")
 
 
 def _oracle_input(model, kind, seed, amp):
@@ -455,15 +459,16 @@ def test_index_maps_are_narrow_and_shared():
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
-@pytest.mark.parametrize("sigma", [0.0, -7.5])
-def test_bordered_hessian_matches_bmat(name, sigma):
+@pytest.mark.parametrize("shift", [0.0, -7.5])
+def test_bordered_hessian_matches_bmat(name, shift):
     model = EnergyFunctional.for_mesh(ORACLE_MESHES[name])
     rng = np.random.default_rng(1)
     u = model.project_zero_mean(rng.standard_normal(model.mesh.num_vertices))
     for p in PAIRS:
-        A0_old, B_old = _bordered_oracle(model, u, p, sigma)
-        A0, _, _ = model.hessian_operator(u, p)
-        B, order = model._ordered_bordered_hessian(A0, sigma)
+        A0_old, B_old = _bordered_oracle(model, u, p, shift)
+        hessian = model.hessian_operator(u, p)
+        A0 = hessian[0]
+        B, order = model._ordered_bordered_hessian(hessian, shift)
         want = B_old[order][:, order].tocsc()
         want.sort_indices()
         assert B.format == "csc"
@@ -498,25 +503,25 @@ def test_energy_alone_matches_oracle(name, kind, seed, log_amp, beta, rho):
     _assert_matches_triangle_rule(model, u, p, (e,))
 
 
-def _hessian_cases(name, sigma):
-    """(model, u, p, A0, bordered matrix by `_bordered_oracle`) at a noise
-    field u for the parameter pairs `PAIRS`."""
+def _hessian_cases(name, shift):
+    """(model, u, p, Hessian data, bordered matrix by `_bordered_oracle`)
+    at a noise field u for the parameter pairs `PAIRS`."""
     model = EnergyFunctional.for_mesh(ORACLE_MESHES[name])
     rng = np.random.default_rng(1)
     u = model.project_zero_mean(rng.standard_normal(model.mesh.num_vertices))
     for p in PAIRS:
-        A0, _, _ = model.hessian_operator(u, p)
-        yield model, u, p, A0, _bordered_oracle(model, u, p, sigma)[1]
+        yield (model, u, p, model.hessian_operator(u, p),
+               _bordered_oracle(model, u, p, shift)[1])
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
-@pytest.mark.parametrize("sigma", [0.0, -7.5])
-def test_ordered_bordered_hessian_is_permuted_bmat(name, sigma):
-    for model, _, _, A0, B in _hessian_cases(name, sigma):
-        Bq, order = model._ordered_bordered_hessian(A0, sigma)
+@pytest.mark.parametrize("shift", [0.0, -7.5])
+def test_ordered_bordered_hessian_is_permuted_bmat(name, shift):
+    for model, _, _, hessian, B in _hessian_cases(name, shift):
+        Bq, order = model._ordered_bordered_hessian(hessian, shift)
         n = model.mesh.num_vertices
-        assert order[-1] == n and np.array_equal(np.sort(order),
-                                                 np.arange(n + 1))
+        assert np.array_equal(order[-2:], [n, n + 1])
+        assert np.array_equal(np.sort(order), np.arange(n + 2))
         want = B[order][:, order].tocsc()
         want.sort_indices()
         assert Bq.format == "csc" and Bq.has_sorted_indices
@@ -527,16 +532,27 @@ def test_ordered_bordered_hessian_is_permuted_bmat(name, sigma):
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
-@pytest.mark.parametrize("sigma", [0.0, -7.5])
-def test_ordered_solves_match_plain_splu(name, sigma):
+@pytest.mark.parametrize("shift", [0.0, -7.5])
+def test_ordered_solves_match_plain_splu(name, shift):
+    # B(shift) as Newton factors it (threshold partial pivoting), and
+    # B(shift -+ EIG_GUARD) as the Morse index does (no row pivot), against
+    # SuperLU's default order and pivoting on the unpermuted oracle.
     rng = np.random.default_rng(3)
-    for model, u, p, _, B in _hessian_cases(name, sigma):
-        hess = solver._ZeroMeanHessianSolver(model, sigma=sigma)
-        hess.factor(model.hessian_operator(u, p))
-        b = rng.standard_normal(B.shape[0])
-        want = spla.splu(B).solve(b)
-        got = hess._bordered_solve(b)
-        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    for model, u, p, hessian, _ in _hessian_cases(name, shift):
+        for s, options in [
+                (shift, dict(diag_pivot_thresh=solver.PIVOT_THRESHOLD))] + [
+                (shift + g, dict(diag_pivot_thresh=0.0,
+                                 options=dict(SymmetricMode=True)))
+                for g in (-solver.EIG_GUARD, solver.EIG_GUARD)]:
+            B = _bordered_oracle(model, u, p, s)[1]
+            Bq, order = model._ordered_bordered_hessian(hessian, s)
+            lu = solver._factor(Bq, **options)
+            if "options" in options:
+                assert np.array_equal(lu.perm_r, np.arange(B.shape[0]))
+            b = rng.standard_normal(B.shape[0])
+            want = spla.splu(B).solve(b)
+            got = spectrum.ordered_solve(lu, order)(b)
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
     b = rng.standard_normal(model.mesh.num_vertices)
     want = spla.splu(model.mass.tocsc()).solve(b)
     assert np.abs(model._mass_solve(b) - want).max() \
@@ -557,22 +573,26 @@ def test_ordered_bordered_lu_halves_the_fill():
 
 
 def _bordered_pattern_oracle(model):
-    """The former `_bordered_pattern`: the CSC pattern of [[A, m], [m^T, 0]]
-    for A on the mass matrix's pattern, the data positions of A's entries
-    and of the border, and the entry of A that each quadrature term of E
-    adds to, by a search of the pattern's row-major keys.  The quadrature
-    nodes are the mesh's edges."""
+    """The former `_bordered_pattern` with the v border: the CSC pattern of
+    [[A, m, v], [m^T, 0, 0], [v^T, 0, d]] for A on the mass matrix's
+    pattern, the data positions of A's entries and of the two borders, and
+    the entry of A that each quadrature term of E adds to, by a search of
+    the pattern's row-major keys.  The quadrature nodes are the mesh's
+    edges."""
     M = model.mass
     n, nnz = M.shape[0], M.nnz
     cols = np.arange(n)
     row_of = np.repeat(cols, np.diff(M.indptr))
-    block = np.arange(nnz) + row_of
-    border = M.indptr[1:] + cols
-    indices = np.empty(nnz + 2 * n, dtype=M.indices.dtype)
+    block = np.arange(nnz) + 2 * row_of
+    border = M.indptr[1:] + 2 * cols
+    indices = np.empty(nnz + 4 * n + 1, dtype=M.indices.dtype)
     indices[block] = M.indices
     indices[border] = n
-    indices[nnz + n:] = cols
-    indptr = np.append(M.indptr + np.arange(n + 1), nnz + 2 * n)
+    indices[border + 1] = n + 1
+    indices[nnz + 2 * n:-1] = np.tile(cols, 2)
+    indices[-1] = n + 1
+    indptr = np.append(M.indptr + 2 * np.arange(n + 1),
+                       [nnz + 3 * n, nnz + 4 * n + 1])
     keys = row_of * n + M.indices
     qa, qb = model.mesh.edges.T
     rows = np.concatenate([qa, qa, qb, qb])
@@ -588,39 +608,45 @@ def _exp_mass_oracle(pattern, quad_vals, nnz):
                        minlength=nnz)
 
 
-def _bordered_data_oracle(model, pattern, A0, sigma):
-    """The data of the former `_bordered_hessian`: A0 - sigma M and m
-    filled into the unordered pattern."""
+def _bordered_data_oracle(model, pattern, hessian, shift):
+    """The data of the former `_bordered_hessian` with the v border: A0 -
+    shift M, m, v = sqrt|c| w and the corner -sign filled into the
+    unordered pattern."""
     _, indices, block, border, _ = pattern
+    A0, c, w = hessian
     n = A0.shape[0]
+    v = np.sqrt(abs(c)) * w
     data = np.empty(len(indices))
-    data[block] = (A0.data - sigma * model.mass.data) if sigma else A0.data
+    data[block] = (A0.data - shift * model.mass.data) if shift else A0.data
     data[border] = model.lumped
-    data[-n:] = model.lumped
+    data[border + 1] = v
+    data[-2 * n - 1:-n - 1] = model.lumped
+    data[-n - 1:-1] = v
+    data[-1] = -1.0 if c >= 0 else 1.0
     return data
 
 
 def _ordered_pattern_oracle(model, pattern):
     """The former `_ordered_pattern`: the unordered pattern's entries
-    renumbered by the mesh's order, border last, and sorted by a lexsort.
+    renumbered by the mesh's order, borders last, and sorted by a lexsort.
     Returns the order, indptr, indices and each entry's unordered data
     position."""
     indptr, indices = pattern[:2]
     n = model.mesh.num_vertices
-    order = np.append(spectrum.operators(model.mesh).order, n)
-    rank = np.empty(n + 1, dtype=np.intp)
-    rank[order] = np.arange(n + 1)
-    cols = np.repeat(np.arange(n + 1), np.diff(indptr))
+    order = np.append(spectrum.operators(model.mesh).order, [n, n + 1])
+    rank = np.empty(n + 2, dtype=np.intp)
+    rank[order] = np.arange(n + 2)
+    cols = np.repeat(np.arange(n + 2), np.diff(indptr))
     new_rows, new_cols = rank[indices], rank[cols]
     gather = np.lexsort((new_rows, new_cols))
-    new_indptr = np.zeros(n + 2, dtype=indptr.dtype)
-    np.cumsum(np.bincount(new_cols, minlength=n + 1), out=new_indptr[1:])
+    new_indptr = np.zeros(n + 3, dtype=indptr.dtype)
+    np.cumsum(np.bincount(new_cols, minlength=n + 2), out=new_indptr[1:])
     return order, new_indptr, new_rows[gather], gather
 
 
 def _check_hessian_against_oracles(model, fields):
     """E, A0 and the ordered bordered Hessian of each field, for the pairs
-    `PAIRS` and sigma in {0, -7.5}, bit for bit against the oracles, and the
+    `PAIRS` and shifts in {0, -7.5}, bit for bit against the oracles, and the
     Hessian read from the field's `Evaluation` bit for bit against the one
     of the field.  Where W^2 underflows, `hessian_operator`'s c = rho / W^2
     is not defined, both raise a ConvergenceError, and only E is
@@ -652,9 +678,11 @@ def _check_hessian_against_oracles(model, fields):
                 assert np.array_equal(
                     A0.data, K.data + p.beta * M.data - (p.rho / total) * E,
                     equal_nan=True)
-                for sigma in (0.0, -7.5):
-                    B, got_order = model._ordered_bordered_hessian(A0, sigma)
-                    data = _bordered_data_oracle(model, pattern, A0, sigma)
+                for shift in (0.0, -7.5):
+                    B, got_order = model._ordered_bordered_hessian(
+                        (A0, c, w), shift)
+                    data = _bordered_data_oracle(model, pattern, (A0, c, w),
+                                                 shift)
                     assert B.format == "csc"
                     assert np.array_equal(B.indptr, indptr)
                     assert np.array_equal(B.indices, indices)

@@ -4,12 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh, null_space
 from scipy.spatial import cKDTree
 
 import test_mesh
 from test_energy import TriangleRuleModel
+from test_spectrum import FACTOR_MESHES, _count_splu, _factor_mesh
 from ksbench import bubbles, mesh as meshmod, solver, spectrum, topology
 from ksbench.barycenter import JoinPoint
 from ksbench.energy import (EnergyFunctional, Evaluation, Field, Parameters,
@@ -44,19 +46,21 @@ def _dense_eigenvalues(model, u, p, count):
                 eigvals_only=True)
 
 
-def _null_space_eigenvalues(model, u, p, count):
+def _null_space_eigenvalues(model, u, p, count=None):
     """The lowest `count` eigenvalues of the Hessian on the zero-mean space,
-    by scipy.linalg.eigh of Q^T H Q against Q^T M Q, where Q is an
-    orthonormal basis of the lumped-mass vector's null space.  Unlike the
-    penalty of `_dense_eigenvalues`, it leaves the matrix norm that eigh's
-    error scales with unchanged."""
+    all V - 1 for count None, by scipy.linalg.eigh of Q^T H Q against
+    Q^T M Q, where Q is an orthonormal basis of the lumped-mass vector's
+    null space.  Unlike the penalty of `_dense_eigenvalues`, it leaves the
+    matrix norm that eigh's error scales with unchanged."""
     A0, c, w = model.hessian_operator(u, p)
     Q = null_space(model.lumped[None])
     A = Q.T @ (A0 @ Q) + c * np.outer(Q.T @ w, Q.T @ w)
     B = Q.T @ (model.mass @ Q)
-    count = min(count, Q.shape[1] - 1)
-    return eigh(0.5 * (A + A.T), 0.5 * (B + B.T),
-                subset_by_index=[0, count - 1], eigvals_only=True)
+    subset = None
+    if count is not None:
+        subset = [0, min(count, Q.shape[1] - 1) - 1]
+    return eigh(0.5 * (A + A.T), 0.5 * (B + B.T), subset_by_index=subset,
+                eigvals_only=True)
 
 
 def _morse_index_dense(model, u, p, count, eig_guard=1e-8):
@@ -182,7 +186,7 @@ def test_find_critical_point_nontrivial_disk(disk128, disk128_basis):
     assert pick is not None
     assert pick.classification == solver.CLASS_NONTRIVIAL
     assert pick.residual < 1e-8
-    assert pick.morse_index is not None
+    assert pick.morse_index == 3
 
 
 def test_continuation_tracks_nontrivial_branch(disk128, disk128_basis):
@@ -370,9 +374,10 @@ def test_morse_index_matches_dense(name, kind, seed, beta, rho):
     hypothesis.assume(np.abs(dense).min() > 1e-3)
     assert solver.morse_index_at(model, u, p, 8) \
         == _morse_index_dense(model, u, p, 8)
-    sparse = solver._lowest_eigenvalues(model, u, p, 8)
-    exact = _null_space_eigenvalues(model, u, p, 8)
-    assert np.all(np.abs(sparse - exact) <= 1e-9 * np.abs(exact))
+    # Uncapped, the index counts every negative eigenvalue.
+    exact = _null_space_eigenvalues(model, u, p)
+    assert solver.morse_index_at(model, u, p, mesh.num_vertices - 1) \
+        == np.count_nonzero(exact < 0.0)
 
 
 def test_morse_index_at_zero_on_square128():
@@ -384,6 +389,38 @@ def test_morse_index_at_zero_on_square128():
     idx = solver.morse_index_at(model, np.zeros(square.num_vertices), p,
                                 count=8)
     assert idx == topology.trivial_morse_index(p, model.area, lam)
+
+
+@pytest.mark.parametrize("rho, index", [(150.0, 14), (250.0, 25)])
+def test_morse_index_is_not_capped(square48, rho, index, monkeypatch):
+    # The trivial index well beyond the lowest 8 eigenvalues, from two
+    # factorizations whatever the count.
+    model = EnergyFunctional.for_mesh(square48)
+    p = Parameters(beta=-3.0, rho=rho)
+    lam = spectrum.eigenpairs(square48, 40).eigenvalues
+    assert topology.trivial_morse_index(p, model.area, lam) == index
+    calls = _count_splu(monkeypatch)
+    u = np.zeros(square48.num_vertices)
+    assert solver.morse_index_at(model, u, p,
+                                 count=square48.num_vertices - 1) == index
+    assert solver.morse_index_at(model, u, p, count=8) == 8
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("offset", [-0.5, 0.5])
+def test_morse_index_rejects_an_eigenvalue_inside_the_guard(square24, offset):
+    # At u = 0 the zero-mean Hessian's eigenvalues are lambda_k + beta -
+    # rho / |Omega|; rho puts the lowest at offset * EIG_GUARD.
+    model = EnergyFunctional.for_mesh(square24)
+    lam = spectrum.eigenpairs(square24, 4).eigenvalues[0]
+    beta = 1.0
+    rho = model.area * (lam + beta - offset * solver.EIG_GUARD)
+    u = np.zeros(square24.num_vertices)
+    assert abs(np.abs(_null_space_eigenvalues(
+        model, u, Parameters(beta, rho), 1)[0]) - 0.5 * solver.EIG_GUARD) \
+        < 0.1 * solver.EIG_GUARD
+    with pytest.raises(ConvergenceError, match="not Morse"):
+        solver.morse_index_at(model, u, Parameters(beta, rho), count=8)
 
 
 # Mesh and flow step budget.
@@ -505,28 +542,12 @@ def test_flow_and_newton_quiet_on_unusable_fields(kind):
     assert polished.classification == solver.CLASS_DIVERGED
 
 
-def test_lowest_eigenvalues_are_reproducible():
-    mesh = ORACLE_MESHES["disk"]
-    model = EnergyFunctional.for_mesh(mesh)
-    u = _oracle_field(mesh, "noise", 3)
-    p = Parameters(beta=2.0, rho=30.0)
-    first = solver._lowest_eigenvalues(model, u, p, 8)
-    for _ in range(3):
-        assert np.array_equal(solver._lowest_eigenvalues(model, u, p, 8),
-                              first)
-
-
 def test_morse_index_takes_one_quadrature():
     # A model of its own, so that the patch stays on it.  One evaluation
-    # gives the shift and the Hessian; its peak density is exp_density's
-    # maximum to the bit, so the shift is unchanged.
+    # gives the Hessian of both factors.
     mesh = ORACLE_MESHES["disk"]
     model = EnergyFunctional(mesh)
     p = Parameters(beta=2.0, rho=30.0)
-    for kind, seed in itertools.product(["noise", "bubble"], range(4)):
-        u = _oracle_field(mesh, kind, seed)
-        assert model.evaluate(u, p).peak_density \
-            == float(model.exp_density(u).max())
     calls = []
     exp_vals = model._exp_vals
 
@@ -559,10 +580,94 @@ def test_newton_on_underflowing_quadrature_raises_convergence_error(damped):
                                  "underflows")
 
 
+class _WoodburySolver:
+    """The former Hessian solve of `newton`: [[A0, m], [m^T, 0]], m the
+    lumped masses, factored in the mesh's order, border last, and the
+    rank-one part c w w^T of the Hessian folded in by the Woodbury
+    identity."""
+
+    def __init__(self, model, hessian):
+        A0, c, w = hessian
+        n = A0.shape[0]
+        m = model.lumped[:, None]
+        order = np.append(spectrum.operators(model.mesh).order, n)
+        B = sp.bmat([[A0, m], [m.T, None]], format="csc")[order][:, order]
+        lu = spla.splu(B.tocsc(), permc_spec="NATURAL",
+                       relax=spectrum.SUPERNODE_RELAX,
+                       panel_size=spectrum.PANEL_SIZE)
+        self._bordered_solve = spectrum.ordered_solve(lu, order)
+        self._c, self._w, self._n = c, np.append(w, 0.0), n
+        self._y = self._bordered_solve(self._w)
+        self._denom = 1.0 + c * (self._w @ self._y)
+        if abs(self._denom) < 1e-14:
+            raise ConvergenceError("singular Hessian (degenerate critical point)")
+
+    def solve(self, rhs):
+        x = self._bordered_solve(np.append(rhs, 0.0))
+        x -= (self._c * (self._w @ x) / self._denom) * self._y
+        return x[:self._n]
+
+
+def _concentrated_endpoint(disk128, disk128_basis, p):
+    """The gradient-flow endpoint of the 15th seed of the disk search at p:
+    concentrated, so that at rho = 13 c = rho / W^2 is about 4.1e4, and
+    Newton's factor takes 2 row pivots (17 under full partial pivoting);
+    one that takes none solves the Newton system to only 3.8e-10."""
+    model = EnergyFunctional.for_mesh(disk128)
+    K, I, _ = topology.indices(p, model.area, disk128_basis.eigenvalues)
+    cfg = solver._seed_configs(disk128, K, I)[14]
+    seed = bubbles.phi_lambda(cfg, disk128, disk128_basis)
+    return solver.flow(model, seed, p, 300).u.values
+
+
+@pytest.mark.parametrize("name", FACTOR_MESHES + ["disk128 endpoint"])
+def test_doubly_bordered_solve_is_accurate(name, request, monkeypatch):
+    p = Parameters(beta=-5.0, rho=13.0)
+    if name == "disk128 endpoint":
+        mesh = request.getfixturevalue("disk128")
+        u = _concentrated_endpoint(
+            mesh, request.getfixturevalue("disk128_basis"), p)
+    else:
+        mesh = _factor_mesh(name, request)
+        u = np.random.default_rng(5).standard_normal(mesh.num_vertices)
+    model = EnergyFunctional.for_mesh(mesh)
+    u = model.project_zero_mean(u)
+    ev = model.evaluate(u, p)
+    hessian = model.hessian_operator(ev, p)
+    hess = solver._ZeroMeanHessianSolver(model)
+    hess.factor(hessian)
+    oracle = _WoodburySolver(model, hessian)
+    m = model.lumped
+    # The Newton system's right side and a random one.
+    for b in (-ev.residual,
+              np.random.default_rng(9).standard_normal(mesh.num_vertices)):
+        x = hess.solve(b)
+        # The zero-mean residual: b - H x up to a multiple of m, and mean(x).
+        r = b - hess.apply(x)
+        assert np.linalg.norm(r - m * (r.sum() / m.sum())) \
+            <= solver.REFINE_TOL * np.linalg.norm(b - m * (b.sum() / m.sum()))
+        assert abs(m @ x) \
+            <= solver.REFINE_TOL * np.linalg.norm(m) * np.linalg.norm(x)
+        want = oracle.solve(b)
+        assert np.linalg.norm(x - want) <= 1e-11 * np.linalg.norm(want)
+    # The Morse index's two factors take no row pivot.
+    factored = []
+    splu = spla.splu
+
+    def capture(*args, **kwargs):
+        factored.append(splu(*args, **kwargs))
+        return factored[-1]
+    monkeypatch.setattr(spla, "splu", capture)
+    solver.morse_index_at(model, u, p, mesh.num_vertices - 1)
+    assert len(factored) == 2
+    for lu in factored:
+        assert np.array_equal(lu.perm_r, np.arange(mesh.num_vertices + 2))
+
+
 def _newton_direct(model, u0, p, tol=solver.NEWTON_TOL, max_iter=30,
                    damped=False, seed_descriptor="zero"):
     """The former `newton`: a fresh factorization of the Hessian at every
-    iterate, solved directly."""
+    iterate, solved directly by `_WoodburySolver`."""
     u = model.project_zero_mean(field_values(u0))
     ev = model.evaluate(u, p)
     gnorm = ev.gradient_norm
@@ -570,9 +675,8 @@ def _newton_direct(model, u0, p, tol=solver.NEWTON_TOL, max_iter=30,
     it = 0
     while gnorm > tol_abs and it < max_iter:
         try:
-            hess = solver._ZeroMeanHessianSolver(model)
-            hess.factor(model.hessian_operator(u, p))
-            delta = hess.solve(-ev.residual)
+            delta = _WoodburySolver(
+                model, model.hessian_operator(u, p)).solve(-ev.residual)
         except (RuntimeError, ValueError) as exc:
             raise ConvergenceError(f"Hessian solve failed: {exc}") from exc
         if not np.all(np.isfinite(delta)):

@@ -316,11 +316,13 @@ def _factor_mesh(name, request):
 PANEL_SOLVE_TOL = 1e-12
 
 
-def _check_panel_width(lu, A, permc_spec):
+def _check_panel_width(lu, A, permc_spec, **options):
     """`lu`, a factorization of A in narrow panels, stores as many entries,
     pivots as the unrelaxed factorization at SuperLU's default panel width
-    does, and solves as it does to PANEL_SOLVE_TOL."""
-    wide = spla.splu(A, permc_spec=permc_spec, relax=spectrum.SUPERNODE_RELAX)
+    does, and solves as it does to PANEL_SOLVE_TOL.  `options` are the
+    pivoting options `lu` was factored with."""
+    wide = spla.splu(A, permc_spec=permc_spec, relax=spectrum.SUPERNODE_RELAX,
+                     **options)
     assert lu.nnz == wide.nnz
     assert np.array_equal(lu.perm_c, wide.perm_c)
     assert np.array_equal(lu.perm_r, wide.perm_r)
@@ -330,19 +332,20 @@ def _check_panel_width(lu, A, permc_spec):
             <= PANEL_SOLVE_TOL * np.abs(want).max())
 
 
-def _check_unpadded(lu, A, permc_spec):
+def _check_unpadded(lu, A, permc_spec, **options):
     """`lu`, a factorization of A, stores (within 1%) only its nonzeros,
     pivots as SuperLU's default factorization with relaxed supernodes does,
     and solves as it does; that default factorization is returned.  It is
-    also checked against the default panel width (`_check_panel_width`)."""
-    relaxed = spla.splu(A, permc_spec=permc_spec)
+    also checked against the default panel width (`_check_panel_width`).
+    `options` are the pivoting options `lu` was factored with."""
+    relaxed = spla.splu(A, permc_spec=permc_spec, **options)
     assert lu.nnz <= 1.01 * (lu.L.nnz + lu.U.nnz)
     assert np.array_equal(lu.perm_c, relaxed.perm_c)
     assert np.array_equal(lu.perm_r, relaxed.perm_r)
     b = np.random.default_rng(7).standard_normal(A.shape[0])
     want = relaxed.solve(b)
     assert np.abs(lu.solve(b) - want).max() <= 1e-12 * np.abs(want).max()
-    _check_panel_width(lu, A, permc_spec)
+    _check_panel_width(lu, A, permc_spec, **options)
     return relaxed
 
 
@@ -371,19 +374,33 @@ def test_shift_invert_lu_stores_only_nonzeros(name, request, monkeypatch):
 
 @pytest.mark.parametrize("shift", ["zero", "morse"])
 @pytest.mark.parametrize("name", FACTOR_MESHES)
-def test_bordered_hessian_lu_stores_only_nonzeros(name, shift, request):
+def test_bordered_hessian_lu_stores_only_nonzeros(name, shift, request,
+                                                  monkeypatch):
+    # "zero": Newton's factor of B(0), with partial pivoting; "morse": the
+    # Morse index's factors of B(-+EIG_GUARD), without a row pivot.
     model = EnergyFunctional.for_mesh(_factor_mesh(name, request))
     rng = np.random.default_rng(5)
     u = model.project_zero_mean(rng.standard_normal(model.mesh.num_vertices))
     p = Parameters(beta=-5.0, rho=13.0)
-    sigma = 0.0
-    if shift == "morse":    # the shift of solver._lowest_eigenvalues
-        sigma = p.beta - abs(p.rho) * float(model.exp_density(u).max()) - 1.0
-    hessian = model.hessian_operator(u, p)
-    hess = solver._ZeroMeanHessianSolver(model, sigma=sigma)
-    hess.factor(hessian)
-    B, _ = model._ordered_bordered_hessian(hessian[0], sigma)
-    _check_unpadded(hess._lu, B, "NATURAL")
+    factored = []
+    splu = spla.splu
+
+    def capture(A, **kwargs):
+        factored.append((A, splu(A, **kwargs), kwargs))
+        return factored[-1][1]
+    monkeypatch.setattr(spla, "splu", capture)
+    if shift == "morse":
+        solver.morse_index_at(model, u, p, model.mesh.num_vertices - 1)
+    else:
+        solver._ZeroMeanHessianSolver(model).factor(
+            model.hessian_operator(u, p))
+    monkeypatch.undo()
+    assert len(factored) == (2 if shift == "morse" else 1)
+    for A, lu, kwargs in factored:
+        assert (kwargs["diag_pivot_thresh"] == 0.0) == (shift == "morse")
+        _check_unpadded(lu, A, "NATURAL", **{
+            key: kwargs[key] for key in ("diag_pivot_thresh", "options")
+            if key in kwargs})
 
 
 def test_square256_bordered_hessian_panel_width(square256):
@@ -393,8 +410,9 @@ def test_square256_bordered_hessian_panel_width(square256):
         square256.num_vertices))
     hess = solver._ZeroMeanHessianSolver(model)
     hess.factor(model.hessian_operator(u, Parameters(beta=-5.0, rho=13.0)))
-    B, _ = model._ordered_bordered_hessian(hess._hessian[0])
-    _check_panel_width(hess._lu, B, "NATURAL")
+    B, _ = model._ordered_bordered_hessian(hess._hessian)
+    _check_panel_width(hess._lu, B, "NATURAL",
+                       diag_pivot_thresh=solver.PIVOT_THRESHOLD)
 
 
 def test_bracket_index_analytic():
