@@ -15,12 +15,12 @@ if os.environ.get("KS_THREADS"):
         os.environ.setdefault(_var, os.environ["KS_THREADS"])
 
 from .energy import EnergyFunctional, Field, Parameters, project_pi
-from .mesh import Mesh, boundary_distance, build_builtin, load_mesh
+from .mesh import Mesh, build_builtin, load_mesh
 from .spectrum import SpectralBasis, assemble, bracket_index, eigenpairs
 
 __all__ = [
     "EnergyFunctional", "Field", "Parameters", "project_pi",
-    "Mesh", "boundary_distance", "build_builtin", "load_mesh",
+    "Mesh", "build_builtin", "load_mesh",
     "SpectralBasis", "assemble", "bracket_index", "eigenpairs",
 ]
 

@@ -7,7 +7,6 @@ the lumped mass quadrature.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,10 +18,6 @@ from scipy.spatial import cKDTree
 from . import mesh as meshmod
 from .energy import EnergyFunctional, project_pi
 from .errors import NotConcentratedError, NotInLowSublevelError
-
-TAG_INTERIOR = "interior"
-TAG_BOUNDARY = "boundary"
-
 
 def weighted_count(interior):
     """2 * (#interior atoms) + (#boundary atoms)."""
@@ -44,19 +39,6 @@ class BarycenterMeasure:
     @property
     def weighted_count(self):
         return weighted_count(self.interior)
-
-    def to_json(self):
-        atoms = [{"x": float(p[0]), "y": float(p[1]), "w": float(w),
-                  "tag": TAG_INTERIOR if i else TAG_BOUNDARY}
-                 for p, w, i in zip(self.points, self.weights, self.interior)]
-        return json.dumps({"atoms": atoms}, indent=2)
-
-    @classmethod
-    def from_json(cls, text):
-        atoms = json.loads(text)["atoms"]
-        return cls(points=np.array([[a["x"], a["y"]] for a in atoms]),
-                   weights=np.array([a["w"] for a in atoms]),
-                   interior=np.array([a["tag"] == TAG_INTERIOR for a in atoms]))
 
 
 @dataclass(eq=False)

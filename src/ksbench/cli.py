@@ -108,6 +108,9 @@ def cmd_analyze(args):
     p = Parameters(beta=args.beta, rho=args.rho)
     report = topology.condition_report(p, mesh.area, basis.eigenvalues,
                                        mesh.genus)
+    if max(report.I, report.J) >= len(basis):
+        sys.stderr.write(f"warning: I = {report.I}, J = {report.J} count only "
+                         f"the --eigs {len(basis)} computed eigenvalues\n")
     if args.format == "json":
         _output(report.to_json() + "\n", args.out)
     else:

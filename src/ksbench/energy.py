@@ -100,7 +100,7 @@ class EnergyFunctional:
         self.mesh = mesh
         ops = spectrum.operators(mesh)
         self.stiffness, self.mass = ops.stiffness, ops.mass
-        self._source = ops.source
+        self._source, self._mass_solve = ops.source, ops.mass_solve
         self.area = mesh.area
         self.lumped = mesh.lumped_masses()
         # One node per edge midpoint, weighing |T| / 3 per triangle T on it.
@@ -126,12 +126,6 @@ class EnergyFunctional:
             model = cls(mesh)
             mesh._energy_model = weakref.ref(model)
         return model
-
-    @cached_property
-    def _mass_solve(self):
-        """The solve of M x = b shared by every model of the mesh
-        (`spectrum.MeshOperators.mass_solve`)."""
-        return spectrum.operators(self.mesh).mass_solve
 
     # -- fields -----------------------------------------------------------
 

@@ -303,15 +303,6 @@ def boundary_distances(mesh, points):
     return np.minimum.reduceat(dist, np.cumsum(counts) - counts)
 
 
-def boundary_distance(mesh, p):
-    """Distance from a point of the closed domain to the boundary."""
-    p = np.asarray(p, dtype=float)
-    d = float(boundary_distances(mesh, p[None, :])[0])
-    if d > 1e-12 and winding_numbers(mesh, p[None, :])[0] == 0:
-        raise MeshError(f"point {p.tolist()} lies outside the domain")
-    return d
-
-
 def contains(mesh, points):
     """Boolean mask: inside the closed domain (boundary band CONTAINS_TOL)."""
     inside = winding_numbers(mesh, points) != 0

@@ -396,13 +396,18 @@ def find_critical_point(mesh, basis, p, flow_budget=300):
     Seeds enumerate the concentration test family plus scaled eigenmodes;
     each is smoothed by a short gradient flow and polished by damped Newton.
     Distinct solutions are deduplicated by H1 distance; a nontrivial one is
-    preferred.
+    preferred.  K and I are each 0 only where they resonate themselves: at
+    a resonance of J alone, where a branch leaves u = 0, the family stays.
     """
     model = EnergyFunctional.for_mesh(mesh)
     try:
-        K, I, _ = topology.indices(p, model.area, basis.eigenvalues)
+        K = topology.concentration_index(p.rho)
     except ResonanceError:
-        K, I = 0, 0
+        K = 0
+    try:
+        I = spectrum.bracket_index(basis.eigenvalues, p.beta)
+    except ResonanceError:
+        I = 0
 
     seeds = [("zero", np.zeros(mesh.num_vertices))]
     for cfg in _seed_configs(mesh, K, I):

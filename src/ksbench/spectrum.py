@@ -13,7 +13,6 @@ from .errors import ConvergenceError, MeshError, ResonanceError
 
 @dataclass(eq=False)
 class SpectralBasis:
-    stiffness: sp.csr_matrix
     mass: sp.csr_matrix
     eigenvalues: np.ndarray      # nondecreasing, strictly positive
     eigenvectors: np.ndarray     # (V, M) columns, mass-orthonormal, zero-mean
@@ -269,7 +268,7 @@ def eigenpairs(mesh, count):
             w = M @ vecs[:, j]
         vecs[:, j] /= np.sqrt(vecs[:, j] @ w)
     _fix_signs(vecs)
-    return SpectralBasis(stiffness=K, mass=M, eigenvalues=np.asarray(vals),
+    return SpectralBasis(mass=M, eigenvalues=np.asarray(vals),
                          eigenvectors=vecs)
 
 

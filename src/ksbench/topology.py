@@ -35,10 +35,6 @@ class ConditionReport:
     def to_json(self):
         return json.dumps(asdict(self), indent=2)
 
-    @classmethod
-    def from_json(cls, text):
-        return cls(**json.loads(text))
-
 
 def concentration_index(rho):
     """K with 4*K*pi < rho < 4*(K+1)*pi; degenerate at multiples of 4*pi."""

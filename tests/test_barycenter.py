@@ -134,7 +134,8 @@ def test_spread_postconditions_random(square48):
                                axis=2).min(axis=1)
             assert w[d <= 1.25 * eps].sum() >= 1.0 - eps
             for i in np.flatnonzero(~out.interior):
-                assert meshmod.boundary_distance(square48, out.points[i]) < 1e-9
+                assert meshmod.boundary_distances(
+                    square48, out.points[i][None])[0] < 1e-9
 
 
 def test_project_to_barycenters_concentrated(square48):
@@ -167,16 +168,6 @@ def test_project_spread_raises(square48):
     with pytest.raises(NotConcentratedError):
         bc.project_to_barycenters(square48, np.ones(square48.num_vertices),
                                   eps=0.2, K=1)
-
-
-def test_measure_json_roundtrip():
-    m = bc.BarycenterMeasure(points=np.array([[0.1, 0.2], [0.5, 0.0]]),
-                             weights=np.array([0.6, 0.4]),
-                             interior=np.array([True, False]))
-    back = bc.BarycenterMeasure.from_json(m.to_json())
-    assert np.allclose(back.points, m.points)
-    assert np.allclose(back.weights, m.weights)
-    assert (back.interior == m.interior).all()
 
 
 def test_psi_map_pure_sphere(square64, square64_basis):
@@ -732,7 +723,7 @@ def test_spread_far_apart_witnesses_match_oracle(square48):
     assert not out.interior.any() and out.weighted_count <= K
     assert np.allclose(out.points, [[0.2833, 0.0], [0.7167, 0.0]], atol=1e-4)
     for point in out.points:
-        assert meshmod.boundary_distance(square48, point) < 1e-9
+        assert meshmod.boundary_distances(square48, point[None])[0] < 1e-9
     d = np.linalg.norm(pts[:, None, :] - out.points[None, :, :],
                        axis=2).min(axis=1)
     assert w[d <= eps].sum() >= 1.0 - eps

@@ -95,6 +95,19 @@ def test_analyze_csv_format_resonant(tmp_path):
     assert "resonant_rho,True" in lines
 
 
+@pytest.mark.parametrize("eigs, J", [(8, 8), (40, 14)])
+def test_analyze_warns_when_an_index_may_be_truncated(eigs, J, capsys):
+    # On square48 at beta = -3, rho = 150, J counts 14 eigenvalues below
+    # rho/|Omega| - beta; 8 computed ones can show only 8 of them.
+    rc = cli.main(["analyze", "--res", "48", "--beta", "-3", "--rho", "150",
+                   "--eigs", str(eigs)])
+    out, err = capsys.readouterr()
+    assert rc == 0
+    assert json.loads(out)["J"] == J
+    assert [line.startswith("warning:") for line in err.splitlines()] == (
+        [True] if J == eigs else [])
+
+
 @pytest.mark.parametrize("command, fmt", [("solve", "csv"),
                                           ("spectrum", "json"),
                                           ("probe", "json")])
@@ -330,6 +343,22 @@ def test_ks_threads_caps_blas_threads():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "1"
+
+
+def test_benchmark_tracer_installs():
+    # bench/tracing.py wraps EnergyFunctional's methods by name, the thin
+    # residual, gradient and gradient_norm views among them, as
+    # `bench/worker.py --spans` does; a method it names that the class
+    # lacks makes every traced benchmark run fail.
+    root = Path(__file__).resolve().parents[1]
+    code = ("import sys\n"
+            "sys.path[:0] = sys.argv[1:]\n"
+            "import workloads, tracing\n"
+            "tracing.Tracer().install()\n")
+    run = subprocess.run([sys.executable, "-c", code, str(root / "src"),
+                          str(root / "bench")],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
 
 
 def test_missing_config_file_exit_2(tmp_path, capsys):

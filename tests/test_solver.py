@@ -16,7 +16,7 @@ from ksbench import bubbles, mesh as meshmod, solver, spectrum, topology
 from ksbench.barycenter import JoinPoint
 from ksbench.energy import (EnergyFunctional, Evaluation, Field, Parameters,
                             field_values)
-from ksbench.errors import ConvergenceError
+from ksbench.errors import ConvergenceError, ResonanceError
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -170,14 +170,39 @@ def test_find_critical_point_coercive_is_trivial(square48, square48_basis):
 
 
 def test_find_critical_point_at_resonant_rho_seeds_no_family(square24):
-    # rho = 4 pi has no concentration index: the search falls back to
-    # K = I = 0, so only the zero seed and the scaled eigenmodes remain.
+    # rho = 4 pi has no concentration index, so K = 0, and beta = 1 puts
+    # no eigenvalue below -beta, so I = 0: only the zero seed and the
+    # scaled eigenmodes remain.
     basis = spectrum.eigenpairs(square24, 8)
     p = Parameters(beta=1.0, rho=4.0 * np.pi)
     pick, found = solver.find_critical_point(square24, basis, p)
     assert pick is not None and found
     assert all(r.seed_descriptor == "zero"
                or r.seed_descriptor.startswith("mode(") for r in found)
+
+
+def test_find_critical_point_keeps_the_family_at_a_shifted_resonance(
+        monkeypatch):
+    # rho = |Omega| (lambda_3 + beta) makes J resonate, where a branch
+    # leaves u = 0; K and I do not, so the family seeds keep (K, I) = (1, 2).
+    disk = ORACLE_MESHES["disk"]
+    basis = spectrum.eigenpairs(disk, 8)
+    p = Parameters(beta=-5.0, rho=disk.area * (basis.eigenvalues[2] - 5.0))
+    with pytest.raises(ResonanceError):
+        topology.indices(p, disk.area, basis.eigenvalues)
+    seen = []
+
+    class Seeded(Exception):
+        pass
+
+    def spy(mesh, K, I):
+        seen.append((K, I))
+        raise Seeded
+
+    monkeypatch.setattr(solver, "_seed_configs", spy)
+    with pytest.raises(Seeded):
+        solver.find_critical_point(disk, basis, p, flow_budget=0)
+    assert seen == [(1, 2)]
 
 
 def test_find_critical_point_nontrivial_disk(disk128, disk128_basis):
