@@ -18,8 +18,8 @@ option value exits 2 from every subcommand, as argparse does for a flag
 value of the wrong type: a --config key that names no option of the
 subcommand, a --config value that does not convert to its option's type or
 is not one of its choices (even where a flag overrides that entry), a
-non-finite --beta or --rho, and a --lambda-grid that is not a list of
-finite positive scales (3 distinct for dirichlet_slope).
+non-finite --beta or --rho, a negative --steps, and a --lambda-grid that
+is not a list of finite positive scales (3 distinct for dirichlet_slope).
 """
 from __future__ import annotations
 
@@ -304,11 +304,14 @@ def _check_paths(args):
 
 
 def _check_parameters(args):
-    """--beta and --rho, from a flag or the --config file, must be finite."""
+    """--beta and --rho, from a flag or the --config file, must be finite,
+    and `solve`'s --steps at least 0."""
     for name in ("beta", "rho"):
         value = getattr(args, name)
         if not np.isfinite(value):
             raise _OptionError(f"--{name} must be finite, not {value}")
+    if getattr(args, "steps", 0) < 0:
+        raise _OptionError(f"--steps must be at least 0, not {args.steps}")
 
 
 def main(argv=None):

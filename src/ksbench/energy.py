@@ -273,9 +273,9 @@ class EnergyFunctional:
         ev = u if isinstance(u, Evaluation) else self.evaluate(u, p)
         return ev.hessian
 
-    def _ordered_bordered_hessian(self, hessian, shift=0.0):
-        """The CSC matrix B(shift)[order][:, order] and that order, for
-        the (A0, c, w) of `hessian_operator` and
+    def _ordered_bordered_hessian(self, hessian, shift=0.0, dtype=np.float64):
+        """The CSC matrix B(shift)[order][:, order], with values of `dtype`,
+        and that order, for the (A0, c, w) of `hessian_operator` and
 
             B(s) = [[A0 - s M, m, v], [m^T, 0, 0], [v^T, 0, -sign]],
 
@@ -283,14 +283,29 @@ class EnergyFunctional:
         Eliminating the corner leaves [[A0 + c w w^T - s M, m], [m^T, 0]]:
         the first V entries of B(0)'s solve with (b, 0, 0) are the zero-mean
         Hessian solve of b.  One gather fills the per-mesh pattern, so no
-        sparsity structure is built per call."""
+        sparsity structure is built per call, and no float64 copy of the
+        matrix is made for another dtype."""
         A0, c, w = hessian
         order, pattern = self._ordered_pattern
         sign = 1.0 if c >= 0 else -1.0
         data = np.concatenate([A0.data - shift * self.mass.data, self.lumped,
-                               np.sqrt(abs(c)) * w, [-sign]])
+                               np.sqrt(abs(c)) * w, [-sign]], dtype=dtype)
         return sp.csc_matrix((data.take(pattern.data), pattern.indices,
                               pattern.indptr), shape=pattern.shape), order
+
+    def _bordered_residual(self, hessian, b, z):
+        """(b, 0, 0) - B(0) z for the B(0) of `_ordered_bordered_hessian`
+        and z = (x, lambda, y), in float64 from the Hessian data alone:
+        [b - A0 x - m lambda - v y, -m^T x, -v^T x + sign y]."""
+        A0, c, w = hessian
+        n = len(b)
+        x, lam, y = z[:n], z[n], z[n + 1]
+        v = np.sqrt(abs(c)) * w
+        r = np.empty_like(z)
+        r[:n] = b - A0 @ x - self.lumped * lam - v * y
+        r[n] = -(self.lumped @ x)
+        r[n + 1] = -(v @ x) + (1.0 if c >= 0 else -1.0) * y
+        return r
 
 
 def project_pi(u, basis, I):

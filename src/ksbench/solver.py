@@ -29,6 +29,9 @@ PIVOT_THRESHOLD = 0.1
 # Iterative refinement of a Newton step against a held factorization.
 REFINE_TOL = 1e-12
 REFINE_SWEEPS = 8
+# Meshes from this many vertices factor Newton's Hessian in float32, half
+# the factor's storage, and refine each step to REFINE_TOL against it.
+SINGLE_PRECISION_VERTICES = 2 ** 14
 
 CLASS_TRIVIAL = "trivial"
 CLASS_NONTRIVIAL = "nontrivial"
@@ -84,7 +87,9 @@ def flow(model, seed, p, step_budget):
 
     Steps are halved on energy increase and grown by 1.2 on decrease; the
     energy is non-increasing across accepted steps.  Terminates at residual
-    below FLOW_TOL or when the budget runs out.
+    below FLOW_TOL, when the budget runs out, or when the step falls below
+    1e-14; and at once, reported as diverged, when an accepted step's sup
+    norm exceeds BLOWUP_NORM_CAP.
     """
     u = model.project_zero_mean(field_values(seed))
     ev = model.evaluate(u, p)
@@ -126,7 +131,9 @@ class _ZeroMeanHessianSolver:
     `EnergyFunctional._ordered_bordered_hessian`, whose m border imposes the
     constraint and whose v border carries the rank-one part; it is
     factored with threshold partial pivoting (PIVOT_THRESHOLD) in the
-    mesh's order, borders last.  The solve maps the constant mode to zero.
+    mesh's order, borders last, in float32 on meshes of at least
+    SINGLE_PRECISION_VERTICES vertices and in float64 below.  The solve
+    maps the constant mode to zero.
 
     Nothing is factored until `factor` or the first `refined_solve`;
     `newton` keeps one solver across its iterates, and `drop`s the held
@@ -135,6 +142,9 @@ class _ZeroMeanHessianSolver:
 
     def __init__(self, model):
         self._model = model
+        self._precision = (
+            np.float32 if model.mesh.num_vertices >= SINGLE_PRECISION_VERTICES
+            else np.float64)
         self._lu = None
 
     def drop(self):
@@ -142,20 +152,19 @@ class _ZeroMeanHessianSolver:
         factors its Hessian directly."""
         self._lu = self._bordered_solve = None
 
-    def factor(self, hessian):
+    def factor(self, hessian, dtype=None):
         """Factor `hessian`, the (A0, c, w) of `hessian_operator`, which
-        becomes the current Hessian.  The held LU is dropped first, so that
-        two are never alive at once."""
+        becomes the current Hessian, in `dtype` (by default the mesh's
+        precision).  The held LU is dropped first, so that two are never
+        alive at once."""
         self.drop()
         self._hessian = hessian
-        B, order = self._model._ordered_bordered_hessian(hessian)
+        self._dtype = dtype or self._precision
+        B, order = self._model._ordered_bordered_hessian(hessian,
+                                                         dtype=self._dtype)
         self._lu = _factor(B, diag_pivot_thresh=PIVOT_THRESHOLD)
-        self._bordered_solve = spectrum.ordered_solve(self._lu, order)
-
-    def apply(self, v):
-        """The action A0 v + c w (w . v) of the current Hessian."""
-        A0, c, w = self._hessian
-        return A0 @ v + c * w * (w @ v)
+        self._bordered_solve = spectrum.ordered_solve(self._lu, order,
+                                                      self._dtype)
 
     def solve(self, rhs):
         """The solve with the held factorization, which `refined_solve` may
@@ -163,34 +172,61 @@ class _ZeroMeanHessianSolver:
         return self._bordered_solve(np.concatenate([rhs, [0.0, 0.0]]))[
             :len(rhs)]
 
+    def _refine(self, rhs):
+        """The zero-mean solve of the current Hessian, refined on the
+        bordered system against the held factorization, or None where the
+        refinement stalls."""
+        n = len(rhs)
+        z = np.zeros(n + 2)
+        last = np.inf
+        for _ in range(REFINE_SWEEPS):
+            dz = self._bordered_solve(
+                self._model._bordered_residual(self._hessian, rhs, z))
+            z += dz
+            size = np.linalg.norm(dz[:n])
+            if size <= REFINE_TOL * np.linalg.norm(z[:n]):
+                return z[:n]
+            if not size <= 0.5 * last:      # a NaN stalls too
+                return None
+            last = size
+        return None
+
     def refined_solve(self, hessian, rhs):
         """The zero-mean solve of H x = rhs, to REFINE_TOL relative, for H
         the Hessian data `hessian`, which becomes the current Hessian.
 
-        Iterative refinement against the held factorization P, which may be
-        of an earlier Hessian: x <- x + P^-1 (rhs - H x), accepted once the
-        correction dx has ||dx|| <= REFINE_TOL ||x||.  When a sweep fails
-        to halve the correction, after REFINE_SWEEPS sweeps, or with
-        nothing factored yet, H is factored in place of P and x is its
-        direct solve.  A factorization costs about 20-30 sweeps, each a
-        solve and a Hessian product (21 on disk128, V = 1409; 29 on
-        square256, V = 66049), so the cap keeps a stalled refinement well
-        below the cost of refactoring.
+        Iterative refinement on the bordered system B(0) z = (rhs, 0, 0)
+        against the held factorization P, which may be of an earlier
+        Hessian or in float32: z <- z + P^-1 ((rhs, 0, 0) - B(0) z), with
+        the residual formed in float64 from the Hessian data, accepted once
+        the correction's x part has ||dx|| <= REFINE_TOL ||x||.  (Refined
+        on rhs - H x alone, a float32 factor leaves the zero-mean
+        constraint, which that residual does not see, at float32 rounding:
+        x then lies 1.5e-8 relative from the float64 solve on square128,
+        against 7.5e-15 refined on the bordered system.)
+
+        When a sweep fails to halve the correction, after REFINE_SWEEPS
+        sweeps, or with nothing factored yet, H is factored in the mesh's
+        precision in place of P: a float64 factor is solved directly, a
+        float32 one refined as above, and where that stalls too H is
+        factored in float64 and solved directly.  A factorization costs
+        about 20-25 sweeps, each a bordered residual and a solve
+        (single-threaded: about 20 on disk128, V = 1409, in float64; 24 on
+        square256, V = 66049, in float32, a 0.16 s factor against 7 ms
+        sweeps), so the cap keeps a stalled refinement well below the cost
+        of refactoring.
         """
         self._hessian = hessian
         if self._lu is not None:
-            x = np.zeros_like(rhs)
-            last = np.inf
-            for _ in range(REFINE_SWEEPS):
-                dx = self.solve(rhs - self.apply(x))
-                x += dx
-                size = np.linalg.norm(dx)
-                if size <= REFINE_TOL * np.linalg.norm(x):
-                    return x
-                if not size <= 0.5 * last:      # a NaN stalls too
-                    break
-                last = size
+            x = self._refine(rhs)
+            if x is not None:
+                return x
         self.factor(hessian)
+        if self._dtype == np.float32:
+            x = self._refine(rhs)
+            if x is not None:
+                return x
+            self.factor(hessian, np.float64)
         return self.solve(rhs)
 
 
@@ -201,7 +237,8 @@ def newton(model, u0, p, max_iter=30, damped=False, seed_descriptor="zero"):
     included).  With damped=True a residual-norm backtracking line search
     makes distant seeds usable.  Each step solves the Newton system to
     REFINE_TOL (1e-12) relative, by refinement against one factorization
-    of the Hessian that is taken at the first iterate and again only where
+    of the Hessian (in float32 on meshes of SINGLE_PRECISION_VERTICES or
+    more) that is taken at the first iterate and again only where
     refinement stalls (`_ZeroMeanHessianSolver.refined_solve`) or after a
     step that did not at least halve the gradient norm: the iterate then
     moved too far for the held factorization to precondition well (the

@@ -202,11 +202,12 @@ def operators(mesh):
     return ops
 
 
-def ordered_solve(lu, order):
-    """The solve of A x = b given `lu`, the LU of A[order][:, order]."""
+def ordered_solve(lu, order, dtype=np.float64):
+    """The float64 solve of A x = b given `lu`, the LU of A[order][:, order]
+    with values of `dtype`, to which b is rounded."""
     def solve(b):
         x = np.empty_like(b, dtype=float)
-        x[order] = lu.solve(b[order])
+        x[order] = lu.solve(b[order].astype(dtype, copy=False))
         return x
     return solve
 

@@ -495,6 +495,24 @@ def test_non_finite_parameter_exits_2(name, value, command, capsys,
     assert f"--{name}" in err
 
 
+@pytest.mark.parametrize("steps", ["-1", "-300"])
+def test_negative_steps_exits_2(steps, capsys, tmp_path):
+    out = str(tmp_path / "out")
+    rc = cli.main(["solve", "--res", "8", f"--steps={steps}", "--out", out])
+    assert rc == 2
+    assert capsys.readouterr().err \
+        == f"error: --steps must be at least 0, not {steps}\n"
+    assert not (tmp_path / "out").exists()
+    # The same value from the config file.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"steps = {steps}\n")
+    rc = cli.main(["solve", "--res", "8", "--config", str(cfg), "--out", out])
+    assert rc == 2
+    assert capsys.readouterr().err \
+        == f"error: --steps must be at least 0, not {steps}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("grid, probe", [
     ("abc", "dirichlet_slope"), ("10,,20", "mt"),
     ("0,1,2", "dirichlet_slope"), ("-10,20,40", "mt"),

@@ -91,10 +91,15 @@ def test_hessian_matches_finite_differences(square48):
         assert np.linalg.norm(lhs - fd) <= 1e-5 * denom
         # The Riesz-represented action, the solver's Hessian action followed
         # by the mass solve and the zero-mean projection, agrees with the
-        # gradient differences.
-        hess = solver._ZeroMeanHessianSolver(model)
-        hess.factor(model.hessian_operator(u, p))
-        riesz = model.project_zero_mean(model._mass_solve(hess.apply(v)))
+        # gradient differences.  The action is read from the bordered
+        # residual that Newton's refinement forms, at (v, 0, y),
+        # y = sign(c) sqrt|c| w . v, where its corner row vanishes and its
+        # first block is -(A0 + c w w^T) v.
+        y = np.sign(c) * np.sqrt(abs(c)) * (w @ v)
+        r = model._bordered_residual((A0, c, w), np.zeros_like(v),
+                                     np.append(v, [0.0, y]))
+        assert abs(r[-1]) <= 1e-12 * max(1.0, abs(y))
+        riesz = model.project_zero_mean(model._mass_solve(-r[:-2]))
         fd_g = (model.gradient(u + h * v, p).values
                 - model.gradient(u - h * v, p).values) / (2 * h)
         assert np.linalg.norm(riesz - fd_g) \

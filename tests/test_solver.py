@@ -664,11 +664,12 @@ def test_doubly_bordered_solve_is_accurate(name, request, monkeypatch):
     oracle = _WoodburySolver(model, hessian)
     m = model.lumped
     # The Newton system's right side and a random one.
+    A0, c, w = hessian
     for b in (-ev.residual,
               np.random.default_rng(9).standard_normal(mesh.num_vertices)):
         x = hess.solve(b)
         # The zero-mean residual: b - H x up to a multiple of m, and mean(x).
-        r = b - hess.apply(x)
+        r = b - (A0 @ x + c * w * (w @ x))
         assert np.linalg.norm(r - m * (r.sum() / m.sum())) \
             <= solver.REFINE_TOL * np.linalg.norm(b - m * (b.sum() / m.sum()))
         assert abs(m @ x) \
@@ -772,10 +773,17 @@ def test_refined_newton_matches_direct_on_oracle_meshes(name, damped):
     assert outcomes & {solver.CLASS_TRIVIAL, solver.CLASS_NONTRIVIAL}
 
 
-@pytest.mark.parametrize("rho", [13.0, 13.8])
+@pytest.mark.parametrize("rho, single", [
+    (13.0, False), (13.8, False), (13.0, True), (13.8, True)],
+    ids=["13.0", "13.8", "13.0-float32", "13.8-float32"])
 def test_refined_newton_matches_direct_on_disk_seeds(disk128, disk128_basis,
-                                                     rho):
-    # Every third seed of the disk search, smoothed as the search does.
+                                                     rho, single,
+                                                     monkeypatch):
+    # Every third seed of the disk search, smoothed as the search does;
+    # with `single`, Newton refines against float32 factors, as it does
+    # on meshes of SINGLE_PRECISION_VERTICES or more.
+    if single:
+        monkeypatch.setattr(solver, "SINGLE_PRECISION_VERTICES", 0)
     model = EnergyFunctional.for_mesh(disk128)
     p = Parameters(beta=-5.0, rho=rho)
     K, I, _ = topology.indices(p, model.area, disk128_basis.eigenvalues)
@@ -794,31 +802,99 @@ def test_refined_newton_matches_direct_on_disk_seeds(disk128, disk128_basis,
 
 
 def test_newton_factors_its_hessian_once(monkeypatch):
-    # The square256 Newton case of the benchmark, on unit_square 64: a
-    # seed near the trivial state, where refinement never stalls.
-    square = meshmod.build_builtin("unit_square", 64)
-    model = EnergyFunctional.for_mesh(square)
-    mu = bubbles.make_measure([bubbles.interior_atom(square)], [True])
-    seed = 0.1 * bubbles.bubble(mu, 5.0, square).values
-    calls = []
+    # The square256 Newton case of the benchmark, on unit_square 64 and,
+    # at SINGLE_PRECISION_VERTICES or more (V = 16641), 128: a seed near
+    # the trivial state, where refinement never stalls.
+    p = Parameters(beta=1.0, rho=1.0)
+    dtypes = []
     splu = spla.splu
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return splu(*args, **kwargs)
-    monkeypatch.setattr(spla, "splu", counted)
-    res = solver.newton(model, seed, Parameters(beta=1.0, rho=1.0),
-                        damped=True)
-    assert res.classification == solver.CLASS_TRIVIAL
-    assert res.iterations >= 3
-    assert len(calls) == 1
+    def counted(A, **kwargs):
+        dtypes.append(A.dtype)
+        return splu(A, **kwargs)
+    for res, dtype in ((64, np.float64), (128, np.float32)):
+        square = meshmod.build_builtin("unit_square", res)
+        model = EnergyFunctional.for_mesh(square)
+        mu = bubbles.make_measure([bubbles.interior_atom(square)], [True])
+        seed = 0.1 * bubbles.bubble(mu, 5.0, square).values
+        dtypes.clear()
+        monkeypatch.setattr(spla, "splu", counted)
+        result = solver.newton(model, seed, p, damped=True)
+        monkeypatch.undo()
+        assert result.classification == solver.CLASS_TRIVIAL
+        assert result.iterations >= 3
+        assert dtypes == [dtype]
+        assert _newton_matches_direct(model, seed, p, damped=True) \
+            == solver.CLASS_TRIVIAL
+
+
+def test_single_precision_newton_matches_direct_on_a_nontrivial_state():
+    # unit_square 128 (V = 16641) factors in float32; from the first
+    # eigenmode, smoothed by 50 flow steps, Newton reaches the nontrivial
+    # state past rho_1 = |Omega| (pi^2 + beta) = 4.87 as the float64
+    # oracle does.
+    square = meshmod.build_builtin("unit_square", 128)
+    model = EnergyFunctional.for_mesh(square)
+    p = Parameters(beta=-5.0, rho=6.0)
+    mode = spectrum.eigenpairs(square, 1).eigenvectors[:, 0]
+    smooth = solver.flow(model, model.field(2.0 * mode), p, 50).u
+    assert solver._ZeroMeanHessianSolver(model)._precision == np.float32
+    assert _newton_matches_direct(model, smooth, p, damped=True) \
+        == solver.CLASS_NONTRIVIAL
+
+
+class _TrackedLU:
+    """A SuperLU factorization that counts how many are alive."""
+    alive = 0
+
+    def __init__(self, lu):
+        self._lu = lu
+        _TrackedLU.alive += 1
+
+    def solve(self, b):
+        return self._lu.solve(b)
+
+    def __del__(self):
+        _TrackedLU.alive -= 1
+
+
+def test_stalled_single_precision_factor_escalates_to_float64(monkeypatch):
+    # One refinement sweep cannot reach REFINE_TOL against a fresh float32
+    # factor, so the Hessian is factored again in float64 and solved
+    # directly; the float32 factor is dropped before that one is taken.
+    mesh = test_mesh.ORACLE_MESHES["disk"]
+    model = EnergyFunctional.for_mesh(mesh)
+    p = Parameters(beta=-5.0, rho=13.0)
+    u = model.project_zero_mean(
+        np.random.default_rng(3).standard_normal(mesh.num_vertices))
+    ev = model.evaluate(u, p)
+    hessian = model.hessian_operator(ev, p)
+    monkeypatch.setattr(solver, "SINGLE_PRECISION_VERTICES", 0)
+    monkeypatch.setattr(solver, "REFINE_SWEEPS", 1)
+    dtypes = []
+    splu = spla.splu
+
+    def spy(A, **kwargs):
+        assert _TrackedLU.alive == 0
+        dtypes.append(A.dtype)
+        return _TrackedLU(splu(A, **kwargs))
+    monkeypatch.setattr(spla, "splu", spy)
+    hess = solver._ZeroMeanHessianSolver(model)
+    x = hess.refined_solve(hessian, -ev.residual)
+    assert dtypes == [np.float32, np.float64]
+    assert _TrackedLU.alive == 1
+    hess.drop()
+    assert _TrackedLU.alive == 0
+    monkeypatch.undo()
+    want = _WoodburySolver(model, hessian).solve(-ev.residual)
+    assert np.linalg.norm(x - want) <= 1e-11 * np.linalg.norm(want)
 
 
 def test_newton_refactors_after_a_non_contracting_step(monkeypatch):
     # A far bubble seed at rho = 20, where damped steps often fail to halve
     # the gradient norm.  Each Newton system is logged with the gradient
     # norm at its iterate, whether a factorization was held on entry and
-    # how many refinement sweeps (Hessian applications) it took.
+    # how many refinement sweeps (bordered residuals) it took.
     mesh = test_mesh.ORACLE_MESHES["disk"]
     model = EnergyFunctional.for_mesh(mesh)
     p = Parameters(beta=-5.0, rho=20.0)
@@ -826,7 +902,7 @@ def test_newton_refactors_after_a_non_contracting_step(monkeypatch):
     log = []
     hessian_operator = EnergyFunctional.hessian_operator
     refined_solve = solver._ZeroMeanHessianSolver.refined_solve
-    apply = solver._ZeroMeanHessianSolver.apply
+    bordered_residual = EnergyFunctional._bordered_residual
     sweeps = []
 
     def logged_hessian_operator(model, ev, p):
@@ -842,14 +918,15 @@ def test_newton_refactors_after_a_non_contracting_step(monkeypatch):
         log[-1]["sweeps"] = len(sweeps)
         return out
 
-    def counted_apply(self, v):
+    def counted_residual(model, hessian, b, z):
         sweeps.append(1)
-        return apply(self, v)
+        return bordered_residual(model, hessian, b, z)
     monkeypatch.setattr(EnergyFunctional, "hessian_operator",
                         logged_hessian_operator)
     monkeypatch.setattr(solver._ZeroMeanHessianSolver, "refined_solve",
                         logged_refined_solve)
-    monkeypatch.setattr(solver._ZeroMeanHessianSolver, "apply", counted_apply)
+    monkeypatch.setattr(EnergyFunctional, "_bordered_residual",
+                        counted_residual)
     res = solver.newton(model, bubbles.bubble_values(mu, 5.0, mesh), p,
                         damped=True, max_iter=60)
     assert res.classification == solver.CLASS_TRIVIAL

@@ -311,25 +311,28 @@ def _factor_mesh(name, request):
 
 # How far a solve with the factor in `spectrum.PANEL_SIZE`-column panels
 # may lie from one with SuperLU's default width of 20, relative to the
-# solution's largest entry: the two sum the same updates in another order
-# (at most 3.4e-14 measured, on disk128's bordered Hessian).
+# solution's largest entry, for a float64 factor: the two sum the same
+# updates in another order (at most 3.4e-14 measured, on disk128's
+# bordered Hessian).  A float32 factor is held to as many of its own unit
+# roundoffs (about 4500): 5.4e-4, where square256's measured 6.6e-5.
 PANEL_SOLVE_TOL = 1e-12
 
 
 def _check_panel_width(lu, A, permc_spec, **options):
     """`lu`, a factorization of A in narrow panels, stores as many entries,
     pivots as the unrelaxed factorization at SuperLU's default panel width
-    does, and solves as it does to PANEL_SOLVE_TOL.  `options` are the
-    pivoting options `lu` was factored with."""
+    does, and solves as it does to PANEL_SOLVE_TOL, scaled to the unit
+    roundoff of A's dtype.  `options` are the pivoting options `lu` was
+    factored with."""
     wide = spla.splu(A, permc_spec=permc_spec, relax=spectrum.SUPERNODE_RELAX,
                      **options)
     assert lu.nnz == wide.nnz
     assert np.array_equal(lu.perm_c, wide.perm_c)
     assert np.array_equal(lu.perm_r, wide.perm_r)
-    b = np.random.default_rng(8).standard_normal(A.shape[0])
+    b = np.random.default_rng(8).standard_normal(A.shape[0]).astype(A.dtype)
     want = wide.solve(b)
-    assert (np.abs(lu.solve(b) - want).max()
-            <= PANEL_SOLVE_TOL * np.abs(want).max())
+    tol = PANEL_SOLVE_TOL * np.finfo(A.dtype).eps / np.finfo(np.float64).eps
+    assert np.abs(lu.solve(b) - want).max() <= tol * np.abs(want).max()
 
 
 def _check_unpadded(lu, A, permc_spec, **options):
@@ -397,6 +400,8 @@ def test_bordered_hessian_lu_stores_only_nonzeros(name, shift, request,
     monkeypatch.undo()
     assert len(factored) == (2 if shift == "morse" else 1)
     for A, lu, kwargs in factored:
+        # Below SINGLE_PRECISION_VERTICES Newton's factor is float64 too.
+        assert A.dtype == np.float64
         assert (kwargs["diag_pivot_thresh"] == 0.0) == (shift == "morse")
         _check_unpadded(lu, A, "NATURAL", **{
             key: kwargs[key] for key in ("diag_pivot_thresh", "options")
@@ -404,13 +409,15 @@ def test_bordered_hessian_lu_stores_only_nonzeros(name, shift, request,
 
 
 def test_square256_bordered_hessian_panel_width(square256):
-    # The largest factor of the benchmark, at V = 66049, once.
+    # The largest factor of the benchmark, at V = 66049, once; the
+    # reference is factored in the same precision, float32 at this size.
     model = EnergyFunctional.for_mesh(square256)
     u = model.project_zero_mean(np.random.default_rng(5).standard_normal(
         square256.num_vertices))
     hess = solver._ZeroMeanHessianSolver(model)
     hess.factor(model.hessian_operator(u, Parameters(beta=-5.0, rho=13.0)))
-    B, _ = model._ordered_bordered_hessian(hess._hessian)
+    B, _ = model._ordered_bordered_hessian(hess._hessian, dtype=hess._dtype)
+    assert B.dtype == np.float32
     _check_panel_width(hess._lu, B, "NATURAL",
                        diag_pivot_thresh=solver.PIVOT_THRESHOLD)
 
