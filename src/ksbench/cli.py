@@ -9,7 +9,9 @@ Subcommands:
             (exit 0 pass, 1 fail, 2 under-resolved)
   spectrum  eigenvalue export -> CSV
 
-Only `analyze` takes --format (json or csv); the others reject it.
+Every subcommand takes --domain, --mesh, --res, --out and --config; all
+but `spectrum` take --beta and --rho, and only `solve` and `spectrum`
+--eigs.  Only `analyze` takes --format (json or csv); the others reject it.
 
 A package error ends every subcommand with a one-line message on stderr
 and an exit code: 3 from `solve` whatever the error, and otherwise the code
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -104,13 +107,10 @@ def _output(text, out_path):
 
 def cmd_analyze(args):
     mesh = _build_mesh(args)
-    basis = spectrum.eigenpairs(mesh, args.eigs)
+    count = functools.partial(solver.index_below,
+                              EnergyFunctional.for_mesh(mesh))
     p = Parameters(beta=args.beta, rho=args.rho)
-    report = topology.condition_report(p, mesh.area, basis.eigenvalues,
-                                       mesh.genus)
-    if max(report.I, report.J) >= len(basis):
-        sys.stderr.write(f"warning: I = {report.I}, J = {report.J} count only "
-                         f"the --eigs {len(basis)} computed eigenvalues\n")
+    report = topology.condition_report(p, mesh.area, count, mesh.genus)
     if args.format == "json":
         _output(report.to_json() + "\n", args.out)
     else:
@@ -158,11 +158,11 @@ def cmd_probe(args):
     grid = _lambda_grid(args)
     mesh = _build_mesh(args)
     model = EnergyFunctional.for_mesh(mesh)
-    # Only the eigenmode tail of the t = 0.5 probes reads the basis (its
-    # first mode, which sigma selects): dirichlet_slope and mt compute no
-    # basis and ignore --eigs.
+    # Only the eigenmode tail of the t = 0.5 probes reads the basis, and of
+    # it only the first mode, which sigma selects: they compute that one
+    # eigenpair, and dirichlet_slope and mt none.
     t = 0.5 if args.probe in ("exp_lower", "l2_upper") else 0.0
-    basis = spectrum.eigenpairs(mesh, args.eigs) if t > 0 else None
+    basis = spectrum.eigenpairs(mesh, 1) if t > 0 else None
     p = Parameters(beta=args.beta, rho=args.rho)
 
     mu = bubbles.make_measure([bubbles.boundary_atom(mesh)], [False])
@@ -225,9 +225,6 @@ def _add_common(sub):
                      choices=meshmod.BUILTIN_NAMES)
     sub.add_argument("--mesh", help="path to a mesh file (overrides --domain)")
     sub.add_argument("--res", type=int, default=32)
-    sub.add_argument("--beta", type=float, default=0.0)
-    sub.add_argument("--rho", type=float, default=1.0)
-    sub.add_argument("--eigs", type=int, default=8)
     sub.add_argument("--out", help="output file (default stdout)")
     sub.add_argument("--config", help="key=value config file; flags override")
 
@@ -241,6 +238,11 @@ def build_parser():
                      ("probe", cmd_probe), ("spectrum", cmd_spectrum)):
         sub = subs.add_parser(name)
         _add_common(sub)
+        if name != "spectrum":
+            sub.add_argument("--beta", type=float, default=0.0)
+            sub.add_argument("--rho", type=float, default=1.0)
+        if name in ("solve", "spectrum"):
+            sub.add_argument("--eigs", type=int, default=8)
         if name == "analyze":
             sub.add_argument("--format", default="json",
                              choices=["json", "csv"])
@@ -304,10 +306,10 @@ def _check_paths(args):
 
 
 def _check_parameters(args):
-    """--beta and --rho, from a flag or the --config file, must be finite,
-    and `solve`'s --steps at least 0."""
+    """--beta and --rho, from a flag or the --config file, must be finite
+    where the subcommand takes them, and `solve`'s --steps at least 0."""
     for name in ("beta", "rho"):
-        value = getattr(args, name)
+        value = getattr(args, name, 0.0)
         if not np.isfinite(value):
             raise _OptionError(f"--{name} must be finite, not {value}")
     if getattr(args, "steps", 0) < 0:

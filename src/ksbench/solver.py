@@ -3,6 +3,7 @@ blow-up diagnostics."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -303,25 +304,59 @@ def _negative_pivots(model, hessian, shift):
     return int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
-def morse_index_at(model, u, p, count):
-    """Negative Hessian directions at a critical point, among the lowest `count`.
+def _negative_directions(model, hessian, guard):
+    """The numbers of eigenvalues of H v = lambda M v on the zero-mean
+    space below -guard and below guard, H = A0 + c w w^T from the (A0, c,
+    w) `hessian`.
 
     By Sylvester's law of inertia (Parlett, The Symmetric Eigenvalue
     Problem, SIAM 1998, ch. 3) `_negative_pivots` of B(s) counts each
-    eigenvalue below s of H v = lambda M v on the zero-mean space, one for
-    the m border and one more where the corner is -1 (c >= 0).  The counts
-    at s = -+EIG_GUARD, from one evaluation of u, differ exactly when an
-    eigenvalue lies within EIG_GUARD of 0: the point is not Morse, an error.
+    eigenvalue below s, one for the m border and one more where the corner
+    is -1 (c >= 0).  The two counts differ exactly when an eigenvalue lies
+    within guard of 0.
+    """
+    borders = 2 if hessian[1] >= 0 else 1
+    return tuple(_negative_pivots(model, hessian, s) - borders
+                 for s in (-guard, guard))
+
+
+def morse_index_at(model, u, p, count):
+    """Negative Hessian directions at a critical point, among the lowest `count`.
+
+    `_negative_directions` of the Hessian at u, from one evaluation, at
+    EIG_GUARD; where the two counts differ an eigenvalue lies within
+    EIG_GUARD of 0: the point is not Morse, an error.  At u = 0 this is
+    the J of the existence criterion, and at rho = 0 its I (see
+    `index_below`).
     """
     ev = model.evaluate(field_values(u), p)
-    hessian = model.hessian_operator(ev, p)
-    borders = 2 if hessian[1] >= 0 else 1
-    below, above = (_negative_pivots(model, hessian, s) - borders
-                    for s in (-EIG_GUARD, EIG_GUARD))
+    below, above = _negative_directions(model, model.hessian_operator(ev, p),
+                                        EIG_GUARD)
     if below != above:
         raise ConvergenceError(
             "near-zero Hessian eigenvalue: critical point is not Morse")
     return min(below, count)
+
+
+def index_below(model, threshold):
+    """`spectrum.bracket_index` over the mesh's whole spectrum, with no
+    eigensolve: the number of nonconstant Neumann eigenvalues below
+    -threshold, a ResonanceError where one lies within
+    `spectrum.resonance_tol` of it.
+
+    The Hessian of u = 0 at Parameters(threshold, 0) is A0 = K + threshold
+    M with c = 0, whose eigenvalues on the zero-mean space are lambda_i +
+    threshold; its `_negative_directions` at that tolerance differ exactly
+    at a resonance.
+    """
+    hessian = model.hessian_operator(np.zeros(model.mesh.num_vertices),
+                                     Parameters(beta=threshold, rho=0.0))
+    below, above = _negative_directions(model, hessian,
+                                        spectrum.resonance_tol(threshold))
+    if below != above:
+        raise ResonanceError(f"threshold {threshold} resonates with an "
+                             f"eigenvalue", which="beta")
+    return below
 
 
 def local_mass(model, u, p, radius):
@@ -382,12 +417,12 @@ def continuation(model, basis, p_start, p_end, steps, u0=None):
     u = field_values(u0)
     if u is None:
         u = np.zeros(model.mesh.num_vertices)
-    lam = basis.eigenvalues
+    count = partial(spectrum.bracket_index, basis.eigenvalues)
     for s in np.linspace(0.0, 1.0, steps + 1):
         p = Parameters(beta=(1 - s) * p_start.beta + s * p_end.beta,
                        rho=(1 - s) * p_start.rho + s * p_end.rho)
         try:
-            topology.indices(p, model.area, lam)
+            topology.indices(p, model.area, count)
         except ResonanceError as exc:
             return results, f"resonance on path: {exc}"
         try:

@@ -273,16 +273,21 @@ def eigenpairs(mesh, count):
                          eigenvectors=vecs)
 
 
+def resonance_tol(threshold):
+    """The distance from -threshold within which an eigenvalue resonates."""
+    return 1e-6 * (1.0 + abs(threshold))
+
+
 def bracket_index(eigenvalues, threshold):
     """Number of eigenvalues strictly below -threshold.
 
     With the convention lambda_0 = 0 this is the unique n with
     -lambda_{n+1} < threshold < -lambda_n; thresholds at or above -lambda_1
-    give 0.  Raises ResonanceError when threshold is within tolerance of
-    some -lambda_i.
+    give 0.  Raises ResonanceError when threshold is within
+    `resonance_tol` of some -lambda_i.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    if np.any(np.abs(threshold + lam) < 1e-6 * (1.0 + abs(threshold))):
+    if np.any(np.abs(threshold + lam) < resonance_tol(threshold)):
         raise ResonanceError(
             f"threshold {threshold} resonates with an eigenvalue", which="beta")
     return int(np.sum(lam < -threshold))

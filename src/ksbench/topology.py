@@ -4,8 +4,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, asdict
-
-import numpy as np
+from functools import partial
 
 from .errors import EmptySpaceError, ResonanceError
 from .spectrum import bracket_index
@@ -48,11 +47,16 @@ def concentration_index(rho):
     return int(math.floor(rho / FOUR_PI))
 
 
-def indices(p, area, eigenvalues):
-    """(K, I, J) of the bracketing conditions; ResonanceError when degenerate."""
+def indices(p, area, count):
+    """(K, I, J) of the bracketing conditions; ResonanceError when degenerate.
+
+    count(threshold) is the number of nonconstant Neumann eigenvalues below
+    -threshold, a ResonanceError where one resonates with it:
+    `solver.index_below` over the whole spectrum, or `bracket_index` over
+    computed eigenvalues.
+    """
     K = concentration_index(p.rho)
-    I = bracket_index(eigenvalues, p.beta)
-    return K, I, trivial_morse_index(p, area, eigenvalues)
+    return K, count(p.beta), _shifted_index(p, area, count)
 
 
 def existence_verdict(K, I, J, genus):
@@ -97,21 +101,26 @@ def euler_characteristic(K, genus):
     return 1
 
 
-def trivial_morse_index(p, area, eigenvalues):
-    """Negative directions of the Hessian at u = 0: count of lambda_i + beta - rho/area < 0."""
-    shifted = p.beta - p.rho / area
+def _shifted_index(p, area, count):
+    """J: count at beta - rho/area, whose resonance is "shifted"."""
     try:
-        return bracket_index(eigenvalues, shifted)
+        return count(p.beta - p.rho / area)
     except ResonanceError as exc:
         raise ResonanceError(str(exc), which="shifted") from exc
 
 
-def condition_report(p, area, eigenvalues, genus):
-    """Full report; resonances produce a degenerate verdict instead of raising."""
+def trivial_morse_index(p, area, eigenvalues):
+    """Negative directions of the Hessian at u = 0: count of lambda_i + beta - rho/area < 0."""
+    return _shifted_index(p, area, partial(bracket_index, eigenvalues))
+
+
+def condition_report(p, area, count, genus):
+    """Full report, with the `count` of `indices`; resonances produce a
+    degenerate verdict instead of raising."""
     resonance = None
     K = I = J = degree = rank = 0
     try:
-        K, I, J = indices(p, area, eigenvalues)
+        K, I, J = indices(p, area, count)
     except ResonanceError as exc:
         resonance = exc.which or "rho"
         verdict = VERDICT_DEGENERATE

@@ -21,6 +21,11 @@ def square48_basis(square48):
 
 
 @pytest.fixture(scope="session")
+def square48_basis40(square48):
+    return spectrum.eigenpairs(square48, 40)
+
+
+@pytest.fixture(scope="session")
 def square64():
     return meshmod.build_builtin("unit_square", 64)
 
@@ -43,6 +48,11 @@ def disk128():
 @pytest.fixture(scope="session")
 def disk128_basis(disk128):
     return spectrum.eigenpairs(disk128, 8)
+
+
+@pytest.fixture(scope="session")
+def disk128_basis40(disk128):
+    return spectrum.eigenpairs(disk128, 40)
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ test body for the faithful run.
 import json
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -143,8 +144,8 @@ def test_criterion_5_mean_slope_and_statistics(square64, square64_basis):
 def test_criterion_6_energy_decay(disk256, disk256_basis):
     model = EnergyFunctional.for_mesh(disk256)
     p = Parameters(beta=-5.0, rho=13.0)
-    report = topology.condition_report(p, model.area,
-                                       disk256_basis.eigenvalues, disk256.genus)
+    count = partial(spectrum.bracket_index, disk256_basis.eigenvalues)
+    report = topology.condition_report(p, model.area, count, disk256.genus)
     ok = report.verdict == topology.VERDICT_GUARANTEED
     mu = bubbles.make_measure([bubbles.boundary_atom(disk256)], [False])
     sigma = np.array([np.sqrt(0.5), np.sqrt(0.5)])

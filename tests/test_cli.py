@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import ksbench
-from ksbench import cli, errors, spectrum, topology
+from ksbench import cli, errors, solver, spectrum, topology
 from ksbench import mesh as meshmod
 from ksbench.energy import Parameters
 
@@ -53,8 +54,9 @@ def test_resonant_beta_and_shifted_are_degenerate(which, tmp_path):
     rho = 5.0
     beta = float(-eigenvalues[0] + (rho / mesh.area if which == "shifted"
                                     else 0.0))
-    report = topology.condition_report(Parameters(beta=beta, rho=rho),
-                                       mesh.area, eigenvalues, mesh.genus)
+    report = topology.condition_report(
+        Parameters(beta=beta, rho=rho), mesh.area,
+        partial(spectrum.bracket_index, eigenvalues), mesh.genus)
     flags = (report.resonant_rho, report.resonant_beta,
              report.resonant_shifted)
     assert flags == (False, which == "beta", which == "shifted")
@@ -95,17 +97,60 @@ def test_analyze_csv_format_resonant(tmp_path):
     assert "resonant_rho,True" in lines
 
 
-@pytest.mark.parametrize("eigs, J", [(8, 8), (40, 14)])
-def test_analyze_warns_when_an_index_may_be_truncated(eigs, J, capsys):
+def test_analyze_counts_the_whole_index(monkeypatch, capsys):
     # On square48 at beta = -3, rho = 150, J counts 14 eigenvalues below
-    # rho/|Omega| - beta; 8 computed ones can show only 8 of them.
-    rc = cli.main(["analyze", "--res", "48", "--beta", "-3", "--rho", "150",
-                   "--eigs", str(eigs)])
+    # rho/|Omega| - beta, more than the lowest 8, with no eigensolve: I and
+    # J are each counted on either side of the resonance tolerance.
+    calls = {"eigsh": 0, "splu": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(spla, "eigsh", counted("eigsh", spla.eigsh))
+    monkeypatch.setattr(spla, "splu", counted("splu", spla.splu))
+    rc = cli.main(["analyze", "--res", "48", "--beta", "-3", "--rho", "150"])
     out, err = capsys.readouterr()
     assert rc == 0
-    assert json.loads(out)["J"] == J
-    assert [line.startswith("warning:") for line in err.splitlines()] == (
-        [True] if J == eigs else [])
+    assert json.loads(out)["J"] == 14
+    assert err == ""
+    assert calls == {"eigsh": 0, "splu": 4}
+
+
+@pytest.mark.parametrize("which, truncated", [
+    ("beta", "not_guaranteed"), ("shifted", "guaranteed_nontrivial")])
+def test_analyze_finds_resonances_beyond_the_eighth_eigenvalue(
+        which, truncated, square48, square48_basis40, capsys):
+    # beta = -lambda_10, or beta - rho/|Omega| = -lambda_13 at beta = -3,
+    # on square48: the lowest 8 eigenvalues miss either resonance.
+    lam = square48_basis40.eigenvalues
+    p = (Parameters(beta=float(-lam[9]), rho=1.0) if which == "beta" else
+         Parameters(beta=-3.0, rho=float(square48.area * (lam[12] - 3.0))))
+    assert topology.condition_report(
+        p, square48.area, partial(spectrum.bracket_index, lam[:8]),
+        square48.genus).verdict == truncated
+    rc = cli.main(["analyze", "--res", "48", f"--beta={p.beta!r}",
+                   f"--rho={p.rho!r}"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 2
+    assert report["verdict"] == "degenerate"
+    assert (report["resonant_rho"], report["resonant_beta"],
+            report["resonant_shifted"]) == (False, which == "beta",
+                                            which == "shifted")
+
+
+def test_analyze_takes_a_nine_vertex_mesh(capsys, tmp_path):
+    # A 2 x 2 square, 9 vertices: too few for 8 eigenpairs, and analyze
+    # computes none.
+    path = tmp_path / "square.mesh"
+    path.write_text("9 8\n0 0\n1 0\n2 0\n0 1\n1 1\n2 1\n0 2\n1 2\n2 2\n"
+                    "0 1 4\n0 4 3\n1 2 5\n1 5 4\n3 4 7\n3 7 6\n4 5 8\n"
+                    "4 8 7\n")
+    rc = cli.main(["analyze", "--mesh", str(path)])
+    assert rc in (0, 1)
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("command, fmt", [("solve", "csv"),
@@ -226,6 +271,10 @@ def test_config_file_overrides(tmp_path, capsys):
     assert rc == 0
 
 
+# --eigs, which only solve and spectrum take, where a test sets it.
+EIGS = {"solve": ["--eigs", "2"], "spectrum": ["--eigs", "2"]}
+
+
 # The documented exit code of every package error outside `solve`.
 ERROR_EXIT_CODES = {
     errors.MeshError: 2,
@@ -255,14 +304,24 @@ def test_package_error_exit_code(command, error, monkeypatch, capsys,
     def fail(*args, **kwargs):
         raise error("injected failure")
 
-    monkeypatch.setattr(spectrum, "eigenpairs", fail)
-    # The default probe reads no eigenbasis; exp_lower does.
+    # analyze counts its indices by inertia, with no eigenbasis; the
+    # default probe reads no eigenbasis, exp_lower one eigenpair.
+    if command == "analyze":
+        monkeypatch.setattr(solver, "index_below", fail)
+    else:
+        monkeypatch.setattr(spectrum, "eigenpairs", fail)
     probe = ["--probe", "exp_lower"] if command == "probe" else []
     rc = cli.main([command, "--res", "8", "--out", str(tmp_path / "out")]
                   + probe)
     assert rc == (3 if command == "solve" else ERROR_EXIT_CODES[error])
     err = capsys.readouterr().err
-    assert err == "error: injected failure\n"
+    if command == "analyze" and error is errors.ResonanceError:
+        # A resonance of the count is the report's degenerate verdict.
+        assert err == ""
+        report = json.loads((tmp_path / "out").read_text())
+        assert report["verdict"] == "degenerate"
+    else:
+        assert err == "error: injected failure\n"
 
 
 @pytest.mark.parametrize("command", ["spectrum", "solve"])
@@ -281,13 +340,11 @@ def test_arpack_error_exits_with_one_line(command, monkeypatch, capsys,
 
 
 @pytest.mark.parametrize("eigs", ["0", "-1"])
-@pytest.mark.parametrize("command", [["analyze"], ["spectrum"], ["solve"],
-                                     ["probe", "--probe", "exp_lower"]],
-                         ids=["analyze", "spectrum", "solve", "probe"])
+@pytest.mark.parametrize("command", ["spectrum", "solve"])
 def test_eigs_below_one_exits_with_one_line(command, eigs, capsys, tmp_path):
-    rc = cli.main(command + ["--res", "8", "--eigs", eigs,
-                             "--out", str(tmp_path / "out")])
-    assert rc == (3 if command[0] == "solve" else 2)
+    rc = cli.main([command, "--res", "8", "--eigs", eigs,
+                   "--out", str(tmp_path / "out")])
+    assert rc == (3 if command == "solve" else 2)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -323,7 +380,7 @@ def test_exp_lower_probe_reads_one_eigenbasis(monkeypatch, tmp_path):
     rc = cli.main(["probe", "--probe", "exp_lower", "--res", "64",
                    "--out", str(tmp_path / "out")])
     assert rc == 0
-    assert calls == [8]
+    assert calls == [1]
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(),
@@ -387,11 +444,14 @@ def test_config_key_naming_no_option_exits_2(command, capsys, tmp_path):
     # A misspelt key, another subcommand's option or --config itself.
     out = tmp_path / "out"
     for key in ["bta", "steps" if command != "solve" else "probe", "config",
-                *(["format"] if command != "analyze" else [])]:
+                *(["format"] if command != "analyze" else []),
+                *(["eigs"] if command in ("analyze", "probe") else []),
+                *(["beta", "rho"] if command == "spectrum" else [])]:
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"rho = 2\n{key} = 3\n")
-        rc = cli.main([command, "--res", "8", "--eigs", "2", "--config",
-                       str(cfg), "--out", str(out)])
+        rho = "rho = 2\n" if command != "spectrum" else ""
+        cfg.write_text(f"{rho}{key} = 3\n")
+        rc = cli.main([command, "--res", "8", *EIGS.get(command, []),
+                       "--config", str(cfg), "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -419,8 +479,8 @@ def test_config_value_outside_choices_exits_2(command, key, value, flags,
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = {value}\n")
     out = tmp_path / "out"
-    rc = cli.main([command, "--res", "8", "--eigs", "2", *flags, "--config",
-                   str(cfg), "--out", str(out)])
+    rc = cli.main([command, "--res", "8", *EIGS.get(command, []), *flags,
+                   "--config", str(cfg), "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -479,6 +539,22 @@ def test_spectrum_non_finite_mesh_exit_2(tmp_path, capsys):
 def test_non_finite_parameter_exits_2(name, value, command, capsys,
                                       tmp_path):
     out = str(tmp_path / "out")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{name} = {value}\n")
+    if command == "spectrum":
+        # spectrum takes neither --beta nor --rho: argparse rejects the
+        # flag, and the --config entry names no option of spectrum.
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--res", "8", f"--{name}={value}", "--out", out])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --{name}" in capsys.readouterr().err
+        rc = cli.main([command, "--res", "8", "--config", str(cfg),
+                       "--out", out])
+        assert rc == 2
+        assert capsys.readouterr().err \
+            == f"error: {cfg}: '{name}' is not an option of spectrum\n"
+        assert not (tmp_path / "out").exists()
+        return
     rc = cli.main([command, "--res", "8", f"--{name}={value}", "--out", out])
     assert rc == 2
     err = capsys.readouterr().err
@@ -486,8 +562,6 @@ def test_non_finite_parameter_exits_2(name, value, command, capsys,
     assert f"--{name}" in err
     assert not (tmp_path / "out").exists()
     # The same value from the config file.
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{name} = {value}\n")
     rc = cli.main([command, "--res", "8", "--config", str(cfg), "--out", out])
     assert rc == 2
     err = capsys.readouterr().err
@@ -548,7 +622,7 @@ def test_two_scales_are_enough_outside_dirichlet_slope(capsys, tmp_path):
 def test_config_entry_without_value_exits_2(command, line, capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"res = 8\n{line}\n")
-    rc = cli.main([command, "--eigs", "2", "--config", str(cfg)])
+    rc = cli.main([command, *EIGS.get(command, []), "--config", str(cfg)])
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -561,7 +635,7 @@ def test_config_entry_without_value_exits_2(command, line, capsys, tmp_path):
 @pytest.mark.parametrize("flags", [["--mesh="], ["--mesh", ""], ["--out="],
                                    ["--config="]])
 def test_empty_path_flag_exits_2(command, flags, capsys):
-    rc = cli.main([command, "--res", "8", "--eigs", "2", *flags])
+    rc = cli.main([command, "--res", "8", *EIGS.get(command, []), *flags])
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == ""

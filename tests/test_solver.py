@@ -1,6 +1,7 @@
 """Gradient flow, Newton polishing, Morse indices and blow-up diagnostics."""
 import itertools
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -189,7 +190,8 @@ def test_find_critical_point_keeps_the_family_at_a_shifted_resonance(
     basis = spectrum.eigenpairs(disk, 8)
     p = Parameters(beta=-5.0, rho=disk.area * (basis.eigenvalues[2] - 5.0))
     with pytest.raises(ResonanceError):
-        topology.indices(p, disk.area, basis.eigenvalues)
+        topology.indices(p, disk.area,
+                         partial(spectrum.bracket_index, basis.eigenvalues))
     seen = []
 
     class Seeded(Exception):
@@ -417,12 +419,13 @@ def test_morse_index_at_zero_on_square128():
 
 
 @pytest.mark.parametrize("rho, index", [(150.0, 14), (250.0, 25)])
-def test_morse_index_is_not_capped(square48, rho, index, monkeypatch):
+def test_morse_index_is_not_capped(square48, square48_basis40, rho, index,
+                                   monkeypatch):
     # The trivial index well beyond the lowest 8 eigenvalues, from two
     # factorizations whatever the count.
     model = EnergyFunctional.for_mesh(square48)
     p = Parameters(beta=-3.0, rho=rho)
-    lam = spectrum.eigenpairs(square48, 40).eigenvalues
+    lam = square48_basis40.eigenvalues
     assert topology.trivial_morse_index(p, model.area, lam) == index
     calls = _count_splu(monkeypatch)
     u = np.zeros(square48.num_vertices)
@@ -446,6 +449,53 @@ def test_morse_index_rejects_an_eigenvalue_inside_the_guard(square24, offset):
         < 0.1 * solver.EIG_GUARD
     with pytest.raises(ConvergenceError, match="not Morse"):
         solver.morse_index_at(model, u, Parameters(beta, rho), count=8)
+
+
+@pytest.fixture(scope="module", params=["square48", "disk128"])
+def forty(request):
+    """A mesh, its model and its lowest 40 nonconstant eigenvalues."""
+    mesh = request.getfixturevalue(request.param)
+    basis = request.getfixturevalue(f"{request.param}_basis40")
+    return mesh, EnergyFunctional.for_mesh(mesh), basis.eigenvalues
+
+
+def test_index_below_is_the_bracket_index_of_the_whole_spectrum(forty):
+    # Seeded thresholds up to index 37, each checked against 40
+    # eigenvalues, at least index + 2 of them, so that neither count is
+    # truncated; and a resonance with lambda_1, lambda_10 and lambda_38.
+    mesh, model, lam = forty
+    rng = np.random.default_rng(29)
+    indices = []
+    for threshold in -rng.uniform(-5.0, 0.5 * (lam[36] + lam[37]), 30):
+        index = spectrum.bracket_index(lam, threshold)
+        assert index + 2 <= len(lam)
+        assert solver.index_below(model, threshold) == index
+        indices.append(index)
+    assert min(indices) == 0 and max(indices) > 8
+    for i in (0, 9, 37):
+        with pytest.raises(ResonanceError):
+            solver.index_below(model, -lam[i])
+
+
+def test_index_below_leaves_untruncated_reports_unchanged(forty):
+    # 100 seeded (beta, rho) draws whose thresholds beta and beta -
+    # rho/|Omega| both lie below lambda_8 - tol, where 8 computed
+    # eigenvalues counted them whole: the report by inertia is the one
+    # counted among 40 eigenvalues.
+    mesh, model, lam = forty
+    inertia = partial(solver.index_below, model)
+    computed = partial(spectrum.bracket_index, lam)
+    rng = np.random.default_rng(12)
+    kept = 0
+    while kept < 100:
+        p = Parameters(beta=rng.uniform(-lam[7], 5.0),
+                       rho=rng.uniform(0.5, mesh.area * lam[7]))
+        if any(-t >= lam[7] - spectrum.resonance_tol(t)
+               for t in (p.beta, p.beta - p.rho / mesh.area)):
+            continue
+        assert topology.condition_report(p, mesh.area, inertia, mesh.genus) \
+            == topology.condition_report(p, mesh.area, computed, mesh.genus)
+        kept += 1
 
 
 # Mesh and flow step budget.
@@ -639,7 +689,8 @@ def _concentrated_endpoint(disk128, disk128_basis, p):
     Newton's factor takes 2 row pivots (17 under full partial pivoting);
     one that takes none solves the Newton system to only 3.8e-10."""
     model = EnergyFunctional.for_mesh(disk128)
-    K, I, _ = topology.indices(p, model.area, disk128_basis.eigenvalues)
+    count = partial(spectrum.bracket_index, disk128_basis.eigenvalues)
+    K, I, _ = topology.indices(p, model.area, count)
     cfg = solver._seed_configs(disk128, K, I)[14]
     seed = bubbles.phi_lambda(cfg, disk128, disk128_basis)
     return solver.flow(model, seed, p, 300).u.values
@@ -786,7 +837,8 @@ def test_refined_newton_matches_direct_on_disk_seeds(disk128, disk128_basis,
         monkeypatch.setattr(solver, "SINGLE_PRECISION_VERTICES", 0)
     model = EnergyFunctional.for_mesh(disk128)
     p = Parameters(beta=-5.0, rho=rho)
-    K, I, _ = topology.indices(p, model.area, disk128_basis.eigenvalues)
+    count = partial(spectrum.bracket_index, disk128_basis.eigenvalues)
+    K, I, _ = topology.indices(p, model.area, count)
     seeds = [bubbles.phi_lambda(cfg, disk128, disk128_basis).values
              for cfg in solver._seed_configs(disk128, K, I)]
     seeds += [s * disk128_basis.eigenvectors[:, i]

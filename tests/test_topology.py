@@ -2,16 +2,19 @@
 import dataclasses
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from ksbench import topology
+from ksbench.spectrum import bracket_index
 from ksbench.energy import Parameters
 from ksbench.errors import EmptySpaceError, ResonanceError
 
 # First Neumann eigenvalues of the unit disk: squared zeros of Bessel J'_m.
 DISK_LAMBDAS = [3.389992, 3.389992, 9.328089, 9.328089, 14.681971]
+DISK_COUNT = partial(bracket_index, DISK_LAMBDAS)
 
 
 def test_concentration_index():
@@ -26,14 +29,15 @@ def test_concentration_index():
 
 def test_indices_disk_fixture():
     p = Parameters(beta=-5.0, rho=13.0)
-    K, I, J = topology.indices(p, math.pi, DISK_LAMBDAS)
+    K, I, J = topology.indices(p, math.pi, DISK_COUNT)
     assert (K, I, J) == (1, 2, 2)
 
 
 def test_indices_coercive_square():
     square = [np.pi ** 2, np.pi ** 2, 2 * np.pi ** 2]
     p = Parameters(beta=1.0, rho=1.0)
-    assert topology.indices(p, 1.0, square) == (0, 0, 0)
+    assert topology.indices(p, 1.0, partial(bracket_index, square)) \
+        == (0, 0, 0)
 
 
 def test_existence_verdict_examples():
@@ -120,7 +124,7 @@ def test_trivial_morse_index_equals_J():
     while checked < 20:
         p = Parameters(beta=rng.uniform(-8, 3), rho=rng.uniform(0.5, 24))
         try:
-            _, _, J = topology.indices(p, 1.0, lam)
+            _, _, J = topology.indices(p, 1.0, partial(bracket_index, lam))
             idx = topology.trivial_morse_index(p, 1.0, lam)
         except ResonanceError:
             continue
@@ -130,7 +134,7 @@ def test_trivial_morse_index_equals_J():
 
 def test_condition_report_roundtrip_and_degenerate():
     p = Parameters(beta=-5.0, rho=13.0)
-    rep = topology.condition_report(p, math.pi, DISK_LAMBDAS, 0)
+    rep = topology.condition_report(p, math.pi, DISK_COUNT, 0)
     assert rep.verdict == topology.VERDICT_GUARANTEED
     assert (rep.K, rep.I, rep.J) == (1, 2, 2)
     assert rep.homology_degree == 2 * rep.K + rep.I - 1
@@ -138,6 +142,6 @@ def test_condition_report_roundtrip_and_degenerate():
     assert json.loads(rep.to_json()) == dataclasses.asdict(rep)
 
     degen = topology.condition_report(
-        Parameters(beta=0.0, rho=4.0 * math.pi), math.pi, DISK_LAMBDAS, 0)
+        Parameters(beta=0.0, rho=4.0 * math.pi), math.pi, DISK_COUNT, 0)
     assert degen.verdict == topology.VERDICT_DEGENERATE
     assert degen.resonant_rho
