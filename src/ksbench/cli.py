@@ -10,8 +10,9 @@ Subcommands:
   spectrum  eigenvalue export -> CSV
 
 Every subcommand takes --domain, --mesh, --res, --out and --config; all
-but `spectrum` take --beta and --rho, and only `solve` and `spectrum`
---eigs.  Only `analyze` takes --format (json or csv); the others reject it.
+but `spectrum` take --beta and --rho, and only `spectrum` --eigs, the
+length of its export.  Only `analyze` takes --format (json or csv); the
+others reject it.
 
 A package error ends every subcommand with a one-line message on stderr
 and an exit code: 3 from `solve` whatever the error, and otherwise the code
@@ -125,10 +126,8 @@ def cmd_analyze(args):
 
 def cmd_solve(args):
     mesh = _build_mesh(args)
-    basis = spectrum.eigenpairs(mesh, args.eigs)
     p = Parameters(beta=args.beta, rho=args.rho)
-    result, _ = solver.find_critical_point(mesh, basis, p,
-                                           flow_budget=args.steps)
+    result, _ = solver.find_critical_point(mesh, p, flow_budget=args.steps)
     if result is None:
         sys.stderr.write("error: no critical point found\n")
         return EXIT_SOLVE_FAILED
@@ -241,7 +240,7 @@ def build_parser():
         if name != "spectrum":
             sub.add_argument("--beta", type=float, default=0.0)
             sub.add_argument("--rho", type=float, default=1.0)
-        if name in ("solve", "spectrum"):
+        if name == "spectrum":
             sub.add_argument("--eigs", type=int, default=8)
         if name == "analyze":
             sub.add_argument("--format", default="json",

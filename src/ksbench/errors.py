@@ -8,8 +8,9 @@ class MeshError(ValueError):
 class ResonanceError(ValueError):
     """A parameter sits (within tolerance) on a degenerate value.
 
-    `which` names the offending condition: "rho" (multiple of 4*pi),
-    "beta" (eigenvalue hit) or "shifted" (beta - rho/|Omega| eigenvalue hit).
+    `which`, set by `topology.indices`, names the offending condition:
+    "rho" (multiple of 4*pi), "beta" (eigenvalue hit) or "shifted"
+    (beta - rho/|Omega| eigenvalue hit).
     """
 
     def __init__(self, message, which=None):

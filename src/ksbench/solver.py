@@ -355,7 +355,7 @@ def index_below(model, threshold):
                                         spectrum.resonance_tol(threshold))
     if below != above:
         raise ResonanceError(f"threshold {threshold} resonates with an "
-                             f"eigenvalue", which="beta")
+                             f"eigenvalue")
     return below
 
 
@@ -462,14 +462,17 @@ def _seed_configs(mesh, K, I):
             for sg in (sigmas if t > 0.0 else [None])]
 
 
-def find_critical_point(mesh, basis, p, flow_budget=300):
+def find_critical_point(mesh, p, flow_budget=300):
     """Multi-seed search for a nontrivial critical point.
 
     Seeds enumerate the concentration test family plus scaled eigenmodes;
     each is smoothed by a short gradient flow and polished by damped Newton.
     Distinct solutions are deduplicated by H1 distance; a nontrivial one is
-    preferred.  K and I are each 0 only where they resonate themselves: at
-    a resonance of J alone, where a branch leaves u = 0, the family stays.
+    preferred.  I is `index_below` at beta, over the whole spectrum, and
+    the basis the max(I, 2) eigenpairs that the I sphere directions and the
+    mode seeds read.  K and I are each 0 only where they resonate
+    themselves: at a resonance of J alone, where a branch leaves u = 0, the
+    family stays.
     """
     model = EnergyFunctional.for_mesh(mesh)
     try:
@@ -477,15 +480,16 @@ def find_critical_point(mesh, basis, p, flow_budget=300):
     except ResonanceError:
         K = 0
     try:
-        I = spectrum.bracket_index(basis.eigenvalues, p.beta)
+        I = index_below(model, p.beta)
     except ResonanceError:
         I = 0
+    basis = spectrum.eigenpairs(mesh, max(I, 2))
 
     seeds = [("zero", np.zeros(mesh.num_vertices))]
     for cfg in _seed_configs(mesh, K, I):
         name = f"family(lam={cfg.lam:g}, t={cfg.zeta.t:g})"
         seeds.append((name, phi_lambda(cfg, mesh, basis).values))
-    for i in range(min(len(basis), max(I, 2))):
+    for i in range(len(basis)):
         for s in (2.0, -2.0, 4.0):
             seeds.append((f"mode({i},{s:g})",
                           s * basis.eigenvectors[:, i]))

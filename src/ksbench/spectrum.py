@@ -289,5 +289,5 @@ def bracket_index(eigenvalues, threshold):
     lam = np.asarray(eigenvalues, dtype=float)
     if np.any(np.abs(threshold + lam) < resonance_tol(threshold)):
         raise ResonanceError(
-            f"threshold {threshold} resonates with an eigenvalue", which="beta")
+            f"threshold {threshold} resonates with an eigenvalue")
     return int(np.sum(lam < -threshold))

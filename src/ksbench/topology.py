@@ -39,11 +39,10 @@ def concentration_index(rho):
     """K with 4*K*pi < rho < 4*(K+1)*pi; degenerate at multiples of 4*pi."""
     tol = 1e-6 * (1.0 + abs(rho))
     if rho <= tol:
-        raise ResonanceError("rho must be positive and away from 0", which="rho")
+        raise ResonanceError("rho must be positive and away from 0")
     nearest = round(rho / FOUR_PI) * FOUR_PI
     if abs(rho - nearest) < tol:
-        raise ResonanceError(f"rho = {rho} is within tolerance of 4*pi*N",
-                             which="rho")
+        raise ResonanceError(f"rho = {rho} is within tolerance of 4*pi*N")
     return int(math.floor(rho / FOUR_PI))
 
 
@@ -55,8 +54,9 @@ def indices(p, area, count):
     `solver.index_below` over the whole spectrum, or `bracket_index` over
     computed eigenvalues.
     """
-    K = concentration_index(p.rho)
-    return K, count(p.beta), _shifted_index(p, area, count)
+    return (_labelled("rho", concentration_index, p.rho),
+            _labelled("beta", count, p.beta),
+            _labelled("shifted", count, p.beta - p.rho / area))
 
 
 def existence_verdict(K, I, J, genus):
@@ -101,17 +101,18 @@ def euler_characteristic(K, genus):
     return 1
 
 
-def _shifted_index(p, area, count):
-    """J: count at beta - rho/area, whose resonance is "shifted"."""
+def _labelled(which, index, threshold):
+    """index(threshold), its ResonanceError labelled `which`."""
     try:
-        return count(p.beta - p.rho / area)
+        return index(threshold)
     except ResonanceError as exc:
-        raise ResonanceError(str(exc), which="shifted") from exc
+        raise ResonanceError(str(exc), which=which) from exc
 
 
 def trivial_morse_index(p, area, eigenvalues):
     """Negative directions of the Hessian at u = 0: count of lambda_i + beta - rho/area < 0."""
-    return _shifted_index(p, area, partial(bracket_index, eigenvalues))
+    return _labelled("shifted", partial(bracket_index, eigenvalues),
+                     p.beta - p.rho / area)
 
 
 def condition_report(p, area, count, genus):
@@ -122,7 +123,7 @@ def condition_report(p, area, count, genus):
     try:
         K, I, J = indices(p, area, count)
     except ResonanceError as exc:
-        resonance = exc.which or "rho"
+        resonance = exc.which
         verdict = VERDICT_DEGENERATE
     else:
         verdict = existence_verdict(K, I, J, genus)

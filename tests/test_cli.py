@@ -141,16 +141,50 @@ def test_analyze_finds_resonances_beyond_the_eighth_eigenvalue(
                                             which == "shifted")
 
 
-def test_analyze_takes_a_nine_vertex_mesh(capsys, tmp_path):
-    # A 2 x 2 square, 9 vertices: too few for 8 eigenpairs, and analyze
-    # computes none.
-    path = tmp_path / "square.mesh"
-    path.write_text("9 8\n0 0\n1 0\n2 0\n0 1\n1 1\n2 1\n0 2\n1 2\n2 2\n"
+# A 2 x 2 square, 9 vertices: too few for 8 eigenpairs.
+NINE_VERTEX_MESH = ("9 8\n0 0\n1 0\n2 0\n0 1\n1 1\n2 1\n0 2\n1 2\n2 2\n"
                     "0 1 4\n0 4 3\n1 2 5\n1 5 4\n3 4 7\n3 7 6\n4 5 8\n"
                     "4 8 7\n")
+
+
+def test_analyze_takes_a_nine_vertex_mesh(capsys, tmp_path):
+    # analyze computes no eigenpairs.
+    path = tmp_path / "square.mesh"
+    path.write_text(NINE_VERTEX_MESH)
     rc = cli.main(["analyze", "--mesh", str(path)])
     assert rc in (0, 1)
     assert capsys.readouterr().err == ""
+
+
+def test_solve_takes_a_nine_vertex_mesh(capsys, tmp_path):
+    # solve computes max(I, 2) eigenpairs: 2 at beta = 0 (I = 0), and at
+    # beta = -45, where all 8 nonconstant eigenvalues lie below 45, 8, as
+    # many as the mesh has: eigenpairs' own one-line error.
+    path = tmp_path / "square.mesh"
+    path.write_text(NINE_VERTEX_MESH)
+    rc = cli.main(["solve", "--mesh", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert json.loads(captured.out)["classification"] == "trivial"
+    assert captured.err == ""
+    rc = cli.main(["solve", "--mesh", str(path), "--beta", "-45"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: eigenpair count 8 ") and err.count("\n") == 1
+
+
+def test_solve_takes_no_eigs(capsys, tmp_path):
+    # solve computes the eigenpairs its seeds read: argparse rejects
+    # --eigs with one error line (a --config key `eigs` is
+    # test_config_key_naming_no_option_exits_2's).
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--res", "8", "--eigs", "4", "--out", str(out)])
+    assert exc.value.code == 2
+    assert [line for line in capsys.readouterr().err.splitlines()
+            if "error" in line] \
+        == ["ksbench: error: unrecognized arguments: --eigs 4"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, fmt", [("solve", "csv"),
@@ -271,8 +305,8 @@ def test_config_file_overrides(tmp_path, capsys):
     assert rc == 0
 
 
-# --eigs, which only solve and spectrum take, where a test sets it.
-EIGS = {"solve": ["--eigs", "2"], "spectrum": ["--eigs", "2"]}
+# --eigs, which only spectrum takes, where a test sets it.
+EIGS = {"spectrum": ["--eigs", "2"]}
 
 
 # The documented exit code of every package error outside `solve`.
@@ -340,11 +374,11 @@ def test_arpack_error_exits_with_one_line(command, monkeypatch, capsys,
 
 
 @pytest.mark.parametrize("eigs", ["0", "-1"])
-@pytest.mark.parametrize("command", ["spectrum", "solve"])
+@pytest.mark.parametrize("command", ["spectrum"])
 def test_eigs_below_one_exits_with_one_line(command, eigs, capsys, tmp_path):
     rc = cli.main([command, "--res", "8", "--eigs", eigs,
                    "--out", str(tmp_path / "out")])
-    assert rc == (3 if command == "solve" else 2)
+    assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -445,7 +479,7 @@ def test_config_key_naming_no_option_exits_2(command, capsys, tmp_path):
     out = tmp_path / "out"
     for key in ["bta", "steps" if command != "solve" else "probe", "config",
                 *(["format"] if command != "analyze" else []),
-                *(["eigs"] if command in ("analyze", "probe") else []),
+                *(["eigs"] if command != "spectrum" else []),
                 *(["beta", "rho"] if command == "spectrum" else [])]:
         cfg = tmp_path / "run.cfg"
         rho = "rho = 2\n" if command != "spectrum" else ""

@@ -162,9 +162,9 @@ def test_morse_index_at_zero_matches_bracket(square48, square48_basis):
         assert idx == J
 
 
-def test_find_critical_point_coercive_is_trivial(square48, square48_basis):
-    pick, found = solver.find_critical_point(square48, square48_basis,
-                                             COERCIVE, flow_budget=100)
+def test_find_critical_point_coercive_is_trivial(square48):
+    pick, found = solver.find_critical_point(square48, COERCIVE,
+                                             flow_budget=100)
     assert pick is not None
     assert pick.classification == solver.CLASS_TRIVIAL
     assert all(r.classification == solver.CLASS_TRIVIAL for r in found)
@@ -174,12 +174,31 @@ def test_find_critical_point_at_resonant_rho_seeds_no_family(square24):
     # rho = 4 pi has no concentration index, so K = 0, and beta = 1 puts
     # no eigenvalue below -beta, so I = 0: only the zero seed and the
     # scaled eigenmodes remain.
-    basis = spectrum.eigenpairs(square24, 8)
     p = Parameters(beta=1.0, rho=4.0 * np.pi)
-    pick, found = solver.find_critical_point(square24, basis, p)
+    pick, found = solver.find_critical_point(square24, p)
     assert pick is not None and found
     assert all(r.seed_descriptor == "zero"
                or r.seed_descriptor.startswith("mode(") for r in found)
+
+
+class _Seeded(Exception):
+    pass
+
+
+def _seed_indices(monkeypatch, mesh, p):
+    """The (K, I) of `find_critical_point`'s family seeds, read by a spy on
+    `_seed_configs` that ends the search there."""
+    seen = []
+
+    def spy(mesh, K, I):
+        seen.append((K, I))
+        raise _Seeded
+
+    monkeypatch.setattr(solver, "_seed_configs", spy)
+    with pytest.raises(_Seeded):
+        solver.find_critical_point(mesh, p, flow_budget=0)
+    (indices,) = seen
+    return indices
 
 
 def test_find_critical_point_keeps_the_family_at_a_shifted_resonance(
@@ -192,35 +211,65 @@ def test_find_critical_point_keeps_the_family_at_a_shifted_resonance(
     with pytest.raises(ResonanceError):
         topology.indices(p, disk.area,
                          partial(spectrum.bracket_index, basis.eigenvalues))
-    seen = []
-
-    class Seeded(Exception):
-        pass
-
-    def spy(mesh, K, I):
-        seen.append((K, I))
-        raise Seeded
-
-    monkeypatch.setattr(solver, "_seed_configs", spy)
-    with pytest.raises(Seeded):
-        solver.find_critical_point(disk, basis, p, flow_budget=0)
-    assert seen == [(1, 2)]
+    assert _seed_indices(monkeypatch, disk, p) == (1, 2)
 
 
-def test_find_critical_point_nontrivial_disk(disk128, disk128_basis):
+def test_find_critical_point_seeds_the_whole_index(square24, monkeypatch):
+    # At beta = -150 on square24, 14 eigenvalues lie below 150: the family
+    # seeds take all 14 sphere directions, not those of the lowest 8.
+    p = Parameters(beta=-150.0, rho=1.0)
+    assert _seed_indices(monkeypatch, square24, p) == (0, 14)
+
+
+def test_find_critical_point_sees_a_resonance_beyond_the_eighth_eigenvalue(
+        square48, square48_basis40, monkeypatch):
+    # beta = -lambda_10 resonates, so I = 0; among the lowest 8 eigenvalues
+    # it counted 8.
+    lam = square48_basis40.eigenvalues
+    p = Parameters(beta=float(-lam[9]), rho=1.0)
+    assert spectrum.bracket_index(lam[:8], p.beta) == 8
+    assert _seed_indices(monkeypatch, square48, p) == (0, 0)
+
+
+def test_find_critical_point_seeds_the_exact_index(forty, monkeypatch):
+    # Seeded betas up to index 37: the seeds' I is the bracket index among
+    # 40 eigenvalues, at least I + 2 of them, so that it is not truncated.
+    mesh, _, lam = forty
+    rng = np.random.default_rng(30)
+    seeded = []
+    for beta in -rng.uniform(-5.0, 0.5 * (lam[36] + lam[37]), 8):
+        I = spectrum.bracket_index(lam, beta)
+        assert I + 2 <= len(lam)
+        assert _seed_indices(monkeypatch, mesh,
+                              Parameters(beta=beta, rho=1.0))[1] == I
+        seeded.append(I)
+    assert min(seeded) < 8 < max(seeded)
+
+
+def test_find_critical_point_nontrivial_disk(disk128, monkeypatch):
+    # I = 2 at beta = -5: one eigensolve, for max(I, 2) = 2 eigenpairs.
+    counts = []
+    eigenpairs = spectrum.eigenpairs
+
+    def counted(mesh, count):
+        counts.append(count)
+        return eigenpairs(mesh, count)
+
+    monkeypatch.setattr(spectrum, "eigenpairs", counted)
     p = Parameters(beta=-5.0, rho=13.8)
-    pick, _ = solver.find_critical_point(disk128, disk128_basis, p)
+    pick, _ = solver.find_critical_point(disk128, p)
     assert pick is not None
     assert pick.classification == solver.CLASS_NONTRIVIAL
     assert pick.residual < 1e-8
     assert pick.morse_index == 3
+    assert counts == [2]
 
 
 def test_continuation_tracks_nontrivial_branch(disk128, disk128_basis):
     model = EnergyFunctional.for_mesh(disk128)
     p0 = Parameters(beta=-5.0, rho=13.7)
     p1 = Parameters(beta=-5.0, rho=14.0)
-    pick, _ = solver.find_critical_point(disk128, disk128_basis, p0)
+    pick, _ = solver.find_critical_point(disk128, p0)
     assert pick.classification == solver.CLASS_NONTRIVIAL
     results, stop = solver.continuation(model, disk128_basis, p0, p1,
                                         steps=10, u0=pick.u)

@@ -145,3 +145,24 @@ def test_condition_report_roundtrip_and_degenerate():
         Parameters(beta=0.0, rho=4.0 * math.pi), math.pi, DISK_COUNT, 0)
     assert degen.verdict == topology.VERDICT_DEGENERATE
     assert degen.resonant_rho
+
+
+def test_condition_report_labels_a_resonance_by_its_index():
+    # A count function's own bare ResonanceError at beta, the threshold of
+    # I, is a resonance of beta, not of rho; at beta - rho/|Omega|, the
+    # threshold of J, one of the shifted parameter.
+    p = Parameters(beta=-5.0, rho=13.0)
+
+    def resonant_at(threshold):
+        def count(t):
+            if t == threshold:
+                raise ResonanceError("injected resonance")
+            return DISK_COUNT(t)
+        return count
+
+    for threshold, which in ((p.beta, "beta"),
+                             (p.beta - p.rho / math.pi, "shifted")):
+        rep = topology.condition_report(p, math.pi, resonant_at(threshold), 0)
+        assert rep.verdict == topology.VERDICT_DEGENERATE
+        assert (rep.resonant_rho, rep.resonant_beta, rep.resonant_shifted) \
+            == (False, which == "beta", which == "shifted")
