@@ -104,9 +104,9 @@ class EnergyFunctional:
         self.area = mesh.area
         self.lumped = mesh.lumped_masses()
         # One node per edge midpoint, weighing |T| / 3 per triangle T on it.
-        # Its ends are in the pattern's index dtype (int32), gathered with
-        # `take`: indexing by them costs 35 us a disk128 quadrature, `take` 20.
-        self._qab = mesh.edges.T.ravel().astype(self.mass.indices.dtype)
+        # Its ends are the mesh's int32 edge ends, gathered with `take`:
+        # indexing by them costs 35 us a disk128 quadrature, `take` 20.
+        self._qab = mesh.edges.T.ravel()
         self._qa, self._qb = np.split(self._qab, 2)
         self._qw = np.bincount(mesh.triangle_edges.ravel(),
                                weights=np.repeat(mesh.triangle_areas / 3.0, 3),
@@ -244,8 +244,9 @@ class EnergyFunctional:
                         m, v, [tail]], out=source, casting="same_kind")
         indptr = np.append(indptr + 2 * np.arange(n + 1),
                            [tail + n, tail + 2 * n + 1])
-        return np.append(mesh_order, [n, n + 1]), sp.csc_matrix(
-            (source, rows, indptr), shape=(n + 2, n + 2))
+        order = np.concatenate([mesh_order, [n, n + 1]], dtype=rows.dtype)
+        return order, sp.csc_matrix((source, rows, indptr),
+                                    shape=(n + 2, n + 2))
 
     def _exp_mass(self, quad_vals):
         """The data of E_ab = exp(-s) int e^u phi_a phi_b on the mass

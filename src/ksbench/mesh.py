@@ -21,14 +21,14 @@ CONTAINS_TOL = 1e-12        # width of the boundary band that `contains` admits
 @dataclass(eq=False)
 class Mesh:
     vertices: np.ndarray            # (V, 2) float
-    triangles: np.ndarray           # (T, 3) int, counterclockwise
-    boundary_edges: np.ndarray      # (B, 2) int, directed, domain on the left
+    triangles: np.ndarray           # (T, 3) int32, counterclockwise
+    boundary_edges: np.ndarray      # (B, 2) int32, directed, domain on left
     boundary_vertex_flags: np.ndarray  # (V,) bool
     area: float
     genus: int
     triangle_areas: np.ndarray      # (T,) float
-    edges: np.ndarray               # (E, 2) int, lo < hi, sorted by lo V + hi
-    triangle_edges: np.ndarray      # (T, 3) int, edge k joins corners k, k + 1
+    edges: np.ndarray               # (E, 2) int32, lo < hi, in lo V + hi order
+    triangle_edges: np.ndarray      # (T, 3) int32, edge k joins corners k, k+1
 
     @property
     def num_vertices(self):
@@ -73,12 +73,17 @@ def _boundary_loops(boundary_edges):
 
 
 def _finalize(vertices, triangles, allow_flip=False):
+    """The `Mesh` of `vertices` and the vertex triples `triangles`, with its
+    topology (triangles, edges, boundary edges and side maps) in 32-bit
+    indices, whatever the width of the indices given: they are
+    range-checked first."""
     vertices = np.ascontiguousarray(vertices, dtype=float)
-    triangles = np.ascontiguousarray(triangles, dtype=np.int64)
+    triangles = np.asarray(triangles)
     if triangles.ndim != 2 or triangles.shape[1] != 3:
         raise MeshError("triangles must be an (T, 3) index array")
     if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= len(vertices):
         raise MeshError("triangle index out of range")
+    triangles = np.ascontiguousarray(triangles, dtype=np.int32)
 
     with np.errstate(over="ignore", invalid="ignore"):
         areas = _signed_areas(vertices, triangles)
@@ -94,11 +99,12 @@ def _finalize(vertices, triangles, allow_flip=False):
 
     # Undirected edge census by the key lo V + hi of each triangle side; the
     # stable sort keeps the sides of one edge in triangle order.  Boundary
-    # edges occur in exactly one triangle.
+    # edges occur in exactly one triangle.  The key alone is 64-bit: it
+    # passes 2^31 - 1 from V = 46341 on.
     e = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]],
                         triangles[:, [2, 0]]])
     lo, hi = e.min(axis=1), e.max(axis=1)
-    key = lo * len(vertices) + hi
+    key = lo.astype(np.int64) * len(vertices) + hi
     order = np.argsort(key, kind="stable")
     ks = key[order]
     new = np.ones(len(ks), bool)
@@ -111,7 +117,7 @@ def _finalize(vertices, triangles, allow_flip=False):
     boundary = first_of_group[counts == 1]
     boundary_edges = e[boundary]           # directed as in their triangle
     edges = np.column_stack([lo, hi])[first_of_group]
-    side_edge = np.empty(len(e), dtype=np.intp)
+    side_edge = np.empty(len(e), dtype=np.int32)
     side_edge[order] = group
 
     flags = np.zeros(len(vertices), bool)

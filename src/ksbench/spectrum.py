@@ -149,13 +149,14 @@ class MeshOperators:
         The order and its elimination-tree postorder depend on M's pattern
         alone, so an incomplete factor that drops every fill entry chooses
         the same one as `mass_lu`, at a fraction of its cost (square256:
-        0.1 s against 0.4-0.5 s), and is discarded at once.
+        0.1 s against 0.4-0.5 s), and is discarded at once.  It is kept in
+        the pattern's index dtype (int32), like the source map.
         """
         # SuperLU factors Pr A Pc with column perm_c[i] of Pc holding A's
         # column i, so A's columns in elimination order are argsort(perm_c).
         return np.argsort(spla.spilu(
             self.mass.tocsc(), drop_tol=np.inf, fill_factor=1,
-            permc_spec="MMD_AT_PLUS_A").perm_c)
+            permc_spec="MMD_AT_PLUS_A").perm_c).astype(self.mass.indices.dtype)
 
     def mass_solve(self, b):
         """The solve of M x = b: Chebyshev iteration for the first

@@ -603,7 +603,7 @@ def _bordered_pattern_oracle(model):
     rows = np.concatenate([qa, qa, qb, qb])
     cols_q = np.concatenate([qa, qb, qa, qb])
     return (indptr, indices, block, border,
-            np.searchsorted(keys, rows * n + cols_q))
+            np.searchsorted(keys, rows.astype(np.int64) * n + cols_q))
 
 
 def _exp_mass_oracle(pattern, quad_vals, nnz):

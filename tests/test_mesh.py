@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from scipy.spatial import Delaunay
 
-from ksbench import mesh as meshmod
+from ksbench import mesh as meshmod, spectrum
 from ksbench.errors import MeshError
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -268,11 +268,20 @@ def test_edge_census_matches_lexsort_on_oracle_meshes(name):
     _check_edge_census(ORACLE_MESHES[name])
 
 
-def test_edge_census_matches_lexsort_on_builtin_meshes(square48, square256,
-                                                       disk128):
-    for mesh in (square48, square256, disk128,
-                 meshmod.build_builtin("annulus", 64)):
+def test_edge_census_matches_lexsort_on_builtin_meshes(square48, disk128):
+    for mesh in (square48, disk128, meshmod.build_builtin("annulus", 64)):
         _check_edge_census(mesh)
+
+
+def test_topology_is_32_bit_where_the_census_key_is_not(square256):
+    # On square256 (V = 66049) the census key lo V + hi passes 2^31 - 1,
+    # so a 32-bit key would merge or split edges there.
+    mesh = square256
+    assert (mesh.num_vertices - 1) ** 2 > np.iinfo(np.int32).max
+    for index in (mesh.triangles, mesh.boundary_edges, mesh.edges,
+                  mesh.triangle_edges, spectrum.operators(mesh).order):
+        assert index.dtype == np.int32
+    _check_edge_census(mesh)
 
 
 @hypothesis.settings(max_examples=20, deadline=None)

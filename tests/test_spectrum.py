@@ -55,8 +55,8 @@ def source_oracle(mesh, M):
     n = M.shape[0]
     row = np.repeat(np.arange(n), np.diff(M.indptr))
     lo, hi = np.minimum(row, M.indices), np.maximum(row, M.indices)
-    edge = np.searchsorted(mesh.edges[:, 0] * n + mesh.edges[:, 1],
-                           lo * n + hi)
+    edge = np.searchsorted(mesh.edges[:, 0].astype(np.int64) * n
+                           + mesh.edges[:, 1], lo * n + hi)
     return np.where(lo == hi, row, n + edge)
 
 
