@@ -218,36 +218,6 @@ class EnergyFunctional:
     def gradient_norm(self, u, p):
         return self.evaluate(u, p).gradient_norm
 
-    @cached_property
-    def _ordered_pattern(self):
-        """The order and CSC pattern of B[order][:, order] for the doubly
-        bordered B = [[A, m, v], [m^T, 0, 0], [v^T, 0, d]] and A on the mass
-        matrix's pattern, built on first use; the order is the mesh's, then
-        the m border, then the v border.  The pattern's data are each
-        entry's position in concat([A's data, m, v, [d]]), in the pattern's
-        index dtype.  The borders come last, so they are written in place
-        of a COO conversion (which kept 27 MiB more resident on square256):
-        each of A's columns ends in rows n and n + 1."""
-        M = self.mass
-        n, nnz = M.shape[0], M.nnz
-        # The two kept arrays are allocated before the transients, which
-        # are then freed from the top of the heap.
-        rows, source = np.empty((2, nnz + 4 * n + 1), dtype=M.indices.dtype)
-        mesh_order = spectrum.operators(self.mesh).order
-        indptr, indices, entry = spectrum.ordered_pattern(
-            np.repeat(np.arange(n), np.diff(M.indptr)), M.indices, mesh_order)
-        at, vertices, tail = np.repeat(indptr[1:], 2), np.arange(n), nnz + 2 * n
-        m, v = nnz + mesh_order, tail - n + mesh_order
-        np.concatenate([np.insert(indices, at, np.tile([n, n + 1], n)),
-                        vertices, vertices, [n + 1]], out=rows)
-        np.concatenate([np.insert(entry, at, np.column_stack([m, v]).ravel()),
-                        m, v, [tail]], out=source, casting="same_kind")
-        indptr = np.append(indptr + 2 * np.arange(n + 1),
-                           [tail + n, tail + 2 * n + 1])
-        order = np.concatenate([mesh_order, [n, n + 1]], dtype=rows.dtype)
-        return order, sp.csc_matrix((source, rows, indptr),
-                                    shape=(n + 2, n + 2))
-
     def _exp_mass(self, quad_vals):
         """The data of E_ab = exp(-s) int e^u phi_a phi_b on the mass
         matrix's pattern, from the shifted quadrature values, gathered
@@ -273,40 +243,6 @@ class EnergyFunctional:
         """
         ev = u if isinstance(u, Evaluation) else self.evaluate(u, p)
         return ev.hessian
-
-    def _ordered_bordered_hessian(self, hessian, shift=0.0, dtype=np.float64):
-        """The CSC matrix B(shift)[order][:, order], with values of `dtype`,
-        and that order, for the (A0, c, w) of `hessian_operator` and
-
-            B(s) = [[A0 - s M, m, v], [m^T, 0, 0], [v^T, 0, -sign]],
-
-        m the lumped masses, v = sqrt|c| w and sign = 1 if c >= 0 else -1.
-        Eliminating the corner leaves [[A0 + c w w^T - s M, m], [m^T, 0]]:
-        the first V entries of B(0)'s solve with (b, 0, 0) are the zero-mean
-        Hessian solve of b.  One gather fills the per-mesh pattern, so no
-        sparsity structure is built per call, and no float64 copy of the
-        matrix is made for another dtype."""
-        A0, c, w = hessian
-        order, pattern = self._ordered_pattern
-        sign = 1.0 if c >= 0 else -1.0
-        data = np.concatenate([A0.data - shift * self.mass.data, self.lumped,
-                               np.sqrt(abs(c)) * w, [-sign]], dtype=dtype)
-        return sp.csc_matrix((data.take(pattern.data), pattern.indices,
-                              pattern.indptr), shape=pattern.shape), order
-
-    def _bordered_residual(self, hessian, b, z):
-        """(b, 0, 0) - B(0) z for the B(0) of `_ordered_bordered_hessian`
-        and z = (x, lambda, y), in float64 from the Hessian data alone:
-        [b - A0 x - m lambda - v y, -m^T x, -v^T x + sign y]."""
-        A0, c, w = hessian
-        n = len(b)
-        x, lam, y = z[:n], z[n], z[n + 1]
-        v = np.sqrt(abs(c)) * w
-        r = np.empty_like(z)
-        r[:n] = b - A0 @ x - self.lumped * lam - v * y
-        r[n] = -(self.lumped @ x)
-        r[n + 1] = -(v @ x) + (1.0 if c >= 0 else -1.0) * y
-        return r
 
 
 def project_pi(u, basis, I):

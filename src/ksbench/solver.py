@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import mesh as meshmod
@@ -21,7 +22,6 @@ FLOW_TOL = 1e-6
 BLOWUP_NORM_CAP = 1e3
 EIG_GUARD = 1e-8            # below it a Hessian eigenvalue counts as zero
 SEED_LAMBDAS = (30.0, 100.0)    # overall scales of the seed family
-DEDUP_TOL = 1e-3            # H1 distance below which two solutions are one
 # Newton's factor swaps rows only where the diagonal is below this share of
 # its column's largest (threshold pivoting).  On 96 disk128 search states
 # it solves to 4.2e-13 relative residual (full pivoting 2.3e-13, none
@@ -125,16 +125,82 @@ def _factor(B, **options):
                      panel_size=spectrum.PANEL_SIZE, **options)
 
 
+class BorderedHessian:
+    """The doubly bordered matrix of the Hessian data (A0, c, w) of
+    `hessian_operator`,
+
+        B(s) = [[A0 - s M, m, v], [m^T, 0, 0], [v^T, 0, -sign]],
+
+    m the lumped masses, v = sqrt|c| w and sign = 1 if c >= 0 else -1.
+    Eliminating the corner leaves [[A0 + c w w^T - s M, m], [m^T, 0]]: the
+    first V entries of B(0)'s solve with (b, 0, 0) are the zero-mean
+    Hessian solve of b, and by Sylvester's law of inertia (Parlett, The
+    Symmetric Eigenvalue Problem, SIAM 1998, ch. 3) B(s) has one negative
+    pivot for each eigenvalue of H x = lambda M x on the zero-mean space
+    below s, H = A0 + c w w^T, one for the m border and one more where the
+    corner is -1.
+    """
+
+    def __init__(self, model, hessian):
+        self._model = model
+        self._A0, c, w = hessian
+        self._sign = 1.0 if c >= 0 else -1.0
+        self._v = np.sqrt(abs(c)) * w
+
+    def matrix(self, shift=0.0, dtype=np.float64):
+        """The CSC matrix B(shift)[order][:, order], with values of
+        `dtype`, and that order (`MeshOperators.bordered_pattern`).  One
+        gather fills the per-mesh pattern, so no sparsity structure is
+        built per call, and no float64 copy of the matrix is made for
+        another dtype."""
+        model = self._model
+        order, pattern = spectrum.operators(model.mesh).bordered_pattern
+        data = np.concatenate([self._A0.data - shift * model.mass.data,
+                               model.lumped, self._v, [-self._sign]],
+                              dtype=dtype)
+        return sp.csc_matrix((data.take(pattern.data), pattern.indices,
+                              pattern.indptr), shape=pattern.shape), order
+
+    def residual(self, b, z):
+        """(b, 0, 0) - B(0) z for z = (x, lambda, y), in float64 from the
+        Hessian data alone: [b - A0 x - m lambda - v y, -m^T x, -v^T x +
+        sign y]."""
+        n, m = len(b), self._model.lumped
+        x, lam, y = z[:n], z[n], z[n + 1]
+        r = np.empty_like(z)
+        r[:n] = b - self._A0 @ x - m * lam - self._v * y
+        r[n] = -(m @ x)
+        r[n + 1] = -(self._v @ x) + self._sign * y
+        return r
+
+    def count_below(self, shift):
+        """The number of zero-mean eigenvalues of H below `shift`: the
+        negative pivots of B(shift), factored without a row pivot (its L U
+        is then L D L^T, D the diagonal of U), less the border pivots.  A
+        ConvergenceError where SuperLU would have to pivot (a zero pivot)
+        or finds B singular."""
+        B, _ = self.matrix(shift)
+        try:
+            lu = _factor(B, diag_pivot_thresh=0.0,
+                         options=dict(SymmetricMode=True))
+        except RuntimeError as exc:
+            raise ConvergenceError(
+                f"Morse factorization failed: {exc}") from exc
+        if not np.array_equal(lu.perm_r, np.arange(B.shape[0])):
+            raise ConvergenceError("Morse factorization failed: a zero pivot")
+        borders = 2 if self._sign > 0 else 1
+        return int(np.count_nonzero(lu.U.diagonal() < 0.0)) - borders
+
+
 class _ZeroMeanHessianSolver:
     """Factorized Hessian H = A0 + c w w^T on the zero-mean space.
 
     The Hessian solve is that of the doubly bordered B(0) of
-    `EnergyFunctional._ordered_bordered_hessian`, whose m border imposes the
-    constraint and whose v border carries the rank-one part; it is
-    factored with threshold partial pivoting (PIVOT_THRESHOLD) in the
-    mesh's order, borders last, in float32 on meshes of at least
-    SINGLE_PRECISION_VERTICES vertices and in float64 below.  The solve
-    maps the constant mode to zero.
+    `BorderedHessian`, whose m border imposes the constraint and whose v
+    border carries the rank-one part; it is factored with threshold
+    partial pivoting (PIVOT_THRESHOLD) in the mesh's order, borders last,
+    in float32 on meshes of at least SINGLE_PRECISION_VERTICES vertices
+    and in float64 below.  The solve maps the constant mode to zero.
 
     Nothing is factored until `factor` or the first `refined_solve`;
     `newton` keeps one solver across its iterates, and `drop`s the held
@@ -153,16 +219,16 @@ class _ZeroMeanHessianSolver:
         factors its Hessian directly."""
         self._lu = self._bordered_solve = None
 
-    def factor(self, hessian, dtype=None):
+    def factor(self, hessian=None, dtype=None):
         """Factor `hessian`, the (A0, c, w) of `hessian_operator`, which
-        becomes the current Hessian, in `dtype` (by default the mesh's
-        precision).  The held LU is dropped first, so that two are never
-        alive at once."""
+        becomes the current Hessian (by default the current one), in
+        `dtype` (by default the mesh's precision).  The held LU is dropped
+        first, so that two are never alive at once."""
         self.drop()
-        self._hessian = hessian
+        if hessian is not None:
+            self._bordered = BorderedHessian(self._model, hessian)
         self._dtype = dtype or self._precision
-        B, order = self._model._ordered_bordered_hessian(hessian,
-                                                         dtype=self._dtype)
+        B, order = self._bordered.matrix(dtype=self._dtype)
         self._lu = _factor(B, diag_pivot_thresh=PIVOT_THRESHOLD)
         self._bordered_solve = spectrum.ordered_solve(self._lu, order,
                                                       self._dtype)
@@ -181,8 +247,7 @@ class _ZeroMeanHessianSolver:
         z = np.zeros(n + 2)
         last = np.inf
         for _ in range(REFINE_SWEEPS):
-            dz = self._bordered_solve(
-                self._model._bordered_residual(self._hessian, rhs, z))
+            dz = self._bordered_solve(self._bordered.residual(rhs, z))
             z += dz
             size = np.linalg.norm(dz[:n])
             if size <= REFINE_TOL * np.linalg.norm(z[:n]):
@@ -221,17 +286,17 @@ class _ZeroMeanHessianSolver:
         sweeps), so the cap keeps a stalled refinement well below the cost
         of refactoring.
         """
-        self._hessian = hessian
+        self._bordered = BorderedHessian(self._model, hessian)
         if self._lu is not None:
             x = self._refine(rhs)
             if x is not None:
                 return x
-        self.factor(hessian)
+        self.factor()
         if self._dtype == np.float32:
             x = self._refine(rhs)
             if x is not None:
                 return x
-            self.factor(hessian, np.float64)
+            self.factor(dtype=np.float64)
         return self.solve(rhs)
 
 
@@ -295,50 +360,17 @@ def newton(model, u0, p, max_iter=30, damped=False, seed_descriptor="zero"):
                        seed_descriptor=seed_descriptor)
 
 
-def _negative_pivots(model, hessian, shift):
-    """The negative pivots of B(shift) (see
-    `EnergyFunctional._ordered_bordered_hessian`), factored without a row
-    pivot: its L U is then L D L^T, D the diagonal of U.  A ConvergenceError
-    where SuperLU would have to pivot (a zero pivot) or finds B singular."""
-    B, _ = model._ordered_bordered_hessian(hessian, shift)
-    try:
-        lu = _factor(B, diag_pivot_thresh=0.0,
-                     options=dict(SymmetricMode=True))
-    except RuntimeError as exc:
-        raise ConvergenceError(f"Morse factorization failed: {exc}") from exc
-    if not np.array_equal(lu.perm_r, np.arange(B.shape[0])):
-        raise ConvergenceError("Morse factorization failed: a zero pivot")
-    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
-
-
-def _negative_directions(model, hessian, guard):
-    """The numbers of eigenvalues of H v = lambda M v on the zero-mean
-    space below -guard and below guard, H = A0 + c w w^T from the (A0, c,
-    w) `hessian`.
-
-    By Sylvester's law of inertia (Parlett, The Symmetric Eigenvalue
-    Problem, SIAM 1998, ch. 3) `_negative_pivots` of B(s) counts each
-    eigenvalue below s, one for the m border and one more where the corner
-    is -1 (c >= 0).  The two counts differ exactly when an eigenvalue lies
-    within guard of 0.
-    """
-    borders = 2 if hessian[1] >= 0 else 1
-    return tuple(_negative_pivots(model, hessian, s) - borders
-                 for s in (-guard, guard))
-
-
 def morse_index_at(model, u, p, count):
     """Negative Hessian directions at a critical point, among the lowest `count`.
 
-    `_negative_directions` of the Hessian at u, from one evaluation, at
-    EIG_GUARD; where the two counts differ an eigenvalue lies within
-    EIG_GUARD of 0: the point is not Morse, an error.  At u = 0 this is
-    the J of the existence criterion, and at rho = 0 its I (see
-    `index_below`).
+    The `BorderedHessian` of u, from one evaluation, counts the
+    eigenvalues below -EIG_GUARD and below EIG_GUARD; where the two counts
+    differ an eigenvalue lies within EIG_GUARD of 0: the point is not
+    Morse, an error.  At u = 0 this is the J of the existence criterion,
+    and at rho = 0 its I (see `index_below`).
     """
-    ev = model.evaluate(field_values(u), p)
-    below, above = _negative_directions(model, model.hessian_operator(ev, p),
-                                        EIG_GUARD)
+    B = BorderedHessian(model, model.hessian_operator(u, p))
+    below, above = (B.count_below(s) for s in (-EIG_GUARD, EIG_GUARD))
     if below != above:
         raise ConvergenceError(
             "near-zero Hessian eigenvalue: critical point is not Morse")
@@ -353,13 +385,13 @@ def index_below(model, threshold):
 
     The Hessian of u = 0 at Parameters(threshold, 0) is A0 = K + threshold
     M with c = 0, whose eigenvalues on the zero-mean space are lambda_i +
-    threshold; its `_negative_directions` at that tolerance differ exactly
-    at a resonance.
+    threshold; its counts below -tol and below tol, tol that tolerance,
+    differ exactly at a resonance.
     """
-    hessian = model.hessian_operator(np.zeros(model.mesh.num_vertices),
-                                     Parameters(beta=threshold, rho=0.0))
-    below, above = _negative_directions(model, hessian,
-                                        spectrum.resonance_tol(threshold))
+    B = BorderedHessian(model, model.hessian_operator(
+        np.zeros(model.mesh.num_vertices), Parameters(threshold, 0.0)))
+    tol = spectrum.resonance_tol(threshold)
+    below, above = (B.count_below(s) for s in (-tol, tol))
     if below != above:
         raise ResonanceError(f"threshold {threshold} resonates with an "
                              f"eigenvalue")
@@ -473,13 +505,13 @@ def find_critical_point(mesh, p, flow_budget=300):
     """Multi-seed search for a nontrivial critical point.
 
     Seeds enumerate the concentration test family plus scaled eigenmodes;
-    each is smoothed by a short gradient flow and polished by damped Newton.
-    Distinct solutions are deduplicated by H1 distance; a nontrivial one is
-    preferred.  I is `index_below` at beta, over the whole spectrum, and
-    the basis the max(I, 2) eigenpairs that the I sphere directions and the
-    mode seeds read.  K and I are each 0 only where they resonate
-    themselves: at a resonance of J alone, where a branch leaves u = 0, the
-    family stays.
+    each in turn is smoothed by a short gradient flow and polished by
+    damped Newton, until one gives a nontrivial state, which is picked
+    (failing that, the first trivial one).  I is `index_below` at beta,
+    over the whole spectrum, and the basis the max(I, 2) eigenpairs that
+    the I sphere directions and the mode seeds read.  K and I are each 0
+    only where they resonate themselves: at a resonance of J alone, where
+    a branch leaves u = 0, the family stays.
     """
     model = EnergyFunctional.for_mesh(mesh)
     try:
@@ -512,9 +544,6 @@ def find_critical_point(mesh, p, flow_budget=300):
         except ConvergenceError:
             continue
         if res.classification == CLASS_DIVERGED:
-            continue
-        if any(model.h1_norm(res.u.values - r.u.values) < DEDUP_TOL
-               for r in found):
             continue
         found.append(res)
         if res.classification == CLASS_NONTRIVIAL:

@@ -117,7 +117,8 @@ MASS_SOLVES_BEFORE_LU = 16
 class MeshOperators:
     """What every sparse computation on one mesh shares: K and M, the
     source map of their P1 pattern (see `assemble`), the fill-reducing
-    vertex order and the solve with M.
+    vertex order, the bordered Hessian's pattern in that order and the
+    solve with M.
 
     K and M are assembled at once.  The order is read on first use from an
     incomplete factor of M that keeps no fill.  The first
@@ -157,6 +158,36 @@ class MeshOperators:
         return np.argsort(spla.spilu(
             self.mass.tocsc(), drop_tol=np.inf, fill_factor=1,
             permc_spec="MMD_AT_PLUS_A").perm_c).astype(self.mass.indices.dtype)
+
+    @cached_property
+    def bordered_pattern(self):
+        """The order and CSC pattern of B[order][:, order] for the doubly
+        bordered B = [[A, m, v], [m^T, 0, 0], [v^T, 0, d]] and A on M's
+        pattern, built on first use; the order is the mesh's, then the m
+        border, then the v border.  The pattern's data are each entry's
+        position in concat([A's data, m, v, [d]]), in the pattern's index
+        dtype.  The borders come last, so they are written in place of a
+        COO conversion (which kept 27 MiB more resident on square256):
+        each of A's columns ends in rows n and n + 1."""
+        M = self.mass
+        n, nnz = M.shape[0], M.nnz
+        # The two kept arrays are allocated before the transients, which
+        # are then freed from the top of the heap.
+        rows, source = np.empty((2, nnz + 4 * n + 1), dtype=M.indices.dtype)
+        mesh_order = self.order
+        indptr, indices, entry = ordered_pattern(
+            np.repeat(np.arange(n), np.diff(M.indptr)), M.indices, mesh_order)
+        at, vertices, tail = np.repeat(indptr[1:], 2), np.arange(n), nnz + 2 * n
+        m, v = nnz + mesh_order, tail - n + mesh_order
+        np.concatenate([np.insert(indices, at, np.tile([n, n + 1], n)),
+                        vertices, vertices, [n + 1]], out=rows)
+        np.concatenate([np.insert(entry, at, np.column_stack([m, v]).ravel()),
+                        m, v, [tail]], out=source, casting="same_kind")
+        indptr = np.append(indptr + 2 * np.arange(n + 1),
+                           [tail + n, tail + 2 * n + 1])
+        order = np.concatenate([mesh_order, [n, n + 1]], dtype=rows.dtype)
+        return order, sp.csc_matrix((source, rows, indptr),
+                                    shape=(n + 2, n + 2))
 
     def mass_solve(self, b):
         """The solve of M x = b: Chebyshev iteration for the first

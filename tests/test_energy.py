@@ -96,8 +96,8 @@ def test_hessian_matches_finite_differences(square48):
         # y = sign(c) sqrt|c| w . v, where its corner row vanishes and its
         # first block is -(A0 + c w w^T) v.
         y = np.sign(c) * np.sqrt(abs(c)) * (w @ v)
-        r = model._bordered_residual((A0, c, w), np.zeros_like(v),
-                                     np.append(v, [0.0, y]))
+        r = solver.BorderedHessian(model, (A0, c, w)).residual(
+            np.zeros_like(v), np.append(v, [0.0, y]))
         assert abs(r[-1]) <= 1e-12 * max(1.0, abs(y))
         riesz = model.project_zero_mean(model._mass_solve(-r[:-2]))
         fd_g = (model.gradient(u + h * v, p).values
@@ -451,7 +451,8 @@ def test_index_maps_are_narrow_and_shared():
     model = EnergyFunctional.for_mesh(mesh)
     M = model.mass
     assert spectrum.operators(mesh).source.dtype == np.int32
-    assert model._ordered_pattern[1].data.dtype == np.int32
+    assert spectrum.operators(mesh).bordered_pattern[1].data.dtype \
+        == np.int32
     assert model._qab.dtype == np.int32
     u = model.project_zero_mean(np.random.default_rng(6).standard_normal(
         mesh.num_vertices))
@@ -473,7 +474,7 @@ def test_bordered_hessian_matches_bmat(name, shift):
         A0_old, B_old = _bordered_oracle(model, u, p, shift)
         hessian = model.hessian_operator(u, p)
         A0 = hessian[0]
-        B, order = model._ordered_bordered_hessian(hessian, shift)
+        B, order = solver.BorderedHessian(model, hessian).matrix(shift)
         want = B_old[order][:, order].tocsc()
         want.sort_indices()
         assert B.format == "csc"
@@ -523,7 +524,7 @@ def _hessian_cases(name, shift):
 @pytest.mark.parametrize("shift", [0.0, -7.5])
 def test_ordered_bordered_hessian_is_permuted_bmat(name, shift):
     for model, _, _, hessian, B in _hessian_cases(name, shift):
-        Bq, order = model._ordered_bordered_hessian(hessian, shift)
+        Bq, order = solver.BorderedHessian(model, hessian).matrix(shift)
         n = model.mesh.num_vertices
         assert np.array_equal(order[-2:], [n, n + 1])
         assert np.array_equal(np.sort(order), np.arange(n + 2))
@@ -550,7 +551,7 @@ def test_ordered_solves_match_plain_splu(name, shift):
                                  options=dict(SymmetricMode=True)))
                 for g in (-solver.EIG_GUARD, solver.EIG_GUARD)]:
             B = _bordered_oracle(model, u, p, s)[1]
-            Bq, order = model._ordered_bordered_hessian(hessian, s)
+            Bq, order = solver.BorderedHessian(model, hessian).matrix(s)
             lu = solver._factor(Bq, **options)
             if "options" in options:
                 assert np.array_equal(lu.perm_r, np.arange(B.shape[0]))
@@ -684,8 +685,8 @@ def _check_hessian_against_oracles(model, fields):
                     A0.data, K.data + p.beta * M.data - (p.rho / total) * E,
                     equal_nan=True)
                 for shift in (0.0, -7.5):
-                    B, got_order = model._ordered_bordered_hessian(
-                        (A0, c, w), shift)
+                    B, got_order = solver.BorderedHessian(
+                        model, (A0, c, w)).matrix(shift)
                     data = _bordered_data_oracle(model, pattern, (A0, c, w),
                                                  shift)
                     assert B.format == "csc"

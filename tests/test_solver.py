@@ -181,6 +181,30 @@ def test_find_critical_point_at_resonant_rho_seeds_no_family(square24):
                or r.seed_descriptor.startswith("mode(") for r in found)
 
 
+def test_find_critical_point_keeps_a_small_nontrivial_state(square24,
+                                                             monkeypatch):
+    # At beta = rho = 1 the triviality tolerance is 3e-4, so a state of H1
+    # norm 5e-4 is nontrivial however close it lies to u = 0: the search
+    # returns it after the trivial state of the zero seed.
+    model = EnergyFunctional.for_mesh(square24)
+    small = spectrum.eigenpairs(square24, 1).eigenvectors[:, 0]
+    small *= 5e-4 / model.h1_norm(small)
+
+    def fake_newton(model, u0, p, seed_descriptor, **kwargs):
+        u = small if np.any(u0) else np.zeros_like(small)
+        return solver.SolveResult(
+            u=Field(model.mesh, u), residual=0.0, energy=0.0,
+            classification=solver._classify(model, u, 0.0, p, 1e-10),
+            morse_index=None, iterations=0, seed_descriptor=seed_descriptor)
+
+    monkeypatch.setattr(solver, "newton", fake_newton)
+    pick, found = solver.find_critical_point(square24, COERCIVE,
+                                             flow_budget=0)
+    assert [r.classification for r in found] == [solver.CLASS_TRIVIAL,
+                                                 solver.CLASS_NONTRIVIAL]
+    assert pick is found[1] and pick.u.values is small
+
+
 class _Seeded(Exception):
     pass
 
@@ -454,6 +478,31 @@ def test_morse_index_matches_dense(name, kind, seed, beta, rho):
     exact = _null_space_eigenvalues(model, u, p)
     assert solver.morse_index_at(model, u, p, mesh.num_vertices - 1) \
         == np.count_nonzero(exact < 0.0)
+
+
+@hypothesis.settings(max_examples=30, deadline=None)
+@hypothesis.given(st.sampled_from(sorted(ORACLE_MESHES)),
+                  st.sampled_from(["noise", "bubble"]),
+                  st.integers(0, 2 ** 32 - 1),
+                  st.floats(-10.0, 4.0), st.floats(-30.0, 30.0),
+                  st.floats(0.0, 1.0))
+@hypothesis.example("disk", "bubble", 3, -5.0, 13.0, 0.5)
+@hypothesis.example("annulus", "noise", 3, 2.0, -20.0, 0.5)
+def test_count_below_any_shift_matches_dense(name, kind, seed, beta, rho,
+                                             where):
+    # A shift anywhere from 10 below the lowest eigenvalue to the eighth,
+    # at least 1e-6 relative away from each: the inertia of B(shift)
+    # counts the dense eigenvalues below it.
+    mesh = ORACLE_MESHES[name]
+    model = EnergyFunctional.for_mesh(mesh)
+    u = _oracle_field(mesh, kind, seed)
+    p = Parameters(beta=beta, rho=rho)
+    dense = _dense_eigenvalues(model, u, p, 8)
+    shift = dense[0] - 10.0 + where * (dense[-1] - dense[0] + 10.0)
+    hypothesis.assume(np.all(np.abs(dense - shift)
+                             > 1e-6 * np.maximum(np.abs(dense), abs(shift))))
+    B = solver.BorderedHessian(model, model.hessian_operator(u, p))
+    assert B.count_below(shift) == np.count_nonzero(dense < shift)
 
 
 def test_morse_index_at_zero_on_square128():
@@ -1003,7 +1052,7 @@ def test_newton_refactors_after_a_non_contracting_step(monkeypatch):
     log = []
     hessian_operator = EnergyFunctional.hessian_operator
     refined_solve = solver._ZeroMeanHessianSolver.refined_solve
-    bordered_residual = EnergyFunctional._bordered_residual
+    bordered_residual = solver.BorderedHessian.residual
     sweeps = []
 
     def logged_hessian_operator(model, ev, p):
@@ -1019,14 +1068,14 @@ def test_newton_refactors_after_a_non_contracting_step(monkeypatch):
         log[-1]["sweeps"] = len(sweeps)
         return out
 
-    def counted_residual(model, hessian, b, z):
+    def counted_residual(bordered, b, z):
         sweeps.append(1)
-        return bordered_residual(model, hessian, b, z)
+        return bordered_residual(bordered, b, z)
     monkeypatch.setattr(EnergyFunctional, "hessian_operator",
                         logged_hessian_operator)
     monkeypatch.setattr(solver._ZeroMeanHessianSolver, "refined_solve",
                         logged_refined_solve)
-    monkeypatch.setattr(EnergyFunctional, "_bordered_residual",
+    monkeypatch.setattr(solver.BorderedHessian, "residual",
                         counted_residual)
     res = solver.newton(model, bubbles.bubble_values(mu, 5.0, mesh), p,
                         damped=True, max_iter=60)

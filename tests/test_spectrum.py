@@ -416,7 +416,7 @@ def test_square256_bordered_hessian_panel_width(square256):
         square256.num_vertices))
     hess = solver._ZeroMeanHessianSolver(model)
     hess.factor(model.hessian_operator(u, Parameters(beta=-5.0, rho=13.0)))
-    B, _ = model._ordered_bordered_hessian(hess._hessian, dtype=hess._dtype)
+    B, _ = hess._bordered.matrix(dtype=hess._dtype)
     assert B.dtype == np.float32
     _check_panel_width(hess._lu, B, "NATURAL",
                        diag_pivot_thresh=solver.PIVOT_THRESHOLD)
