@@ -25,8 +25,16 @@ def weighted_count(interior):
     return int(2 * interior.sum() + (~interior).sum())
 
 
+class _Atoms:
+    """An atom family with `interior` flags, and its weighted count."""
+
+    @property
+    def weighted_count(self):
+        return weighted_count(self.interior)
+
+
 @dataclass(eq=False)
-class BarycenterMeasure:
+class BarycenterMeasure(_Atoms):
     points: np.ndarray       # (n, 2)
     weights: np.ndarray      # (n,) positive, sums to 1
     interior: np.ndarray     # (n,) bool
@@ -35,10 +43,6 @@ class BarycenterMeasure:
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         self.weights = np.asarray(self.weights, dtype=float)
         self.interior = np.asarray(self.interior, dtype=bool)
-
-    @property
-    def weighted_count(self):
-        return weighted_count(self.interior)
 
 
 @dataclass(eq=False)
@@ -50,25 +54,17 @@ class JoinPoint:
 
 
 @dataclass(eq=False)
-class Spread:
+class Spread(_Atoms):
     points: np.ndarray
     interior: np.ndarray
     mass_floor: float        # each point holds at least this mass in its ball
     radius: float            # the ball radius (eps / 6)
 
-    @property
-    def weighted_count(self):
-        return weighted_count(self.interior)
-
 
 @dataclass(eq=False)
-class Concentrated:
+class Concentrated(_Atoms):
     points: np.ndarray       # witnessing family, boundary members on the boundary
     interior: np.ndarray
-
-    @property
-    def weighted_count(self):
-        return weighted_count(self.interior)
 
 
 def density_atoms(mesh, values):
@@ -319,9 +315,9 @@ class _Cover:
         self._inner = np.zeros(n, bool)
         self._edge = np.zeros(n, bool)
         self._foot = np.zeros((n, 2))
-        # The eps-ball rows built so far, in blocks, with each row's net
-        # point and kind; which net points have a row of each kind.
-        self._rows = []
+        # The eps-ball rows built so far, one CSR matrix, with each row's
+        # net point and kind; which net points have a row of each kind.
+        self._rows = sp.csr_matrix((0, len(self._vertices)), dtype=bool)
         self._row_net = np.zeros(0, np.intp)
         self._row_edge = np.zeros(0, bool)
         self._has_row = np.zeros((2, n), bool)       # interior, boundary
@@ -396,9 +392,9 @@ class _Cover:
         ee = np.flatnonzero(edge & self._edge & ~self._has_row[1])
         if len(ii) + len(ee) == 0:
             return
-        self._rows.append(_ball_incidence(
+        self._rows = sp.vstack([self._rows, _ball_incidence(
             np.concatenate([self.net[ii], self._foot[ee]]), self._vertices,
-            self.eps))
+            self.eps)], format="csr")
         self._row_net = np.concatenate([self._row_net, ii, ee])
         self._row_edge = np.concatenate([self._row_edge,
                                          np.repeat([False, True],
@@ -412,11 +408,9 @@ class _Cover:
         candidate whose gain can reach the largest within 1e-12 by
         `bounds`, the `_bounds` of `weights`."""
         inner, edge, low = bounds
-        gains = [rows @ weights for rows in self._rows]
+        gains = self._rows @ weights
         built = len(gains)
-        afford = self._row_edge | (budget >= 2)
-        best = (np.concatenate(gains)[afford].max(initial=0.0) if gains
-                else 0.0)
+        best = gains[self._row_edge | (budget >= 2)].max(initial=0.0)
         if budget >= 2:
             # Every net point gives a candidate: a point that `_hex_net`
             # keeps outside the domain lies within a spacing of a vertex,
@@ -432,17 +426,8 @@ class _Cover:
                                       < self.eps / 2.0 * (1.0 - 1e-9))
             cut = max(best, low[idx[sure]].max(initial=0.0)) * (1.0 - 1e-12)
             self._build(mesh, np.zeros(len(self.net), bool), edge >= cut)
-        gains += [rows @ weights for rows in self._rows[built:]]
-        gains = np.concatenate(gains) if gains else np.zeros(0)
+        gains = np.concatenate([gains, self._rows[built:] @ weights])
         return np.where(self._row_edge | (budget >= 2), gains, 0.0)
-
-    def _row(self, k):
-        """The vertices in the eps-ball of built candidate `k`."""
-        for rows in self._rows:
-            if k < rows.shape[0]:
-                return rows.indices[rows.indptr[k]:rows.indptr[k + 1]]
-            k -= rows.shape[0]
-        raise IndexError(k)
 
     def greedy_capture(self, mesh, weights, K):
         """Greedy capture of the vertex weights within budget K: each pick
@@ -467,7 +452,7 @@ class _Cover:
             near = np.flatnonzero(gains >= top * (1.0 - 1e-12))
             best = near[np.lexsort((self._row_net[near],
                                     ~self._row_edge[near]))[0]]
-            covered[self._row(best)] = True
+            covered[self._rows[best].indices] = True
             i, edge = self._row_net[best], bool(self._row_edge[best])
             family.append((self._foot[i] if edge else self.net[i]).copy())
             flags.append(not edge)

@@ -63,11 +63,10 @@ ERROR_EXITS = {
     NotInLowSublevelError: 4,
 }
 
-# Frozen probe references: expected Dirichlet slopes per fixture and the
-# calibrated statistic constants/bounds (resolution-64 calibration run).
-PROBE_SLOPES = {
-    "boundary": (16.0 * np.pi, 0.03),
-}
+# Frozen probe references: the boundary Dirichlet slope and its tolerance,
+# and calibrated statistic constants/bounds (resolution-64 calibration run).
+BOUNDARY_SLOPE = 16.0 * np.pi
+BOUNDARY_SLOPE_TOL = 0.03
 EXP_LOWER_CONSTANT = 1.0
 EXP_LOWER_BOUND = -4.5
 L2_UPPER_CONSTANT = 6.0
@@ -127,7 +126,7 @@ def cmd_analyze(args):
 def cmd_solve(args):
     mesh = _build_mesh(args)
     p = Parameters(beta=args.beta, rho=args.rho)
-    result, _ = solver.find_critical_point(mesh, p, flow_budget=args.steps)
+    result = solver.find_critical_point(mesh, p, flow_budget=args.steps)
     if result is None:
         sys.stderr.write("error: no critical point found\n")
         return EXIT_SOLVE_FAILED
@@ -182,10 +181,9 @@ def cmd_probe(args):
 
     ok = True
     if args.probe == "dirichlet_slope":
-        expected, rel = PROBE_SLOPES["boundary"]
         slope = bubbles.dirichlet_slope(mu, grid, mesh)
-        ok = abs(slope - expected) <= rel * expected
-        print(f"slope {slope:.4g} expected {expected:.4g} "
+        ok = abs(slope - BOUNDARY_SLOPE) <= BOUNDARY_SLOPE_TOL * BOUNDARY_SLOPE
+        print(f"slope {slope:.4g} expected {BOUNDARY_SLOPE:.4g} "
               f"{'PASS' if ok else 'FAIL'}")
     elif args.probe == "mt":
         stats = []

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay, cKDTree
 
 from .errors import MeshError
@@ -48,28 +50,18 @@ def _signed_areas(vertices, triangles):
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
-def _boundary_loops(boundary_edges):
-    """Split directed boundary edges into closed loops (lists of vertices)."""
-    nxt = {}
-    for a, b in boundary_edges:
-        if a in nxt:
-            raise MeshError("boundary is not a union of simple loops")
-        nxt[int(a)] = int(b)
-    loops = []
-    remaining = set(nxt)
-    while remaining:
-        start = min(remaining)
-        loop = [start]
-        cur = nxt[start]
-        remaining.discard(start)
-        while cur != start:
-            loop.append(cur)
-            remaining.discard(cur)
-            if cur not in nxt:
-                raise MeshError("boundary loop is not closed")
-            cur = nxt[cur]
-        loops.append(loop)
-    return loops
+def _boundary_loop_count(boundary_edges, num_vertices):
+    """The number of closed loops that the directed boundary edges form:
+    the weak components of their graph, less the vertices on none."""
+    a, b = boundary_edges.T
+    if len(np.unique(a)) < len(a):
+        raise MeshError("boundary is not a union of simple loops")
+    if not np.array_equal(np.sort(a), np.sort(b)):
+        raise MeshError("boundary loop is not closed")
+    graph = sp.csr_matrix((np.ones(len(a)), (a, b)),
+                          shape=(num_vertices, num_vertices))
+    count, _ = connected_components(graph, connection="weak")
+    return count - (num_vertices - len(a))
 
 
 def _finalize(vertices, triangles, allow_flip=False):
@@ -127,8 +119,7 @@ def _finalize(vertices, triangles, allow_flip=False):
     genus = 1 - chi
     if genus < 0:
         raise MeshError("mesh has positive Euler characteristic > 1")
-    loops = _boundary_loops(boundary_edges)
-    if len(loops) != genus + 1:
+    if _boundary_loop_count(boundary_edges, len(vertices)) != genus + 1:
         raise MeshError("boundary loop count inconsistent with Euler characteristic")
 
     return Mesh(vertices=vertices, triangles=triangles,

@@ -97,6 +97,7 @@ def flow(model, seed, p, step_budget):
     e, g, gnorm = ev.energy, ev.gradient, ev.gradient_norm
     dt = 0.1
     it = 0
+    cls = None
     while it < step_budget and gnorm > FLOW_TOL:
         trial = model.project_zero_mean(u - dt * g)
         ev = model.evaluate(trial, p)
@@ -109,10 +110,9 @@ def flow(model, seed, p, step_budget):
         u, e, g, gnorm = trial, ev.energy, ev.gradient, ev.gradient_norm
         dt *= 1.2
         if np.abs(u).max() > BLOWUP_NORM_CAP:
-            return SolveResult(u=Field(model.mesh, u), residual=gnorm,
-                               energy=e, classification=CLASS_DIVERGED,
-                               morse_index=None, iterations=it)
-    cls = _classify(model, u, gnorm, p, FLOW_TOL)
+            cls = CLASS_DIVERGED
+            break
+    cls = cls or _classify(model, u, gnorm, p, FLOW_TOL)
     return SolveResult(u=Field(model.mesh, u), residual=gnorm, energy=e,
                        classification=cls, morse_index=None, iterations=it)
 
@@ -384,12 +384,12 @@ def index_below(model, threshold):
     `spectrum.resonance_tol` of it.
 
     The Hessian of u = 0 at Parameters(threshold, 0) is A0 = K + threshold
-    M with c = 0, whose eigenvalues on the zero-mean space are lambda_i +
-    threshold; its counts below -tol and below tol, tol that tolerance,
-    differ exactly at a resonance.
+    M with c = 0, taken here with w = 0 and no evaluation; its eigenvalues
+    on the zero-mean space are lambda_i + threshold, and its counts below
+    -tol and below tol, tol that tolerance, differ exactly at a resonance.
     """
-    B = BorderedHessian(model, model.hessian_operator(
-        np.zeros(model.mesh.num_vertices), Parameters(threshold, 0.0)))
+    B = BorderedHessian(model, (model._shifted_stiffness(threshold), 0.0,
+                                np.zeros(model.mesh.num_vertices)))
     tol = spectrum.resonance_tol(threshold)
     below, above = (B.count_below(s) for s in (-tol, tol))
     if below != above:
@@ -506,12 +506,12 @@ def find_critical_point(mesh, p, flow_budget=300):
 
     Seeds enumerate the concentration test family plus scaled eigenmodes;
     each in turn is smoothed by a short gradient flow and polished by
-    damped Newton, until one gives a nontrivial state, which is picked
-    (failing that, the first trivial one).  I is `index_below` at beta,
-    over the whole spectrum, and the basis the max(I, 2) eigenpairs that
-    the I sphere directions and the mode seeds read.  K and I are each 0
-    only where they resonate themselves: at a resonance of J alone, where
-    a branch leaves u = 0, the family stays.
+    damped Newton, until one gives a nontrivial state, which is returned
+    (failing that, the first trivial one, or None).  I is `index_below` at
+    beta, over the whole spectrum, and the basis the max(I, 2) eigenpairs
+    that the I sphere directions and the mode seeds read.  K and I are
+    each 0 only where they resonate themselves: at a resonance of J alone,
+    where a branch leaves u = 0, the family stays.
     """
     model = EnergyFunctional.for_mesh(mesh)
     try:
@@ -533,7 +533,7 @@ def find_critical_point(mesh, p, flow_budget=300):
             seeds.append((f"mode({i},{s:g})",
                           s * basis.eigenvectors[:, i]))
 
-    found = []
+    pick = None
     for name, seed in seeds:
         trial = seed
         if flow_budget > 0 and np.any(seed):
@@ -543,17 +543,15 @@ def find_critical_point(mesh, p, flow_budget=300):
                          seed_descriptor=name)
         except ConvergenceError:
             continue
-        if res.classification == CLASS_DIVERGED:
-            continue
-        found.append(res)
         if res.classification == CLASS_NONTRIVIAL:
+            pick = res
             break
-    nontrivial = [r for r in found if r.classification == CLASS_NONTRIVIAL]
-    pick = nontrivial[0] if nontrivial else (found[0] if found else None)
+        if res.classification == CLASS_TRIVIAL:
+            pick = pick or res
     if pick is not None and pick.residual < 1e-6:
         try:
             pick.morse_index = morse_index_at(
                 model, pick.u, p, count=mesh.num_vertices - 1)
         except ConvergenceError:
             pick.morse_index = None
-    return pick, found
+    return pick

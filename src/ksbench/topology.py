@@ -7,7 +7,7 @@ from dataclasses import dataclass, asdict
 from functools import partial
 
 from .errors import EmptySpaceError, ResonanceError
-from .spectrum import bracket_index
+from .spectrum import bracket_index, resonance_tol
 
 FOUR_PI = 4.0 * math.pi
 
@@ -37,7 +37,7 @@ class ConditionReport:
 
 def concentration_index(rho):
     """K with 4*K*pi < rho < 4*(K+1)*pi; degenerate at multiples of 4*pi."""
-    tol = 1e-6 * (1.0 + abs(rho))
+    tol = resonance_tol(rho)
     if rho <= tol:
         raise ResonanceError("rho must be positive and away from 0")
     nearest = round(rho / FOUR_PI) * FOUR_PI

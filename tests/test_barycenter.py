@@ -1112,7 +1112,7 @@ def test_cover_greedy_capture_matches_loop(case):
     assert ref_captured <= bound
     if bound < 1.0 - eps:
         assert (family, flags, captured) == ([], [], 0.0)
-        assert not cover._known.any() and not cover._rows
+        assert not cover._known.any() and cover._rows.shape[0] == 0
         return
     assert np.array_equal(np.array(family), np.array(ref_family))
     assert flags == ref_flags
@@ -1166,10 +1166,9 @@ def test_cover_bounds_and_rows_match_full_build(name, eps):
                    inner.sum() + np.searchsorted(np.flatnonzero(edge),
                                                  cover._row_net),
                    np.searchsorted(np.flatnonzero(inner), cover._row_net))
-    built = sp.vstack(cover._rows, format="csr")
     want = balls[row]
-    assert np.array_equal(built.indptr, want.indptr)
-    assert np.array_equal(built.indices, want.indices)
+    assert np.array_equal(cover._rows.indptr, want.indptr)
+    assert np.array_equal(cover._rows.indices, want.indices)
 
 
 def test_hopeless_flat_spread_builds_no_candidate(monkeypatch):
@@ -1194,7 +1193,7 @@ def test_hopeless_flat_spread_builds_no_candidate(monkeypatch):
     assert counts == {"_ball_incidence": 1, "_net_geometry": 0}
     assert sizes == [len(out.points)]
     assert mesh._covers[0.2 / 3.0] is cover
-    assert not cover._known.any() and not cover._rows
+    assert not cover._known.any() and cover._rows.shape[0] == 0
 
 
 def test_capture_bound_rules_out_the_flat_capture_at_0_15(monkeypatch):

@@ -1,4 +1,6 @@
 """Mesh construction, geometry queries and the plain-text format."""
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy.spatial import Delaunay
@@ -189,7 +191,83 @@ def test_disk_area_converges(disk128, disk256):
 def test_annulus_has_two_loops_and_genus_one():
     ann = meshmod.build_builtin("annulus", 64)
     assert ann.genus == 1
-    assert len(meshmod._boundary_loops(ann.boundary_edges)) == 2
+    assert meshmod._boundary_loop_count(ann.boundary_edges,
+                                        ann.num_vertices) == 2
+
+
+def _boundary_loops_oracle(boundary_edges):
+    """The former `_boundary_loops`: the directed boundary edges split into
+    closed loops (lists of vertices) by a walk over a dict of successors.
+    The former walk never ended where it entered a cycle that missed its
+    start; here it stops after as many steps as there are edges, and that
+    reads as an open loop."""
+    nxt = {}
+    for a, b in boundary_edges:
+        if a in nxt:
+            raise MeshError("boundary is not a union of simple loops")
+        nxt[int(a)] = int(b)
+    loops = []
+    remaining = set(nxt)
+    while remaining:
+        start = min(remaining)
+        loop = [start]
+        cur = nxt[start]
+        remaining.discard(start)
+        while cur != start:
+            loop.append(cur)
+            remaining.discard(cur)
+            if cur not in nxt or len(loop) > len(nxt):
+                raise MeshError("boundary loop is not closed")
+            cur = nxt[cur]
+        loops.append(loop)
+    return loops
+
+
+def _check_loop_count(boundary_edges, num_vertices):
+    """`_boundary_loop_count` gives the walk's loop count, or raises its
+    error with the same message."""
+    try:
+        want = len(_boundary_loops_oracle(boundary_edges))
+    except MeshError as exc:
+        with pytest.raises(MeshError) as info:
+            meshmod._boundary_loop_count(boundary_edges, num_vertices)
+        assert str(info.value) == str(exc)
+        return str(exc)
+    assert meshmod._boundary_loop_count(boundary_edges, num_vertices) == want
+    return want
+
+
+@pytest.mark.parametrize("domain", meshmod.BUILTIN_NAMES)
+def test_boundary_loop_count_matches_walk_on_builtin_meshes(domain):
+    for n in (4, 5, 7, 12, 13, 31, 64, 97, 128):
+        mesh = meshmod.build_builtin(domain, n)
+        loops = _check_loop_count(mesh.boundary_edges, mesh.num_vertices)
+        assert loops == mesh.genus + 1 == (2 if domain == "annulus" else 1)
+
+
+def test_load_mesh_rejects_a_bow_tie():
+    # Two triangles that share only vertex 0, which starts two boundary
+    # edges.
+    text = ("5 2\n0 0\n1 0\n1 1\n-1 0\n-1 -1\n0 1 2\n0 3 4\n")
+    with pytest.raises(MeshError,
+                       match="^boundary is not a union of simple loops$"):
+        meshmod.load_mesh(text)
+
+
+def test_load_mesh_rejects_a_loop_count_off_the_euler_characteristic():
+    # annulus64 and a disjoint triangle: Euler characteristic 1, so genus
+    # 0, but three boundary loops.
+    ann = meshmod.build_builtin("annulus", 64)
+    vertices = np.concatenate([ann.vertices,
+                               [[3.0, 0.0], [4.0, 0.0], [3.0, 1.0]]])
+    v = ann.num_vertices
+    triangles = np.concatenate([ann.triangles, [[v, v + 1, v + 2]]])
+    text = "\n".join([f"{len(vertices)} {len(triangles)}"]
+                     + [f"{float(x)!r} {float(y)!r}" for x, y in vertices]
+                     + [" ".join(map(str, t)) for t in triangles])
+    with pytest.raises(MeshError, match="^boundary loop count inconsistent "
+                                        "with Euler characteristic$"):
+        meshmod.load_mesh(text)
 
 
 def test_boundary_distance_square_oracle(square64):
@@ -354,6 +432,27 @@ def test_load_mesh_raises_only_mesh_error(text):
     except MeshError:
         return
     assert np.isfinite(mesh.area) and mesh.area > 0
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(_mesh_texts())
+def test_boundary_loop_count_matches_walk_on_edited_grids(text):
+    # The boundary edges of every edited grid that reaches the loop count,
+    # valid or not, read by a spy.
+    calls = []
+    count = meshmod._boundary_loop_count
+
+    def spy(boundary_edges, num_vertices):
+        calls.append((boundary_edges.copy(), num_vertices))
+        return count(boundary_edges, num_vertices)
+
+    with mock.patch.object(meshmod, "_boundary_loop_count", spy):
+        try:
+            meshmod.load_mesh(text)
+        except MeshError:
+            pass
+    for boundary_edges, num_vertices in calls:
+        _check_loop_count(boundary_edges, num_vertices)
 
 
 def test_lumped_masses_sum_to_area(disk128):

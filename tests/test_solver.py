@@ -162,23 +162,27 @@ def test_morse_index_at_zero_matches_bracket(square48, square48_basis):
         assert idx == J
 
 
-def test_find_critical_point_coercive_is_trivial(square48):
-    pick, found = solver.find_critical_point(square48, COERCIVE,
-                                             flow_budget=100)
+def _newton_results(monkeypatch):
+    """The results of every `solver.newton` call that converges, in call
+    order, recorded by a spy."""
+    results = []
+    newton = solver.newton
+
+    def spy(*args, **kwargs):
+        results.append(newton(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(solver, "newton", spy)
+    return results
+
+
+def test_find_critical_point_coercive_is_trivial(square48, monkeypatch):
+    results = _newton_results(monkeypatch)
+    pick = solver.find_critical_point(square48, COERCIVE, flow_budget=100)
     assert pick is not None
     assert pick.classification == solver.CLASS_TRIVIAL
-    assert all(r.classification == solver.CLASS_TRIVIAL for r in found)
-
-
-def test_find_critical_point_at_resonant_rho_seeds_no_family(square24):
-    # rho = 4 pi has no concentration index, so K = 0, and beta = 1 puts
-    # no eigenvalue below -beta, so I = 0: only the zero seed and the
-    # scaled eigenmodes remain.
-    p = Parameters(beta=1.0, rho=4.0 * np.pi)
-    pick, found = solver.find_critical_point(square24, p)
-    assert pick is not None and found
-    assert all(r.seed_descriptor == "zero"
-               or r.seed_descriptor.startswith("mode(") for r in found)
+    assert pick is results[0] and pick.seed_descriptor == "zero"
+    assert all(r.classification == solver.CLASS_TRIVIAL for r in results)
 
 
 def test_find_critical_point_keeps_a_small_nontrivial_state(square24,
@@ -198,11 +202,11 @@ def test_find_critical_point_keeps_a_small_nontrivial_state(square24,
             morse_index=None, iterations=0, seed_descriptor=seed_descriptor)
 
     monkeypatch.setattr(solver, "newton", fake_newton)
-    pick, found = solver.find_critical_point(square24, COERCIVE,
-                                             flow_budget=0)
-    assert [r.classification for r in found] == [solver.CLASS_TRIVIAL,
-                                                 solver.CLASS_NONTRIVIAL]
-    assert pick is found[1] and pick.u.values is small
+    results = _newton_results(monkeypatch)
+    pick = solver.find_critical_point(square24, COERCIVE, flow_budget=0)
+    assert [r.classification for r in results] == [solver.CLASS_TRIVIAL,
+                                                   solver.CLASS_NONTRIVIAL]
+    assert pick is results[1] and pick.u.values is small
 
 
 class _Seeded(Exception):
@@ -223,6 +227,16 @@ def _seed_indices(monkeypatch, mesh, p):
         solver.find_critical_point(mesh, p, flow_budget=0)
     (indices,) = seen
     return indices
+
+
+def test_find_critical_point_at_resonant_rho_seeds_no_family(square24,
+                                                             monkeypatch):
+    # rho = 4 pi has no concentration index, so K = 0, and beta = 1 puts
+    # no eigenvalue below -beta, so I = 0: only the zero seed and the
+    # scaled eigenmodes remain.
+    p = Parameters(beta=1.0, rho=4.0 * np.pi)
+    assert solver._seed_configs(square24, 0, 0) == []
+    assert _seed_indices(monkeypatch, square24, p) == (0, 0)
 
 
 def test_find_critical_point_keeps_the_family_at_a_shifted_resonance(
@@ -281,7 +295,7 @@ def test_find_critical_point_nontrivial_disk(disk128, monkeypatch):
 
     monkeypatch.setattr(spectrum, "eigenpairs", counted)
     p = Parameters(beta=-5.0, rho=13.8)
-    pick, _ = solver.find_critical_point(disk128, p)
+    pick = solver.find_critical_point(disk128, p)
     assert pick is not None
     assert pick.classification == solver.CLASS_NONTRIVIAL
     assert pick.residual < 1e-8
@@ -293,7 +307,7 @@ def test_continuation_tracks_nontrivial_branch(disk128, disk128_basis):
     model = EnergyFunctional.for_mesh(disk128)
     p0 = Parameters(beta=-5.0, rho=13.7)
     p1 = Parameters(beta=-5.0, rho=14.0)
-    pick, _ = solver.find_critical_point(disk128, p0)
+    pick = solver.find_critical_point(disk128, p0)
     assert pick.classification == solver.CLASS_NONTRIVIAL
     results, stop = solver.continuation(model, disk128_basis, p0, p1,
                                         steps=10, u0=pick.u)
@@ -573,6 +587,25 @@ def test_index_below_is_the_bracket_index_of_the_whole_spectrum(forty):
     for i in (0, 9, 37):
         with pytest.raises(ResonanceError):
             solver.index_below(model, -lam[i])
+
+
+def test_index_below_evaluates_nothing(monkeypatch):
+    # B(s) is built from the model's K + threshold M: no quadrature and no
+    # energy is computed.
+    model = EnergyFunctional.for_mesh(ORACLE_MESHES["unit_square"])
+    calls = []
+    evaluate = EnergyFunctional.evaluate
+
+    def counted(self, u, p):
+        calls.append(p)
+        return evaluate(self, u, p)
+
+    monkeypatch.setattr(EnergyFunctional, "evaluate", counted)
+    lam = spectrum.eigenpairs(model.mesh, 8).eigenvalues
+    for threshold, index in ((1.0, 0), (-30.0, 3), (-60.0, 7)):
+        assert solver.index_below(model, threshold) == index
+        assert spectrum.bracket_index(lam, threshold) == index
+    assert calls == []
 
 
 def test_index_below_leaves_untruncated_reports_unchanged(forty):
